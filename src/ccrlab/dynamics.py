@@ -35,9 +35,9 @@ from .linalg import (
 from .representations import (
     Representation,
     binomial_support,
+    joint_sector_sum,
     kron_vector,
     log_binomial_weights,
-    log_joint_weights,
 )
 
 #: Atomic lowering operator R: |+> -> |->, R^2 = 0.
@@ -51,9 +51,6 @@ IDX_PP, IDX_PM, IDX_MP, IDX_MM = 0, 1, 2, 3
 
 #: Maximum ensemble size accepted by the closed-form density matrix.
 MAX_ENSEMBLE = 10**6
-
-#: Row-chunk budget for the joint sector sum (entries per chunk).
-_JOINT_CHUNK = 4_000_000
 
 
 def closed_form_evolution(a, t: float) -> np.ndarray:
@@ -223,57 +220,53 @@ def _check_ensemble_params(n: int, z1: float, z2: float, z: float) -> tuple:
 
 
 def rho_atoms_reducible(
-    t: float, n: int, z1: float, z2: float, z: float
+    t: float | np.ndarray, n: int, z1: float, z2: float, z: float
 ) -> np.ndarray:
     """Two-atom density matrix for the N-oscillator reducible representation.
 
     Sector sums over the spectrum {s/N} of the central elements: diagonal
     terms carry binomial vacuum weights per mode, the |+-><-+| coherence
     carries the joint multinomial weight (which vanishes identically for
-    s + s' > N, killing the coherence at N = 1). Oscillation frequencies
-    are sqrt(s/(N Z)) as produced by the H/sqrt(Z) generator.
+    s + s' > N, killing the coherence at N = 1). The joint sum runs as a
+    1-D convolution of extended-precision tables
+    (:func:`~ccrlab.representations.joint_sector_sum`). Oscillation
+    frequencies are sqrt(s/(N Z)) as produced by the H/sqrt(Z) generator.
+
+    ``t`` is a scalar (returns a 4x4 matrix) or a 1-D array of T times
+    (returns a (T, 4, 4) stack); the weights are built once for all times.
     """
     n, z1, z2, z = _check_ensemble_params(n, z1, z2, z)
-    t = float(t)
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ConfigError(f"t must be a scalar or a 1-D array, got shape {times.shape}")
+    tt = np.atleast_1d(times)[:, None]
 
-    def sector_values(support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def sector_values(z_k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        support = binomial_support(n, z_k)
         ratio = support / n
-        theta = t * np.sqrt(ratio / z)
-        return ratio, theta
+        weights = np.exp(log_binomial_weights(n, support, z_k))
+        return ratio, weights, tt * np.sqrt(ratio / z)
 
-    s1 = binomial_support(n, z1)
-    s2 = binomial_support(n, z2)
-    w1 = np.exp(log_binomial_weights(n, s1, z1))
-    w2 = np.exp(log_binomial_weights(n, s2, z2))
-    ratio1, theta1 = sector_values(s1)
-    ratio2, theta2 = sector_values(s2)
+    ratio1, w1, theta1 = sector_values(z1)
+    ratio2, w2, theta2 = sector_values(z2)
 
     norm = 1.0 / (z1 + z2)
-    pop_mm = norm * (
-        float(np.sum(np.cos(theta1) ** 2 * ratio1 * w1))
-        + float(np.sum(np.cos(theta2) ** 2 * ratio2 * w2))
+    up1 = np.sum(np.sin(theta1) ** 2 * ratio1 * w1, axis=-1)
+    up2 = np.sum(np.sin(theta2) ** 2 * ratio2 * w2, axis=-1)
+    down = np.sum(np.cos(theta1) ** 2 * ratio1 * w1, axis=-1) + np.sum(
+        np.cos(theta2) ** 2 * ratio2 * w2, axis=-1
     )
-    pop_pm = norm * float(np.sum(np.sin(theta1) ** 2 * ratio1 * w1))
-    pop_mp = norm * float(np.sum(np.sin(theta2) ** 2 * ratio2 * w2))
+    coherence = joint_sector_sum(
+        n, z1, z2, np.sin(theta1) * np.sqrt(ratio1), np.sin(theta2) * np.sqrt(ratio2)
+    )
 
-    # Joint multinomial sum, chunked over rows to bound memory at large N.
-    f1 = np.sin(theta1) * np.sqrt(ratio1)
-    f2 = np.sin(theta2) * np.sqrt(ratio2)
-    coherence = 0.0
-    step = max(1, _JOINT_CHUNK // max(1, s2.size))
-    for start in range(0, s1.size, step):
-        stop = min(start + step, s1.size)
-        logw = log_joint_weights(n, s1[start:stop], s2, z1, z2)
-        coherence += float(f1[start:stop] @ np.exp(logw) @ f2)
-    coherence *= norm
-
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[IDX_MM, IDX_MM] = pop_mm
-    rho[IDX_PM, IDX_PM] = pop_pm
-    rho[IDX_MP, IDX_MP] = pop_mp
-    rho[IDX_PM, IDX_MP] = coherence
-    rho[IDX_MP, IDX_PM] = coherence
-    return rho
+    rho = np.zeros((tt.shape[0], 4, 4), dtype=complex)
+    rho[:, IDX_MM, IDX_MM] = norm * down
+    rho[:, IDX_PM, IDX_PM] = norm * up1
+    rho[:, IDX_MP, IDX_MP] = norm * up2
+    rho[:, IDX_PM, IDX_MP] = norm * coherence
+    rho[:, IDX_MP, IDX_PM] = norm * coherence
+    return rho if times.ndim else rho[0]
 
 
 def rho_atoms_limit(t: float, z1: float, z2: float, z: float) -> np.ndarray:

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from . import fock
 from .exceptions import ConfigError, DomainError, SizeLimitError, ValidationError
@@ -45,9 +44,6 @@ from .linalg import (
 TOL_PROFILE = 1e-12
 #: Default total-dimension ceiling for brute-force ensemble constructions.
 BRUTE_FORCE_CEILING = 4096
-#: Sums over ensemble sectors are exact up to this N; beyond it the
-#: binomial support is windowed (tail mass < 1e-20).
-EXACT_SUPPORT_LIMIT = 4000
 
 
 @dataclass(frozen=True)
@@ -571,39 +567,104 @@ def log_joint_weights(
 ) -> np.ndarray:
     """log multinomial weight matrix over the outer grid s (rows) x s' (cols).
 
-    Entries with s + s' > n are -inf (the coefficient vanishes there).
+    C(n; s, s') z1^s z2^s' (1-z1-z2)^(n-s-s') is evaluated as
+    Bin(n, s; z1) Bin(n - s, s'; z2 / (1 - z1)), both factors from
+    :func:`log_binomial_weights` in extended precision. Entries with
+    s + s' > n are -inf (the coefficient vanishes there). With z1 = 1 no
+    oscillator is left for mode 2, so only s' = 0 carries weight. Costs
+    one binomial evaluation per row: meant for a few cells, not for whole
+    sector grids (see :func:`joint_sector_sum`).
     """
-    s = np.asarray(s, dtype=float)[:, None]
-    sp = np.asarray(s_prime, dtype=float)[None, :]
-    rest = n - s - sp
-    rest_prob = max(1.0 - z1 - z2, 0.0)  # roundoff guard when z1 + z2 ~ 1
-    with np.errstate(invalid="ignore"):
-        out = (
-            gammaln(n + 1)
-            - gammaln(s + 1)
-            - gammaln(sp + 1)
-            - gammaln(np.where(rest >= 0, rest, 0) + 1)
-            + xlogy(s, z1)
-            + xlogy(sp, z2)
-            + xlogy(np.where(rest >= 0, rest, 0), rest_prob)
-        )
-    return np.where(rest >= 0, out, -np.inf)
+    s = np.asarray(s)
+    s_prime = np.asarray(s_prime)
+    # clip guards roundoff when z1 + z2 ~ 1
+    q = min(_LD(z2) / (_LD(1) - _LD(z1)), _LD(1)) if z1 < 1.0 else _LD(0)
+    rows = log_binomial_weights(n, s, z1)
+    out = np.full((s.size, s_prime.size), -np.inf, dtype=_LD)
+    for i, s_i in enumerate(s):
+        fits = s_prime <= n - s_i
+        out[i, fits] = rows[i] + log_binomial_weights(n - s_i, s_prime[fits], q)
+    return out
 
 
 def binomial_support(n: int, z: float) -> np.ndarray:
     """Sector indices s carrying essentially all binomial mass.
 
-    Exact (0..n) up to EXACT_SUPPORT_LIMIT; beyond that a window of ten
-    standard deviations plus margin around the mean, whose excluded tail
-    mass is below 1e-20.
+    A window of ten standard deviations plus margin on either side of the
+    mean, clipped to 0..n; its excluded tail mass is below 1e-20 at every
+    n. The half-width depends on the standard deviation alone, so the
+    window never shrinks as n grows.
     """
-    if n <= EXACT_SUPPORT_LIMIT:
-        return np.arange(n + 1)
-    mean = n * z
-    sigma = math.sqrt(n * z * (1.0 - z))
-    lo = max(0, int(math.floor(mean - 10.0 * sigma - 25.0)))
-    hi = min(n, int(math.ceil(mean + 10.0 * sigma + 25.0)))
-    return np.arange(lo, hi + 1)
+    center = math.floor(n * z)
+    half = math.ceil(10.0 * math.sqrt(n * z * (1.0 - z)) + 26.0)
+    return np.arange(max(0, center - half), min(n, center + half) + 1)
+
+
+def _log_power_table(lam, lo: int, hi: int, anchor: int) -> np.ndarray:
+    """ln(lam^j / j!) - ln(lam^anchor / anchor!) for j = lo..hi.
+
+    Cumulative sums of ln(lam / j) in extended precision; the steps are
+    small wherever j is near lam, so no large log-factorials cancel.
+    """
+    start, stop = min(lo, anchor), max(hi, anchor)
+    steps = np.log(_LD(lam) / np.arange(start + 1, stop + 1, dtype=_LD))
+    cum = np.concatenate([np.zeros(1, dtype=_LD), np.cumsum(steps)])
+    return (cum - cum[anchor - start])[lo - start : hi - start + 1]
+
+
+def joint_sector_sum(
+    n: int, z1: float, z2: float, f1: np.ndarray, f2: np.ndarray
+) -> np.ndarray:
+    """Sum over s, s' of the multinomial vacuum weight times f1(s) f2(s').
+
+    The weight is C(n; s, s') z1^s z2^s' z0^(n-s-s') with z0 = 1 - z1 - z2,
+    zero for s + s' > n. ``f1`` and ``f2`` are tabulated over
+    ``binomial_support(n, z1)`` and ``binomial_support(n, z2)`` along their
+    last axis; leading axes (e.g. time) are summed row by row.
+
+    The weight factors as w0 a(s) b(s') c(s + s') with a ~ (n z1)^s / s!,
+    b ~ (n z2)^s' / s'! and c(k) ~ (n z0)^(n-k) / (n-k)!, all normalized
+    at an anchor cell (s0, s0') near the mean. The anchor weight w0 comes
+    from :func:`log_joint_weights`; the tables are extended-precision
+    cumulative sums. The double sum is then sum_k c(k) (x * y)(k) with
+    x = a f1 and y = b f2, one 1-D convolution per row. For z0 = 0 the
+    weight is the point mass s' = n - s, i.e. Bin(n, s; z1).
+    """
+    s1 = binomial_support(n, z1)
+    s2 = binomial_support(n, z2)
+    f1 = np.asarray(f1, dtype=float)
+    f2 = np.asarray(f2, dtype=float)
+    if f1.shape[-1] != s1.size or f2.shape[-1] != s2.size:
+        raise ValidationError(
+            f"f1, f2 need {s1.size} and {s2.size} entries on their last axis, "
+            f"got {f1.shape[-1]} and {f2.shape[-1]}"
+        )
+    z0 = _LD(1) - _LD(z1) - _LD(z2)
+    if z0 <= 0:
+        # point mass at s' = n - s; sectors outside the s' window carry
+        # no mass worth keeping
+        sp = n - s1
+        keep = (sp >= s2[0]) & (sp <= s2[-1])
+        w = np.exp(log_binomial_weights(n, s1[keep], z1)).astype(float)
+        return np.sum(w * f1[..., keep] * f2[..., sp[keep] - s2[0]], axis=-1)
+
+    # anchor at the mean of s and the conditional mean of s' given s0
+    s0 = int(np.clip(round(n * z1), s1[0], s1[-1]))
+    s0p = min(n - s0, int(round((n - s0) * z2 / (1.0 - z1))))
+    log_w0 = log_joint_weights(n, np.array([s0]), np.array([s0p]), z1, z2)[0, 0]
+    a = np.exp(_log_power_table(n * _LD(z1), s1[0], s1[-1], s0)).astype(float)
+    b = np.exp(_log_power_table(n * _LD(z2), s2[0], s2[-1], s0p)).astype(float)
+    k_lo = s1[0] + s2[0]
+    k_hi = min(n, s1[-1] + s2[-1])
+    r0 = n - s0 - s0p
+    log_c = _log_power_table(n * z0, n - k_hi, n - k_lo, r0)[::-1] + log_w0
+    c = np.exp(log_c).astype(float)
+
+    lead = np.broadcast_shapes(f1.shape[:-1], f2.shape[:-1])
+    x = np.broadcast_to(a * f1, lead + a.shape).reshape(-1, a.size)
+    y = np.broadcast_to(b * f2, lead + b.shape).reshape(-1, b.size)
+    out = [np.convolve(xr, yr)[: c.size] @ c for xr, yr in zip(x, y)]
+    return np.array(out).reshape(lead)
 
 
 def vacuum_weight(
@@ -618,7 +679,9 @@ def vacuum_weight(
     With only ``s``: the binomial C(n, s) z1^s (1-z1)^(n-s). With
     ``s_prime`` and ``z2``: the joint multinomial
     C(n; s, s') z1^s z2^s' (1-z1-z2)^(n-s-s'), exactly zero when s + s'
-    exceeds n. Evaluated via log-gamma, stable up to n = 10^6.
+    exceeds n, evaluated as Bin(n, s; z1) Bin(n - s, s'; z2 / (1 - z1))
+    by :func:`log_joint_weights`. Both routes are extended precision and
+    stable up to n = 10^6.
     """
     n = int(n)
     if n < 1:
@@ -633,8 +696,6 @@ def vacuum_weight(
     z2 = _check_probability(z2, "z2")
     if z1 + z2 > 1.0 + TOL_PROFILE:
         raise DomainError(f"z1 + z2 must be <= 1, got {z1 + z2}")
-    if s + s_prime > n:
-        return 0.0
     logw = log_joint_weights(n, np.array([s]), np.array([s_prime]), z1, z2)
     return float(np.exp(logw)[0, 0])
 

@@ -546,9 +546,9 @@ def _scenario_reducible_brute(cfg: ScenarioConfig) -> ScenarioReport:
             skipped.append({"check": f"brute_force_N{n}", "reason": str(exc)})
             continue
         ran_any = True
-        for t in cfg.times:
+        closed_rhos = dyn.rho_atoms_reducible(cfg.times, n, z1, z2, z)
+        for t, closed in zip(cfg.times, closed_rhos):
             brute = simulated_atomic_density(rep, t, selected, renormalize=True)
-            closed = dyn.rho_atoms_reducible(t, n, z1, z2, z)
             dist = ent.trace_distance(brute, closed)
             brute_dev = max(brute_dev, dist)
             coh = abs(complex(brute[dyn.IDX_PM, dyn.IDX_MP]))
@@ -609,11 +609,9 @@ def convergence_sweep(cfg: ScenarioConfig) -> ScenarioReport:
 
     distance: dict[tuple[int, float], float] = {}
     for n in n_values:
-        for t in cfg.times:
-            d = ent.trace_distance(
-                dyn.rho_atoms_reducible(t, n, z1, z2, z),
-                dyn.rho_atoms_limit(t, z1, z2, z),
-            )
+        closed_rhos = dyn.rho_atoms_reducible(cfg.times, n, z1, z2, z)
+        for t, closed in zip(cfg.times, closed_rhos):
+            d = ent.trace_distance(closed, dyn.rho_atoms_limit(t, z1, z2, z))
             distance[(n, t)] = d
             records.append({
                 "n": n, "t": t, "z1": z1, "z2": z2, "z": z, "trace_distance": d,
@@ -849,21 +847,32 @@ def validate(seed: int = 0) -> ScenarioReport:
     worst = 0.0
     for n in (1, 2, 3):
         rep = reps.build_reducible(n, profile, 1)
-        for t in times:
+        closed_rhos = dyn.rho_atoms_reducible(times, n, 0.5, 0.5, 0.5)
+        for t, closed in zip(times, closed_rhos):
             worst = max(worst, ent.trace_distance(
                 simulated_atomic_density(rep, t, ("k1", "k2"), renormalize=True),
-                dyn.rho_atoms_reducible(t, n, 0.5, 0.5, 0.5),
+                closed,
             ))
     add("ensemble_reduction_brute_force", worst, 1e-8)
 
     worst = 0.0
-    for n in (1, 10, 1000):
+    for n in (1, 10, 1000, 10**6):
         for z in (0.1, 0.25, 0.5):
             support = reps.binomial_support(n, z)
             worst = max(worst, abs(
                 float(np.exp(reps.log_binomial_weights(n, support, z)).sum())
                 - 1.0))
     add("weights_unit_sum", worst, 1e-12)
+
+    worst = 0.0
+    for n in (10, 1000, 10**6):
+        for z1, z2 in ((0.2, 0.05), (0.5, 0.5)):
+            ones1 = np.ones(reps.binomial_support(n, z1).size)
+            ones2 = np.ones(reps.binomial_support(n, z2).size)
+            worst = max(worst, abs(
+                float(reps.joint_sector_sum(n, z1, z2, ones1, ones2)) - 1.0))
+    add("joint_weights_unit_sum", worst, 1e-12,
+        detail="multinomial sector weights, N up to 1e6, incl. z1 + z2 = 1")
 
     wide = reps.VacuumProfile.uniform(4)
     rep3 = reps.build_reducible(3, wide, 1, ["k1", "k2"])

@@ -10,6 +10,7 @@ from ccrlab.exceptions import ConfigError, DomainError, ValidationError
 from ccrlab.linalg import expm_generator, kron, reorder_matrix_factors
 from ccrlab.representations import (
     VacuumProfile,
+    binomial_support,
     build_berezin,
     build_infinity_two_mode,
     build_reducible,
@@ -249,6 +250,69 @@ class TestReducibleDensity:
             dyn.rho_atoms_reducible(1.0, 10**6 + 1, 0.25, 0.25, 0.25)
         with pytest.raises(DomainError):
             dyn.rho_atoms_reducible(1.0, 2, -0.1, 0.5, 0.5)
+
+
+def coherence_oracle(times, n, z1, z2, z):
+    """|+-><-+| entry by the direct multinomial double sum at 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        z1m, z2m, zm = mpmath.mpf(z1), mpmath.mpf(z2), mpmath.mpf(z)
+        z0 = 1 - z1m - z2m
+        fact = [mpmath.factorial(k) for k in range(n + 1)]
+        g1, g2, g0 = ([zk**k / fact[k] for k in range(n + 1)] for zk in (z1m, z2m, z0))
+        out = []
+        for t in times:
+            f = [mpmath.sin(mpmath.mpf(t) * mpmath.sqrt(mpmath.mpf(s) / (n * zm)))
+                 * mpmath.sqrt(mpmath.mpf(s) / n) for s in range(n + 1)]
+            h2 = [g2[sp] * f[sp] for sp in range(n + 1)]
+            total = fact[n] * mpmath.fsum(
+                g1[s] * f[s] * mpmath.fsum(h2[sp] * g0[n - s - sp]
+                                           for sp in range(n + 1 - s))
+                for s in range(n + 1))
+            out.append(float(total / (z1m + z2m)))
+    return out
+
+
+class TestReducibleCoherence:
+    TIMES = (0.7, 1.3)
+
+    @pytest.mark.parametrize("n", [7, 300])
+    @pytest.mark.parametrize(
+        "z1, z2, z", [(0.3, 0.2, 0.4), (0.25, 0.75, 0.75)],
+        ids=["asymmetric", "z0-zero"],
+    )
+    def test_matches_extended_precision_oracle(self, n, z1, z2, z):
+        expected = coherence_oracle(self.TIMES, n, z1, z2, z)
+        rhos = dyn.rho_atoms_reducible(self.TIMES, n, z1, z2, z)
+        for rho, exact in zip(rhos, expected):
+            assert rho[dyn.IDX_PM, dyn.IDX_MP].real == pytest.approx(exact, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 10, 4000, 10**5])
+    @pytest.mark.parametrize("z1, z2, z", [(0.2, 0.05, 0.2), (0.5, 0.5, 0.5)])
+    def test_array_times_match_scalar_times(self, n, z1, z2, z):
+        times = np.array([0.0, 0.4, math.pi / 2, 2.9])
+        stacked = dyn.rho_atoms_reducible(times, n, z1, z2, z)
+        assert stacked.shape == (times.size, 4, 4)
+        for t, rho in zip(times, stacked):
+            single = dyn.rho_atoms_reducible(t, n, z1, z2, z)
+            assert single.shape == (4, 4)
+            assert np.max(np.abs(rho - single)) <= 1e-15
+
+    def test_rejects_two_dimensional_times(self):
+        with pytest.raises(ConfigError):
+            dyn.rho_atoms_reducible(np.zeros((2, 2)), 3, 0.5, 0.5, 0.5)
+
+    @pytest.mark.parametrize("z1, z2, z", [(0.3, 0.2, 0.4), (0.6, 0.1, 0.6)])
+    def test_single_oscillator_coherence_exactly_zero_asymmetric(self, z1, z2, z):
+        rhos = dyn.rho_atoms_reducible(TIME_GRID, 1, z1, z2, z)
+        assert np.all(rhos[:, dyn.IDX_PM, dyn.IDX_MP] == 0.0)
+        assert np.all(rhos[:, dyn.IDX_MP, dyn.IDX_PM] == 0.0)
+
+    def test_support_size_monotone_in_n(self):
+        for z in (0.05, 0.2, 0.5):
+            sizes = [binomial_support(n, z).size
+                     for n in (10, 1000, 4000, 4001, 10**4, 10**6)]
+            assert sizes == sorted(sizes)
 
 
 class TestLimitDensity:

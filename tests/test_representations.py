@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ccrlab.representations import (
     build_reducible,
     ccr_check,
     central_spectral_projectors,
+    joint_sector_sum,
     log_binomial_weights,
     mode_excitation_state,
     occupation_basis,
@@ -259,6 +261,27 @@ class TestVacuumWeight:
         )
         assert total == pytest.approx(1.0, abs=1e-13)
 
+    @pytest.mark.parametrize(
+        "z1, z2", [(0.3, 0.2), (0.1, 0.05), (0.25, 0.75), (0.6, 0.4)])
+    def test_joint_matches_exact_multinomial(self, z1, z2):
+        f1, f2 = Fraction(z1), Fraction(z2)
+        f0 = 1 - f1 - f2
+        for n in (5, 30):
+            for s in range(n + 1):
+                for sp in range(n + 1):
+                    closed = vacuum_weight(n, s, z1, s_prime=sp, z2=z2)
+                    if s + sp > n:
+                        assert closed == 0.0
+                        continue
+                    exact = (math.comb(n, s) * math.comb(n - s, sp)
+                             * f1**s * f2**sp * f0 ** (n - s - sp))
+                    assert closed == pytest.approx(float(exact), rel=1e-13)
+
+    def test_joint_all_mass_in_first_mode(self):
+        assert vacuum_weight(4, 4, 1.0, s_prime=0, z2=0.0) == 1.0
+        assert vacuum_weight(4, 3, 1.0, s_prime=1, z2=0.0) == 0.0
+        assert vacuum_weight(4, 2, 1.0, s_prime=0, z2=0.0) == 0.0
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             vacuum_weight(3, 4, 0.5)
@@ -289,6 +312,35 @@ class TestBinomialSupport:
         assert support[0] < mean < support[-1]
         total = float(np.exp(log_binomial_weights(10**6, support, 0.1)).sum())
         assert abs(total - 1.0) <= 1e-12
+
+
+class TestJointSectorSum:
+    @pytest.mark.parametrize("z1, z2", [(0.3, 0.2), (0.25, 0.75), (0.7, 0.3)])
+    def test_matches_double_sum_of_vacuum_weights(self, z1, z2):
+        n = 30
+        s1, s2 = binomial_support(n, z1), binomial_support(n, z2)
+        rng = np.random.default_rng(3)
+        f1 = rng.uniform(size=(2, s1.size))
+        f2 = rng.uniform(size=(2, s2.size))
+        total = joint_sector_sum(n, z1, z2, f1, f2)
+        for row in range(2):
+            direct = sum(
+                vacuum_weight(n, s, z1, s_prime=sp, z2=z2) * f1[row, i] * f2[row, j]
+                for i, s in enumerate(s1)
+                for j, sp in enumerate(s2)
+            )
+            assert total[row] == pytest.approx(direct, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 10, 4000, 10**6])
+    @pytest.mark.parametrize("z1, z2", [(0.2, 0.05), (0.5, 0.5), (0.45, 0.55 - 1e-9)])
+    def test_unit_sum(self, n, z1, z2):
+        ones1 = np.ones(binomial_support(n, z1).size)
+        ones2 = np.ones(binomial_support(n, z2).size)
+        assert abs(float(joint_sector_sum(n, z1, z2, ones1, ones2)) - 1.0) <= 1e-12
+
+    def test_rejects_mismatched_tables(self):
+        with pytest.raises(ValidationError):
+            joint_sector_sum(10, 0.2, 0.3, np.ones(3), np.ones(11))
 
 
 class TestCcrCheck:
