@@ -48,6 +48,8 @@ KET_GROUND = np.array([0.0, 1.0], dtype=complex)
 
 #: Indices into the two-atom basis (|++>, |+->, |-+>, |-->).
 IDX_PP, IDX_PM, IDX_MP, IDX_MM = 0, 1, 2, 3
+#: Number of excited atoms in each two-atom basis state.
+ATOM_EXCITATIONS = np.array([2.0, 1.0, 1.0, 0.0])
 
 #: Maximum ensemble size accepted by the closed-form density matrix.
 MAX_ENSEMBLE = 10**6
@@ -118,14 +120,19 @@ def jc_hamiltonian(
     return h
 
 
+def excitation_numbers(rep: Representation) -> np.ndarray:
+    """Total excitation number of each atom1 (x) atom2 (x) field basis state.
+
+    Excited atoms plus photons; the photon count is the diagonal of
+    ``rep.number_op``, which is diagonal in every representation's basis.
+    """
+    photons = np.diag(rep.number_op).real
+    return np.add.outer(ATOM_EXCITATIONS, photons).reshape(-1)
+
+
 def excitation_number_operator(rep: Representation) -> np.ndarray:
-    """Total excitation number: atomic populations plus photon number."""
-    eye_f = np.eye(rep.dim, dtype=complex)
-    r_up = ATOM_LOWERING.conj().T @ ATOM_LOWERING
-    n_atoms = kron(_atom_operator(r_up, 0), eye_f) + kron(
-        _atom_operator(r_up, 1), eye_f
-    )
-    return n_atoms + kron(np.eye(4, dtype=complex), rep.number_op)
+    """Total excitation number as a (diagonal) operator on the coupled space."""
+    return np.diag(excitation_numbers(rep).astype(complex))
 
 
 def single_photon_initial_state(
@@ -151,28 +158,48 @@ def evolve(
     rep: Representation,
     h,
     psi0: StateVector,
-    t: float,
+    t: float | np.ndarray,
     renormalize: bool = False,
-) -> StateVector:
+) -> StateVector | list[StateVector]:
     """Propagate ``psi0`` with exp(-i H_eff t).
 
     With ``renormalize`` the generator is H / sqrt(Z), Z being the largest
     vacuum probability of the representation's profile (the ensemble
     dynamics runs on the renormalized generator); otherwise H itself.
+
+    The evolution is exact on the excitation sectors that ``psi0``
+    occupies (:func:`excitation_numbers`): H is restricted to them and
+    diagonalized once, and amplitudes outside them stay zero. An ``h``
+    with a nonzero entry between those sectors and the rest does not
+    conserve the excitation number and raises :class:`ValidationError`.
+    ``t`` is a scalar (returns one state) or a 1-D array of times (returns
+    one state per time).
     """
     h = as_complex_matrix(h, "hamiltonian")
     if h.shape[0] != psi0.dim:
         raise ValidationError(
             f"dimension mismatch: hamiltonian is {h.shape[0]}, state is {psi0.dim}"
         )
+    if renormalize and rep.profile is None:
+        raise ConfigError(
+            "renormalized evolution needs a representation with a vacuum profile"
+        )
+    exc = excitation_numbers(rep)
+    inside = np.isin(exc, exc[psi0.amplitudes != 0])
+    if np.any(h[np.ix_(inside, ~inside)]) or np.any(h[np.ix_(~inside, inside)]):
+        raise ValidationError(
+            "hamiltonian couples the excitation sectors of the initial state "
+            "to the rest of the space"
+        )
+    h_in = h[np.ix_(inside, inside)]
     if renormalize:
-        if rep.profile is None:
-            raise ConfigError(
-                "renormalized evolution needs a representation with a vacuum profile"
-            )
-        h = h / math.sqrt(rep.profile.z_max)
-    u = expm_generator(h, float(t))
-    return StateVector(u @ psi0.amplitudes, psi0.factorization)
+        h_in = h_in / math.sqrt(rep.profile.z_max)
+    u = expm_generator(h_in, t)
+    amps = np.zeros(u.shape[:-2] + (psi0.dim,), dtype=complex)
+    amps[..., inside] = u @ psi0.amplitudes[inside]
+    if amps.ndim == 1:
+        return StateVector(amps, psi0.factorization)
+    return [StateVector(a, psi0.factorization) for a in amps]
 
 
 def normalization_constant(z1: float, z2: float) -> float:

@@ -6,8 +6,10 @@ the spectral matrix exponential used as the dynamics oracle, and the
 bookkeeping types that pin a vector to an explicit tensor factorization.
 
 All matrices are plain ``numpy.ndarray`` with ``complex128`` entries; the
-module stays dense on purpose (every construction in this package lives
-below dimension ~1024).
+module stays dense on purpose. Field spaces are capped at dimension 4096
+by the reducible builder's ceiling, and the largest diagonalization is
+that of a Hamiltonian restricted to one excitation sector (see
+:func:`ccrlab.dynamics.evolve`), not of the whole coupled space.
 """
 
 from __future__ import annotations
@@ -219,15 +221,20 @@ def embed_operator(op, dims: Sequence[int], slot: int) -> np.ndarray:
     return kron(*parts)
 
 
-def expm_generator(h, t: float) -> np.ndarray:
+def expm_generator(h, t: float | np.ndarray) -> np.ndarray:
     """Unitary ``exp(-i h t)`` of a Hermitian generator, via its spectrum.
 
     This is the oracle every closed-form propagator in the package is
-    checked against.
+    checked against. ``t`` is a scalar (returns a d x d matrix) or a 1-D
+    array of T times (returns a (T, d, d) stack); ``h`` is diagonalized
+    once for all times.
     """
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValidationError(f"t must be a scalar or a 1-D array, got shape {times.shape}")
     w, v = hermitian_eig(h)
-    phases = np.exp(-1j * w * t)
-    return (v * phases) @ v.conj().T
+    phases = np.exp(-1j * np.multiply.outer(times, w))
+    return (v * phases[..., None, :]) @ v.conj().T
 
 
 def reorder_state_factors(

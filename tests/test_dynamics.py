@@ -15,6 +15,7 @@ from ccrlab.representations import (
     build_infinity_two_mode,
     build_reducible,
 )
+from ccrlab.scenarios import simulated_atomic_density
 
 TIME_GRID = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2)
 
@@ -172,6 +173,79 @@ class TestEvolve:
         psi0 = dyn.single_photon_initial_state(rep, ("mode1", "mode2"))
         with pytest.raises(ValidationError, match="mismatch"):
             dyn.evolve(rep, np.eye(3), psi0, 1.0)
+
+
+def coupled_setup(kind, n=2, profile="uniform"):
+    """Representation, coupled modes, H and single-photon psi0 of one case."""
+    if kind == "infinity":
+        rep, modes = build_infinity_two_mode(1), ("mode1", "mode2")
+    elif kind == "berezin":
+        rep, modes = build_berezin(2, 1), ("f1", "f2")
+    else:
+        prof = (VacuumProfile.uniform(2) if profile == "uniform"
+                else VacuumProfile.plateau(3, (0, 0), 0.7))
+        rep, modes = build_reducible(n, prof, n_max=1, selected_modes=["k1", "k2"]), ("k1", "k2")
+    h = dyn.jc_hamiltonian(rep, [(modes[0], 0), (modes[1], 1)])
+    return rep, modes, h, dyn.single_photon_initial_state(rep, modes)
+
+
+class TestSectorEvolve:
+    @pytest.mark.parametrize("renormalize", [False, True])
+    @pytest.mark.parametrize("profile", ["uniform", "plateau"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_reducible_matches_full_space_oracle(self, n, profile, renormalize):
+        rep, _, h, psi0 = coupled_setup("reducible", n, profile)
+        # Two times keep the full-space products (up to 864 x 864) cheap.
+        times = (0.7, math.pi / 2)
+        h_eff = h / math.sqrt(rep.profile.z_max) if renormalize else h
+        expected = expm_generator(h_eff, times) @ psi0.amplitudes
+        states = dyn.evolve(rep, h, psi0, times, renormalize=renormalize)
+        for psi, exact in zip(states, expected):
+            assert np.max(np.abs(psi.amplitudes - exact)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["infinity", "berezin"])
+    def test_irreducible_matches_full_space_oracle(self, kind):
+        rep, _, h, psi0 = coupled_setup(kind)
+        for t in TIME_GRID:
+            exact = expm_generator(h, t) @ psi0.amplitudes
+            psi = dyn.evolve(rep, h, psi0, t)
+            assert np.max(np.abs(psi.amplitudes - exact)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["infinity", "berezin", "reducible"])
+    def test_array_times_match_scalar_times(self, kind):
+        rep, modes, h, psi0 = coupled_setup(kind)
+        renorm = kind == "reducible"
+        times = np.array([0.0, 0.4, math.pi / 2, 2.9])
+        states = dyn.evolve(rep, h, psi0, times, renormalize=renorm)
+        assert len(states) == times.size
+        rhos = simulated_atomic_density(rep, times, modes, renormalize=renorm)
+        assert rhos.shape == (times.size, 4, 4)
+        for t, psi, rho in zip(times, states, rhos):
+            single = dyn.evolve(rep, h, psi0, t, renormalize=renorm)
+            assert np.max(np.abs(psi.amplitudes - single.amplitudes)) <= 1e-14
+            single_rho = simulated_atomic_density(rep, t, modes, renormalize=renorm)
+            assert single_rho.shape == (4, 4)
+            assert np.max(np.abs(rho - single_rho)) <= 1e-14
+
+    def test_rejects_coupling_out_of_the_sector(self):
+        rep, _, h, psi0 = coupled_setup("reducible")
+        sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        drive = np.kron(np.kron(sigma_x, np.eye(2)), np.eye(rep.dim))
+        with pytest.raises(ValidationError, match="excitation sectors"):
+            dyn.evolve(rep, h + drive, psi0, 0.5)
+
+    @pytest.mark.parametrize("kind", ["infinity", "berezin", "reducible"])
+    def test_excitation_numbers_match_operator(self, kind):
+        rep = coupled_setup(kind)[0]
+        numbers = dyn.excitation_numbers(rep)
+        assert np.array_equal(numbers, np.diag(dyn.excitation_number_operator(rep)))
+        # Independent assembly: atomic populations plus the photon number.
+        r_up = dyn.ATOM_LOWERING.conj().T @ dyn.ATOM_LOWERING
+        eye_f = np.eye(rep.dim)
+        oracle = (np.kron(np.kron(r_up, np.eye(2)), eye_f)
+                  + np.kron(np.kron(np.eye(2), r_up), eye_f)
+                  + np.kron(np.eye(4), rep.number_op))
+        assert np.array_equal(np.diag(numbers), oracle)
 
 
 class TestIrreducibleDensity:

@@ -177,6 +177,21 @@ class TestExpmGenerator:
         with pytest.raises(ValidationError, match="Hermitian"):
             expm_generator(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
+    def test_array_times_match_scalar_times(self):
+        rng = np.random.default_rng(31)
+        h = random_hermitian(rng, 7)
+        times = np.array([0.0, 0.4, math.pi / 2, 2.9])
+        stacked = expm_generator(h, times)
+        assert stacked.shape == (times.size, 7, 7)
+        for t, u in zip(times, stacked):
+            single = expm_generator(h, t)
+            assert single.shape == (7, 7)
+            assert np.max(np.abs(u - single)) <= 1e-14
+
+    def test_rejects_two_dimensional_times(self):
+        with pytest.raises(ValidationError, match="1-D"):
+            expm_generator(np.eye(2), np.zeros((2, 2)))
+
 
 class TestFactorization:
     def test_dimension_is_product(self):
