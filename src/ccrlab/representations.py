@@ -172,7 +172,11 @@ class Representation:
 
 @dataclass(frozen=True, eq=False)
 class CentralSpectrum:
-    """Spectral decomposition of a central element: I_k = sum_s (s/N) E_k(s)."""
+    """Spectral decomposition of a central element: I_k = sum_s (s/N) E_k(s).
+
+    ``projectors[s]`` is the 0/1 diagonal of E_k(s), a vector over the
+    field basis; ``eigenvalues[s]`` is s/N.
+    """
 
     mode: str
     eigenvalues: np.ndarray
@@ -426,11 +430,13 @@ def build_reducible(
 
 
 def central_spectral_projectors(rep: Representation, mode: str) -> CentralSpectrum:
-    """Spectral projectors E_k(s) of a collective central element.
+    """Spectral projectors E_k(s) of a collective central element, as diagonals.
 
-    E_k(s) sums, over all s-subsets S of the N oscillators, the products
-    of mode-k projectors on S and their complements elsewhere; the
-    corresponding eigenvalue of I_k is s/N.
+    E_k(s) projects onto the basis states in which exactly s of the N
+    oscillators carry mode k; the corresponding eigenvalue of I_k is s/N.
+    Each factor index divided by ``n_max + 1`` is that oscillator's mode
+    label, so the projectors are diagonal and are returned as 0/1 vectors
+    over the field basis (``np.diag`` gives the matrix).
     """
     if rep.kind != "reducible":
         raise ConfigError(
@@ -441,23 +447,11 @@ def central_spectral_projectors(rep: Representation, mode: str) -> CentralSpectr
     assert rep.profile is not None and rep.n_oscillators is not None
     assert rep.n_max is not None
     n_osc = rep.n_oscillators
-    _, one_proj, _, _ = _single_oscillator_mode_ops(rep.profile, rep.n_max)
-    pk = one_proj[mode]
-    qk = np.eye(pk.shape[0], dtype=complex) - pk
-    dims = [pk.shape[0]] * n_osc
-
-    projectors = []
-    for s in range(n_osc + 1):
-        total = np.zeros((rep.dim, rep.dim), dtype=complex)
-        for subset in itertools.combinations(range(n_osc), s):
-            chosen = set(subset)
-            parts = [pk if slot in chosen else qk for slot in range(n_osc)]
-            total += kron(*parts)
-        projectors.append(total)
+    label = np.indices(rep.factorization.dims).reshape(n_osc, -1) // (rep.n_max + 1)
+    count = np.sum(label == rep.profile.labels.index(mode), axis=0)
+    projectors = tuple((count == s).astype(float) for s in range(n_osc + 1))
     eigenvalues = np.arange(n_osc + 1) / n_osc
-    return CentralSpectrum(
-        mode=mode, eigenvalues=eigenvalues, projectors=tuple(projectors)
-    )
+    return CentralSpectrum(mode=mode, eigenvalues=eigenvalues, projectors=projectors)
 
 
 def _check_probability(z: float, name: str) -> float:
@@ -717,7 +711,6 @@ def ccr_check(rep: Representation) -> CcrReport:
     vacuum annihilation are unrestricted. Returns magnitudes only, never
     raises.
     """
-    q = np.diag(rep.below_cutoff_mask.astype(float))
     commutator = {}
     centrality = {}
     vacuum = {}
@@ -729,7 +722,9 @@ def ccr_check(rep: Representation) -> CcrReport:
             comm = a_m @ ad_n - ad_n @ a_m
             if m_lab == n_lab:
                 comm = comm - rep.central[m_lab]
-            commutator[(m_lab, n_lab)] = float(np.max(np.abs(comm @ q)))
+            commutator[(m_lab, n_lab)] = float(
+                np.max(np.abs(comm[:, rep.below_cutoff_mask]), initial=0.0)
+            )
         i_m = rep.central[m_lab]
         for n_lab in rep.mode_labels:
             a_n = rep.lowering[n_lab]

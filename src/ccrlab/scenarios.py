@@ -70,6 +70,18 @@ DEFAULT_TOLERANCES = {
 }
 
 
+def _coerce(convert, value, key: str):
+    """``convert(value)``; a value it cannot take is a ConfigError naming ``key``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"config key {key!r} has an invalid value {value!r}") from None
+
+
+def _tuple_of(convert):
+    return lambda values: tuple(convert(v) for v in values)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Configuration of one scenario run.
@@ -78,7 +90,9 @@ class ScenarioConfig:
     config file key is ``N``, scalar or list); ``profile`` is a vacuum
     profile spec with keys ``kind`` (uniform | plateau), ``modes``,
     optional ``window``/``rate`` for the plateau shape, and ``selected``
-    (two 0-based label indices, default the first two).
+    (two 0-based label indices, default the first two). Values are
+    coerced to their field types on construction; one that cannot be is a
+    :class:`ConfigError` naming its config key.
     """
 
     scenario: str
@@ -93,20 +107,33 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "times", tuple(float(t) for t in self.times))
+        tolerances = _coerce(dict, self.tolerances, "tolerances")
+        coerced = {
+            "n_max": _coerce(int, self.n_max, "n_max"),
+            "d": _coerce(int, self.d, "d"),
+            "cutoff": _coerce(int, self.cutoff, "cutoff"),
+            "times": _coerce(_tuple_of(float), self.times, "times"),
+            "tolerances": {
+                str(k): _coerce(float, v, f"tolerances.{k}")
+                for k, v in tolerances.items()
+            },
+            "seed": _coerce(int, self.seed, "seed"),
+        }
+        if np.isscalar(self.n_values):
+            coerced["n_values"] = (_coerce(int, self.n_values, "N"),)
+        elif self.n_values is not None:
+            coerced["n_values"] = _coerce(_tuple_of(int), self.n_values, "N")
+        for name, value in coerced.items():
+            object.__setattr__(self, name, value)
         for t in self.times:
             if not 0.0 <= t <= 2 * math.pi + 1e-12:
                 raise ConfigError(f"times must lie in [0, 2*pi], got {t}")
         for name, value in self.tolerances.items():
-            if float(value) <= 0.0:
+            if value <= 0.0:
                 raise ConfigError(f"tolerance {name!r} must be positive, got {value}")
-        seed = int(self.seed)
-        if not 0 <= seed < 2**64:
-            raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed}")
-        if self.n_values is not None:
-            object.__setattr__(
-                self, "n_values", tuple(int(n) for n in self.n_values)
-            )
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(
+                f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
     _KEY_MAP = {
         "scenario": "scenario",
@@ -130,10 +157,7 @@ class ScenarioConfig:
                     f"unknown config key {key!r}; known keys: "
                     f"{sorted(cls._KEY_MAP)}"
                 )
-            name = cls._KEY_MAP[key]
-            if name == "n_values" and np.isscalar(value):
-                value = (int(value),)
-            kwargs[name] = value
+            kwargs[cls._KEY_MAP[key]] = value
         if "scenario" not in kwargs:
             raise ConfigError("config must name a scenario")
         return cls(**kwargs)
@@ -162,9 +186,7 @@ class ScenarioConfig:
         return DEFAULT_N_VALUES.get(self.scenario, (1, 2, 3))
 
     def tolerance(self, name: str) -> float:
-        if name in self.tolerances:
-            return float(self.tolerances[name])
-        return DEFAULT_TOLERANCES[name]
+        return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
 
 
 @dataclass(frozen=True)
@@ -296,6 +318,13 @@ def _provenance(config_echo: dict) -> dict:
     }
 
 
+def _index_pair(value, key: str) -> tuple[int, int]:
+    pair = _coerce(_tuple_of(int), value, f"profile.{key}")
+    if len(pair) != 2:
+        raise ConfigError(f"profile key {key!r} needs two indices, got {value!r}")
+    return pair
+
+
 def profile_from_spec(spec: dict) -> tuple[reps.VacuumProfile, tuple[str, str]]:
     """Build a vacuum profile and pick the two coupled mode labels."""
     if not isinstance(spec, dict):
@@ -305,20 +334,18 @@ def profile_from_spec(spec: dict) -> tuple[reps.VacuumProfile, tuple[str, str]]:
         if key not in known:
             raise ConfigError(f"unknown profile key {key!r}; known: {sorted(known)}")
     kind = spec.get("kind", "uniform")
-    modes = int(spec.get("modes", 2))
+    modes = _coerce(int, spec.get("modes", 2), "profile.modes")
     if kind == "uniform":
         profile = reps.VacuumProfile.uniform(modes)
     elif kind == "plateau":
-        window = tuple(spec.get("window", (0, min(1, modes - 1))))
-        rate = float(spec.get("rate", 1.0))
+        window = _index_pair(spec.get("window", (0, min(1, modes - 1))), "window")
+        rate = _coerce(float, spec.get("rate", 1.0), "profile.rate")
         profile = reps.VacuumProfile.plateau(modes, window, rate)
     else:
         raise ConfigError(f"unknown profile kind {kind!r} (uniform | plateau)")
-    selected = spec.get("selected", (0, 1))
-    if len(selected) != 2:
-        raise ConfigError(f"exactly two selected modes required, got {selected}")
+    selected = _index_pair(spec.get("selected", (0, 1)), "selected")
     try:
-        labels = tuple(profile.labels[int(i)] for i in selected)
+        labels = tuple(profile.labels[i] for i in selected)
     except IndexError:
         raise ConfigError(
             f"selected mode indices {selected} out of range for {modes} modes"
@@ -340,18 +367,20 @@ def simulated_atomic_density(
     the two modes; atom slot 0 couples to ``modes[0]``, slot 1 to
     ``modes[1]``. The initial state lies in the one-excitation sector, so
     :func:`~ccrlab.dynamics.evolve` runs exactly on that sector, with one
-    diagonalization for all times. ``t`` is a scalar (returns a 4x4
-    matrix) or a 1-D array of T times (returns a (T, 4, 4) stack).
+    diagonalization for all times. The atoms are the leading factors of a
+    pure state, so their density is A A^dag with A the (4, d_field) block
+    of its amplitudes. ``t`` is a scalar (returns a 4x4 matrix) or a 1-D
+    array of T times (returns a (T, 4, 4) stack).
     """
     pairs = [(modes[0], 0), (modes[1], 1)]
     h = dyn.jc_hamiltonian(rep, pairs)
     psi0 = dyn.single_photon_initial_state(rep, modes)
     times = np.asarray(t, dtype=float)
     states = dyn.evolve(rep, h, psi0, np.atleast_1d(times), renormalize=renormalize)
-    atoms = ent.Bipartition(("atom1", "atom2"))
+    atoms = psi0.factorization.subset(["atom1", "atom2"])
+    blocks = [psi.normalized().amplitudes.reshape(4, -1) for psi in states]
     rho = np.array([
-        ent.partial_trace(ent.DensityMatrix.from_state(psi), atoms).matrix
-        for psi in states
+        ent.DensityMatrix(a @ a.conj().T, atoms).matrix for a in blocks
     ]).reshape(-1, 4, 4)
     return rho if times.ndim else rho[0]
 
@@ -400,8 +429,10 @@ def _scenario_infinity(cfg: ScenarioConfig) -> ScenarioReport:
     locality_dev = 0.0
     rho_dev = 0.0
     conc_half_pi = None
-    for t in cfg.times:
-        u = expm_generator(h, t)
+    propagators = expm_generator(h, cfg.times)
+    states = dyn.evolve(rep, h, psi0, cfg.times)
+    atom_pair = ent.Bipartition(("atom1", "atom2"))
+    for t, u, psi_t in zip(cfg.times, propagators, states):
         u_local = dyn.closed_form_evolution(1j * a_single, t)
         u_product = reorder_matrix_factors(
             kron(u_local, u_local), (2, m, 2, m), (0, 2, 1, 3)
@@ -409,10 +440,7 @@ def _scenario_infinity(cfg: ScenarioConfig) -> ScenarioReport:
         loc = float(np.max(np.abs(u - u_product)))
         locality_dev = max(locality_dev, loc)
 
-        psi_t = dyn.evolve(rep, h, psi0, t)
-        atoms = ent.partial_trace(
-            ent.DensityMatrix.from_state(psi_t), ent.Bipartition(("atom1", "atom2"))
-        ).matrix
+        atoms = ent.partial_trace(ent.DensityMatrix.from_state(psi_t), atom_pair).matrix
         dist = ent.trace_distance(atoms, dyn.rho_atoms_irreducible(t))
         rho_dev = max(rho_dev, dist)
         conc = ent.concurrence(atoms)
@@ -468,8 +496,10 @@ def _scenario_berezin(cfg: ScenarioConfig) -> ScenarioReport:
     cross_dev = 0.0
     worst_split_second: dict[str, float] = {"atom1": 0.0, "atom1+field": 0.0}
     bell_defect = None
-    for t in cfg.times:
-        u = expm_generator(h_b, t)
+    propagators = expm_generator(h_b, cfg.times)
+    rhos_b = simulated_atomic_density(rep_b, cfg.times, modes_b)
+    rhos_i = simulated_atomic_density(rep_i, cfg.times, ("mode1", "mode2"))
+    for t, u, atoms_b, atoms_i in zip(cfg.times, propagators, rhos_b, rhos_i):
         sv_a = ent.operator_schmidt_coefficients(
             u, fact_full, ent.Bipartition(("atom1",)))
         sv_af = ent.operator_schmidt_coefficients(
@@ -481,20 +511,17 @@ def _scenario_berezin(cfg: ScenarioConfig) -> ScenarioReport:
             worst_split_second["atom1+field"] = max(
                 worst_split_second["atom1+field"], second_af)
 
-        atoms_b = simulated_atomic_density(rep_b, t, modes_b)
-        atoms_i = simulated_atomic_density(rep_i, t, ("mode1", "mode2"))
         dist_closed = ent.trace_distance(atoms_b, dyn.rho_atoms_irreducible(t))
         dist_cross = ent.trace_distance(atoms_b, atoms_i)
         rho_dev = max(rho_dev, dist_closed)
         cross_dev = max(cross_dev, dist_cross)
 
         if _is_half_pi(t):
-            psi_t = dyn.evolve(rep_b, h_b, psi0, t)
             bell = np.zeros(4, dtype=complex)
             bell[dyn.IDX_PM] = 1.0 / math.sqrt(2.0)
             bell[dyn.IDX_MP] = 1.0 / math.sqrt(2.0)
             target = reps.kron_vector(bell, rep_b.vacuum.amplitudes)
-            overlap = abs(np.vdot(target, psi_t.amplitudes))
+            overlap = abs(np.vdot(target, u @ psi0.amplitudes))
             bell_defect = 1.0 - overlap
 
         records.append({
@@ -885,20 +912,20 @@ def validate(seed: int = 0) -> ScenarioReport:
     for s in range(4):
         for sp in range(4):
             brute = float(np.vdot(
-                vac, spec1.projectors[s] @ (spec2.projectors[sp] @ vac)).real)
+                vac, spec1.projectors[s] * spec2.projectors[sp] * vac).real)
             worst = max(worst, abs(
                 brute - reps.vacuum_weight(3, s, 0.25, s_prime=sp, z2=0.25)))
     add("joint_weights_vs_projectors", worst, 1e-12)
     add("central_spectrum_completeness",
-        float(np.max(np.abs(sum(spec1.projectors) - np.eye(rep3.dim)))), 1e-12)
-    recon = sum(float(ev) * p for ev, p in
-                zip(spec1.eigenvalues, spec1.projectors))
+        float(np.max(np.abs(sum(spec1.projectors) - 1.0))), 1e-12)
+    recon = np.diag(sum(float(ev) * d for ev, d in
+                        zip(spec1.eigenvalues, spec1.projectors)))
     add("central_spectrum_reconstruction",
         float(np.max(np.abs(recon - rep3.central["k1"]))), 1e-10)
     worst = 0.0
     for s in range(4):
         for sp in range(4):
-            prod = spec1.projectors[s] @ spec1.projectors[sp]
+            prod = spec1.projectors[s] * spec1.projectors[sp]
             expected = spec1.projectors[s] if s == sp else 0.0
             worst = max(worst, float(np.max(np.abs(prod - expected))))
     add("central_spectrum_orthogonality", worst, 1e-10)

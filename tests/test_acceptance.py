@@ -196,7 +196,7 @@ def test_criterion_7_weight_identities():
                 for sp in range(n + 1):
                     brute = float(np.vdot(
                         vac,
-                        spec1.projectors[s] @ spec2.projectors[sp] @ vac).real)
+                        spec1.projectors[s] * spec2.projectors[sp] * vac).real)
                     closed = reps.vacuum_weight(n, s, z, s_prime=sp, z2=z)
                     worst_joint = max(worst_joint, abs(brute - closed))
     _verdict(

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -178,39 +179,78 @@ class TestReducibleRepresentation:
         assert psi.norm == pytest.approx(1.0, abs=1e-14)
 
 
+def kron_sum_projectors(profile, n_osc, n_max, mode):
+    """E_k(s) summed over s-subsets of oscillators as kron products of P_k, 1 - P_k."""
+    one_mode = np.diag(np.array(profile.labels) == mode).astype(float)
+    pk = np.kron(one_mode, np.eye(n_max + 1))
+    qk = np.eye(pk.shape[0]) - pk
+    out = []
+    for s in range(n_osc + 1):
+        total = np.zeros((pk.shape[0] ** n_osc,) * 2)
+        for subset in itertools.combinations(range(n_osc), s):
+            term = np.ones((1, 1))
+            for slot in range(n_osc):
+                term = np.kron(term, pk if slot in subset else qk)
+            total += term
+        out.append(total)
+    return out
+
+
+ORACLE_PROFILES = {
+    "uniform": VacuumProfile.uniform(2),
+    "plateau": VacuumProfile.plateau(3, (0, 0), 0.7),
+}
+
+
 class TestCentralSpectrum:
+    @pytest.mark.parametrize("kind, selected", [
+        ("uniform", None), ("plateau", None), ("plateau", ["k3", "k1"]),
+    ])
+    @pytest.mark.parametrize("n_osc, n_max", [
+        (1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2), (4, 1),
+    ])
+    def test_matches_kron_sum_oracle(self, n_osc, n_max, kind, selected):
+        prof = ORACLE_PROFILES[kind]
+        rep = build_reducible(n_osc, prof, n_max=n_max, selected_modes=selected)
+        for mode in rep.mode_labels:
+            spec = central_spectral_projectors(rep, mode)
+            oracle = kron_sum_projectors(prof, n_osc, n_max, mode)
+            assert len(spec.projectors) == len(oracle)
+            for d, e in zip(spec.projectors, oracle):
+                assert np.array_equal(np.diag(d), e)
+
     def test_single_oscillator_projectors(self):
         prof = VacuumProfile.uniform(2)
         rep = build_reducible(1, prof, n_max=1)
         spec = central_spectral_projectors(rep, "k1")
         p1 = rep.central["k1"]
-        assert np.allclose(spec.projectors[1], p1)
-        assert np.allclose(spec.projectors[0], np.eye(rep.dim) - p1)
+        assert np.allclose(np.diag(spec.projectors[1]), p1)
+        assert np.allclose(np.diag(spec.projectors[0]), np.eye(rep.dim) - p1)
 
     def test_vacuum_expectation_matches_binomial(self):
         prof = VacuumProfile.uniform(4)
         rep = build_reducible(3, prof, n_max=1, selected_modes=["k1"])
         spec = central_spectral_projectors(rep, "k1")
         vac = rep.vacuum.amplitudes
-        value = np.vdot(vac, spec.projectors[1] @ vac).real
+        value = np.vdot(vac, spec.projectors[1] * vac).real
         assert value == pytest.approx(0.421875, abs=1e-12)  # C(3,1) 0.25 0.75^2
 
     def test_resolution_of_identity_and_orthogonality(self):
         prof = VacuumProfile.uniform(2)
         rep = build_reducible(3, prof, n_max=1)
         spec = central_spectral_projectors(rep, "k1")
-        assert np.max(np.abs(sum(spec.projectors) - np.eye(rep.dim))) <= 1e-12
+        assert np.max(np.abs(sum(spec.projectors) - np.ones(rep.dim))) <= 1e-12
         for s, p_s in enumerate(spec.projectors):
             for sp, p_sp in enumerate(spec.projectors):
                 expected = p_s if s == sp else np.zeros_like(p_s)
-                assert np.max(np.abs(p_s @ p_sp - expected)) <= 1e-10
+                assert np.max(np.abs(p_s * p_sp - expected)) <= 1e-10
 
     def test_reconstructs_central_element(self):
         prof = VacuumProfile.from_probabilities(("k1", "k2"), (0.4, 0.6))
         rep = build_reducible(3, prof, n_max=1)
         spec = central_spectral_projectors(rep, "k2")
         recon = sum(float(e) * p for e, p in zip(spec.eigenvalues, spec.projectors))
-        assert np.max(np.abs(recon - rep.central["k2"])) <= 1e-10
+        assert np.max(np.abs(np.diag(recon) - rep.central["k2"])) <= 1e-10
 
     @pytest.mark.parametrize("n_osc", [1, 2, 3])
     def test_joint_vacuum_weights_match_brute_force(self, n_osc):
@@ -222,7 +262,7 @@ class TestCentralSpectrum:
         for s in range(n_osc + 1):
             for sp in range(n_osc + 1):
                 brute = np.vdot(
-                    vac, spec1.projectors[s] @ spec2.projectors[sp] @ vac
+                    vac, spec1.projectors[s] * spec2.projectors[sp] * vac
                 ).real
                 closed = vacuum_weight(n_osc, s, 0.25, s_prime=sp, z2=0.25)
                 assert brute == pytest.approx(closed, abs=1e-12)

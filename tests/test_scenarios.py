@@ -6,6 +6,8 @@ import pytest
 
 from ccrlab import cli
 from ccrlab import dynamics as dyn
+from ccrlab import entanglement as ent
+from ccrlab import representations as reps
 from ccrlab.exceptions import ConfigError, SizeLimitError
 from ccrlab.scenarios import (
     SCENARIO_NAMES,
@@ -187,7 +189,49 @@ class TestScenarioContent:
         assert not any("limit_matches" in c.name for c in report.checks)
 
 
+def traced_atomic_density(rep, times, modes, renormalize=False):
+    """Atoms' density by the partial trace of the full-space density matrix."""
+    h = dyn.jc_hamiltonian(rep, [(modes[0], 0), (modes[1], 1)])
+    psi0 = dyn.single_photon_initial_state(rep, modes)
+    states = dyn.evolve(rep, h, psi0, np.asarray(times), renormalize=renormalize)
+    atoms = ent.Bipartition(("atom1", "atom2"))
+    return np.array([
+        ent.partial_trace(ent.DensityMatrix.from_state(psi), atoms).matrix
+        for psi in states
+    ])
+
+
+DENSITY_CASES = [
+    pytest.param(lambda: reps.build_infinity_two_mode(2), ("mode1", "mode2"), False,
+                 id="infinity"),
+    pytest.param(lambda: reps.build_berezin(2, 2, [1, 2]), ("f1", "f2"), False,
+                 id="berezin"),
+] + [
+    pytest.param(lambda n=n, prof=prof: reps.build_reducible(n, prof, 1, ["k1", "k2"]),
+                 ("k1", "k2"), renorm,
+                 id=f"{kind}-N{n}-{'renorm' if renorm else 'plain'}")
+    for kind, prof in (("uniform", reps.VacuumProfile.uniform(2)),
+                       ("plateau", reps.VacuumProfile.plateau(3, (0, 0), 0.7)))
+    for n in (1, 2, 3)
+    for renorm in (False, True)
+]
+
+
 class TestSimulatedDensity:
+    @pytest.mark.parametrize("build, modes, renorm", DENSITY_CASES)
+    def test_matches_partial_trace_of_full_density(self, build, modes, renorm):
+        rep = build()
+        times = np.array([0.0, 0.3, 0.8, math.pi / 2, 2.9])
+        block = simulated_atomic_density(rep, times, modes, renormalize=renorm)
+        traced = traced_atomic_density(rep, times, modes, renormalize=renorm)
+        assert block.shape == (5, 4, 4)
+        assert np.max(np.abs(block - traced)) <= 1e-14
+
+    def test_empty_time_grid(self):
+        rep = reps.build_infinity_two_mode(1)
+        rho = simulated_atomic_density(rep, np.array([]), ("mode1", "mode2"))
+        assert rho.shape == (0, 4, 4)
+
     def test_matches_closed_form_row(self):
         from ccrlab.representations import VacuumProfile, build_reducible
 
@@ -325,3 +369,19 @@ class TestCli:
 
     def test_missing_scenario_is_config_error(self):
         assert cli.main(["run"]) == 2
+
+    @pytest.mark.parametrize("bad", [
+        {"profile": {"selected": 3}},
+        {"N": "abc"},
+        {"times": ["x"]},
+        {"n_max": "two"},
+        {"profile": {"kind": "plateau", "modes": "many"}},
+        {"tolerances": {"entropy": "tiny"}},
+    ])
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, bad):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"scenario": "reducible-brute", **bad}))
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
