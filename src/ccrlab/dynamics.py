@@ -106,17 +106,27 @@ def jc_hamiltonian(
     field mode of ``rep``; an atom may appear at most once. The result is
     a Hermitian matrix on atom1 (x) atom2 (x) field that commutes with
     the total excitation number.
+
+    H is assembled block by block on its (4, d, 4, d) atom-block view:
+    each nonzero r_ij of the 4x4 two-atom operator R puts
+    r_ij (-i a_k^dag) into block (i, j) and conj(r_ij) (i a_k) into block
+    (j, i), so no product on the full coupled space is formed.
     """
     seen_atoms: set[int] = set()
     dim_f = rep.dim
     h = np.zeros((4 * dim_f, 4 * dim_f), dtype=complex)
+    blocks = h.reshape(4, dim_f, 4, dim_f)
     for mode, atom in mode_atom_pairs:
         if atom in seen_atoms:
             raise ConfigError(f"atom slot {atom} assigned to more than one mode")
         seen_atoms.add(atom)
         a_k = rep.lowering_of(mode)
         r = _atom_operator(ATOM_LOWERING, atom)
-        h += kron(r.conj().T, 1j * a_k) + kron(r, -1j * a_k.conj().T)
+        i_a = 1j * a_k
+        minus_i_adag = -1j * a_k.conj().T
+        for i, j in zip(*np.nonzero(r)):
+            blocks[i, :, j, :] += r[i, j] * minus_i_adag
+            blocks[j, :, i, :] += np.conj(r[i, j]) * i_a
     return h
 
 

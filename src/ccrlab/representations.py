@@ -362,7 +362,14 @@ def build_reducible(
     ladder level); the built mode operators are the collective
     ``(1/sqrt(N)) sum_n a_k^(n)`` and ``(1/N) sum_n I_k^(n)``, and the
     vacuum is the N-fold tensor power of ``sum_k O_k |k, 0>``. Intended
-    for brute-force work at small N; dimensions above ``ceiling`` raise.
+    for brute-force work at small N; dimensions above ``ceiling`` raise
+    :class:`SizeLimitError`, decided without expanding the power.
+
+    Each collective sum ``S_N = sum_n op^(n)`` (lowering, central and
+    photon-number operators) is built by the Kronecker-sum recurrence
+    ``S_n = S_(n-1) (x) 1_f + 1_(f^(n-1)) (x) op`` from a 1x1 zero, so
+    level n works at dimension f^n and the full-size matrix is written
+    about twice instead of once per oscillator.
     """
     n_osc = int(n_oscillators)
     if n_osc < 1:
@@ -379,32 +386,35 @@ def build_reducible(
 
     m = len(profile.labels)
     factor_dim = m * (n_max + 1)
-    total_dim = factor_dim**n_osc
-    if total_dim > ceiling:
+    # with the exponent capped at bit_length + 1 the test stays exact (any
+    # factor_dim >= 2 then exceeds the ceiling) and never forms a power of
+    # millions of digits
+    if factor_dim ** min(n_osc, int(ceiling).bit_length() + 1) > ceiling:
         raise SizeLimitError(
-            f"field dimension {factor_dim}^{n_osc} = {total_dim} exceeds the "
+            f"field dimension {factor_dim}^N with N = {n_osc} exceeds the "
             f"brute-force ceiling {ceiling}"
         )
 
     one_lowering, one_proj, one_vac, one_number = _single_oscillator_mode_ops(
         profile, n_max
     )
-    dims = [factor_dim] * n_osc
+    eye_factor = np.eye(factor_dim, dtype=complex)
+
+    def collective(op: np.ndarray) -> np.ndarray:
+        total = np.zeros((1, 1), dtype=complex)
+        for level in range(n_osc):
+            total = kron(total, eye_factor)
+            total += embed_operator(op, (factor_dim**level, factor_dim), 1)
+        return total
+
     lowering = {}
     central = {}
     for label in labels:
-        coll_a = np.zeros((total_dim, total_dim), dtype=complex)
-        coll_i = np.zeros((total_dim, total_dim), dtype=complex)
-        for slot in range(n_osc):
-            coll_a += embed_operator(one_lowering[label], dims, slot)
-            coll_i += embed_operator(one_proj[label], dims, slot)
-        lowering[label] = coll_a / math.sqrt(n_osc)
-        central[label] = coll_i / n_osc
+        lowering[label] = collective(one_lowering[label]) / math.sqrt(n_osc)
+        central[label] = collective(one_proj[label]) / n_osc
 
     vac = kron_vector(*[one_vac] * n_osc)
-    number = np.zeros((total_dim, total_dim), dtype=complex)
-    for slot in range(n_osc):
-        number += embed_operator(one_number, dims, slot)
+    number = collective(one_number)
 
     fact = HilbertFactorization(
         tuple((f"osc{i + 1}", factor_dim) for i in range(n_osc))

@@ -129,7 +129,7 @@ class ScenarioConfig:
             if not 0.0 <= t <= 2 * math.pi + 1e-12:
                 raise ConfigError(f"times must lie in [0, 2*pi], got {t}")
         for name, value in self.tolerances.items():
-            if value <= 0.0:
+            if not value > 0.0:
                 raise ConfigError(f"tolerance {name!r} must be positive, got {value}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError(
@@ -344,12 +344,11 @@ def profile_from_spec(spec: dict) -> tuple[reps.VacuumProfile, tuple[str, str]]:
     else:
         raise ConfigError(f"unknown profile kind {kind!r} (uniform | plateau)")
     selected = _index_pair(spec.get("selected", (0, 1)), "selected")
-    try:
-        labels = tuple(profile.labels[i] for i in selected)
-    except IndexError:
+    if not all(0 <= i < modes for i in selected):
         raise ConfigError(
             f"selected mode indices {selected} out of range for {modes} modes"
-        ) from None
+        )
+    labels = tuple(profile.labels[i] for i in selected)
     if labels[0] == labels[1]:
         raise ConfigError("the two selected modes must differ")
     return profile, labels

@@ -125,6 +125,44 @@ class TestJcHamiltonian:
             dyn.jc_hamiltonian(rep, [("nope", 0)])
 
 
+def kron_jc_hamiltonian(rep, pairs):
+    """sum over pairs of kron(R^dag, i a_k) + kron(R, -i a_k^dag) on the full space."""
+    eye = np.eye(2, dtype=complex)
+    h = np.zeros((4 * rep.dim,) * 2, dtype=complex)
+    for mode, atom in pairs:
+        a_k = rep.lowering[mode]
+        r = kron(dyn.ATOM_LOWERING, eye) if atom == 0 else kron(eye, dyn.ATOM_LOWERING)
+        h += kron(r.conj().T, 1j * a_k) + kron(r, -1j * a_k.conj().T)
+    return h
+
+
+class TestJcHamiltonianBlocks:
+    @pytest.mark.parametrize("build", [
+        lambda: build_infinity_two_mode(1),
+        lambda: build_infinity_two_mode(2),
+        lambda: build_berezin(2, 1),
+        lambda: build_berezin(3, 2, [3, 1]),
+        lambda: build_reducible(2, VacuumProfile.uniform(2), n_max=1),
+        lambda: build_reducible(3, VacuumProfile.plateau(3, (0, 0), 0.7), 1,
+                                ["k1", "k2"]),
+    ])
+    def test_matches_kron_assembly(self, build):
+        rep = build()
+        m1, m2 = rep.mode_labels[:2]
+        for pairs in (
+            [(m1, 0), (m2, 1)],
+            [(m2, 0), (m1, 1)],
+            [(m1, 0)],
+            [(m1, 1)],
+            [(m2, 0)],
+            [(m2, 1)],
+            [],
+        ):
+            h = dyn.jc_hamiltonian(rep, pairs)
+            assert h.dtype == np.complex128
+            assert np.array_equal(h, kron_jc_hamiltonian(rep, pairs))
+
+
 class TestEvolve:
     def test_zero_time_identity(self):
         rep = build_infinity_two_mode(1)

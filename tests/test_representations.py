@@ -1,11 +1,14 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from ccrlab import fock, representations
 from ccrlab.exceptions import ConfigError, DomainError, SizeLimitError, ValidationError
+from ccrlab.linalg import embed_operator
 from ccrlab.representations import (
     VacuumProfile,
     binomial_support,
@@ -200,6 +203,82 @@ ORACLE_PROFILES = {
     "uniform": VacuumProfile.uniform(2),
     "plateau": VacuumProfile.plateau(3, (0, 0), 0.7),
 }
+
+
+def per_slot_sum(op, n_osc):
+    """sum_n op^(n), one full-space embedding per oscillator slot."""
+    dims = [op.shape[0]] * n_osc
+    total = np.zeros((op.shape[0] ** n_osc,) * 2, dtype=complex)
+    for slot in range(n_osc):
+        total += embed_operator(op, dims, slot)
+    return total
+
+
+RECURRENCE_CASES = [
+    (n_osc, n_max, kind, selected)
+    for n_osc in (1, 2, 3, 4)
+    for n_max in (0, 1, 2)
+    for kind, selected in (("uniform", None), ("plateau", None),
+                           ("plateau", ["k3", "k1"]))
+    # the 3-mode plateau at N = 4, n_max = 2 has dimension 9^4 > 4096
+    if not (n_osc == 4 and n_max == 2 and kind == "plateau")
+]
+
+
+class TestReducibleRecurrence:
+    @pytest.mark.parametrize("n_osc, n_max, kind, selected", RECURRENCE_CASES)
+    def test_matches_per_slot_sum_oracle(self, n_osc, n_max, kind, selected):
+        prof = ORACLE_PROFILES[kind]
+        rep = build_reducible(n_osc, prof, n_max=n_max, selected_modes=selected)
+        m = len(prof.labels)
+        eye_ladder = np.eye(n_max + 1)
+        number = per_slot_sum(
+            np.kron(np.eye(m), fock.number_operator(n_max)), n_osc)
+        assert np.array_equal(rep.number_op, number)
+        for mode in rep.mode_labels:
+            pk = np.diag(np.array(prof.labels) == mode).astype(complex)
+            a = per_slot_sum(np.kron(pk, fock.annihilation(n_max)), n_osc)
+            i = per_slot_sum(np.kron(pk, eye_ladder), n_osc)
+            assert np.array_equal(rep.lowering[mode], a / math.sqrt(n_osc))
+            assert np.array_equal(rep.central[mode], i / n_osc)
+
+    @pytest.mark.parametrize("n_osc", [10**4, 10**6])
+    def test_huge_ensemble_refused_fast(self, n_osc):
+        prof = VacuumProfile.uniform(2)
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitError, match=rf"4\^N with N = {n_osc} .*ceiling 4096"):
+            build_reducible(n_osc, prof, n_max=1)
+        assert time.perf_counter() - start < 0.05
+
+    @pytest.mark.parametrize("n_modes, n_max, ceiling, n_fits", [
+        (2, 1, 64, 3),
+        (2, 1, 63, 2),
+        (1, 1, 8, 3),
+        (1, 1, 2, 1),
+        (3, 0, 9, 2),
+    ])
+    def test_ceiling_boundary_is_exact(self, n_modes, n_max, ceiling, n_fits):
+        prof = VacuumProfile.uniform(n_modes)
+        rep = build_reducible(n_fits, prof, n_max=n_max, ceiling=ceiling)
+        assert rep.dim <= ceiling
+        with pytest.raises(SizeLimitError, match="ceiling"):
+            build_reducible(n_fits + 1, prof, n_max=n_max, ceiling=ceiling)
+
+    def test_default_ceiling_admits_4_to_the_6(self, monkeypatch):
+        class Admitted(Exception):
+            pass
+
+        def stop(*args):
+            raise Admitted
+
+        # a dense 4096-dimensional build is too large for a unit test, so
+        # stop right after the ceiling check
+        monkeypatch.setattr(representations, "_single_oscillator_mode_ops", stop)
+        prof = VacuumProfile.uniform(2)
+        with pytest.raises(Admitted):
+            build_reducible(6, prof, n_max=1)
+        with pytest.raises(SizeLimitError, match="N = 7"):
+            build_reducible(7, prof, n_max=1)
 
 
 class TestCentralSpectrum:

@@ -385,3 +385,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("config, skipped", [
+        ({"scenario": "reducible-brute", "N": [1, 10000]}, "brute_force_N10000"),
+        ({"scenario": "single-mode", "N": [1, 2, 100000]}, "single_mode_N100000"),
+    ])
+    def test_huge_ensemble_size_is_skipped(self, tmp_path, config, skipped):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / f"{config['scenario']}.json").read_text())
+        assert [s["check"] for s in payload["skipped"]] == [skipped]
+
+    @pytest.mark.parametrize("config", [
+        {"scenario": "infinity", "tolerances": {"entropy": float("nan")}},
+        {"scenario": "reducible-brute",
+         "profile": {"kind": "uniform", "modes": 4, "selected": [-1, 0]}},
+    ])
+    def test_nan_tolerance_and_negative_index_are_config_errors(
+            self, tmp_path, capsys, config):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config))
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
