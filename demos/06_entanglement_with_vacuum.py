@@ -20,6 +20,7 @@ from ccrlab import (
     schmidt_coefficients,
 )
 from ccrlab.entanglement import marginal_entropy
+from ccrlab.representations import single_mode_cut
 
 rep_inf = build_infinity_two_mode(1)
 psi_inf = mode_excitation_state(rep_inf, "mode1")
@@ -43,3 +44,10 @@ print()
 print("The excitation is spread evenly over the N oscillators (a W-type")
 print("structure), so the 1|(N-1) cut carries entropy -1/N ln 1/N -")
 print("(N-1)/N ln (N-1)/N: zero only in the degenerate N = 1 case.")
+print()
+print("The same closed form needs no dense build, so it reaches large N:")
+print(" N          entropy [nats]    Schmidt coefficients")
+for n in (10, 49, 100, 10**4, 10**6):
+    s, s1, s2 = single_mode_cut(n, profile, "k1")
+    print(f" {n:<9d}  {s:14.12f}    [{s1:.6f} {s2:.6f}]")
+print("The degree falls like ln N / N: below 0.1 nats from N = 49 on.")

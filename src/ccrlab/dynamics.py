@@ -140,11 +140,6 @@ def excitation_numbers(rep: Representation) -> np.ndarray:
     return np.add.outer(ATOM_EXCITATIONS, photons).reshape(-1)
 
 
-def excitation_number_operator(rep: Representation) -> np.ndarray:
-    """Total excitation number as a (diagonal) operator on the coupled space."""
-    return np.diag(excitation_numbers(rep).astype(complex))
-
-
 def single_photon_initial_state(
     rep: Representation, modes: tuple[str, str]
 ) -> StateVector:

@@ -82,10 +82,6 @@ class DensityMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     @classmethod
     def from_state(cls, psi: StateVector) -> "DensityMatrix":
         amp = psi.normalized().amplitudes

@@ -237,18 +237,6 @@ def expm_generator(h, t: float | np.ndarray) -> np.ndarray:
     return (v * phases[..., None, :]) @ v.conj().T
 
 
-def reorder_state_factors(
-    vec: np.ndarray, dims: Sequence[int], order: Sequence[int]
-) -> np.ndarray:
-    """Permute tensor factors of a vector: new factor i is old factor order[i]."""
-    dims = tuple(int(d) for d in dims)
-    order = tuple(int(i) for i in order)
-    if sorted(order) != list(range(len(dims))):
-        raise ValidationError(f"order {order} is not a permutation of {len(dims)} factors")
-    arr = np.asarray(vec, dtype=complex).reshape(dims)
-    return arr.transpose(order).reshape(-1)
-
-
 def reorder_matrix_factors(
     m: np.ndarray, dims: Sequence[int], order: Sequence[int]
 ) -> np.ndarray:

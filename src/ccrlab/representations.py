@@ -349,6 +349,14 @@ def kron_vector(*vectors) -> np.ndarray:
     return out
 
 
+def fits_brute_force(n_oscillators: int, profile: VacuumProfile, n_max: int,
+                     ceiling: int = BRUTE_FORCE_CEILING) -> bool:
+    """Whether (modes * (n_max + 1))^N is within ``ceiling``. Exact without forming
+    a huge power: past exponent ceiling.bit_length() + 1 any factor >= 2 exceeds it."""
+    factor_dim = len(profile.labels) * (int(n_max) + 1)
+    return factor_dim ** min(int(n_oscillators), int(ceiling).bit_length() + 1) <= ceiling
+
+
 def build_reducible(
     n_oscillators: int,
     profile: VacuumProfile,
@@ -384,12 +392,8 @@ def build_reducible(
                 f"selected mode {label!r} not in profile labels {profile.labels}"
             )
 
-    m = len(profile.labels)
-    factor_dim = m * (n_max + 1)
-    # with the exponent capped at bit_length + 1 the test stays exact (any
-    # factor_dim >= 2 then exceeds the ceiling) and never forms a power of
-    # millions of digits
-    if factor_dim ** min(n_osc, int(ceiling).bit_length() + 1) > ceiling:
+    factor_dim = len(profile.labels) * (n_max + 1)
+    if not fits_brute_force(n_osc, profile, n_max, ceiling):
         raise SizeLimitError(
             f"field dimension {factor_dim}^N with N = {n_osc} exceeds the "
             f"brute-force ceiling {ceiling}"
@@ -561,11 +565,6 @@ def log_binomial_weights(n: int, s: np.ndarray, z: float) -> np.ndarray:
     return out
 
 
-def binomial_weights(n: int, s: np.ndarray, z: float) -> np.ndarray:
-    """Binomial vacuum weights C(n, s) z^s (1-z)^(n-s) over an s array."""
-    return np.exp(log_binomial_weights(n, s, z)).astype(float)
-
-
 def log_joint_weights(
     n: int, s: np.ndarray, s_prime: np.ndarray, z1: float, z2: float
 ) -> np.ndarray:
@@ -711,6 +710,29 @@ def mode_excitation_state(rep: Representation, mode: str) -> StateVector:
     if state.norm < 1e-15:
         raise ValidationError(f"mode {mode!r} creates nothing from the vacuum")
     return state.normalized()
+
+
+def single_mode_cut(
+    n_oscillators: int, profile: VacuumProfile, mode: str, n_max: int = 1
+) -> tuple[float, float, float]:
+    """Entropy and Schmidt pair of the reducible single-mode excitation, osc1 | rest.
+
+    Normalized, a_k^dag |vacuum> is the W-type state N^(-1/2) sum_n
+    |O .. (k, 1)_n .. O>, so for any profile and n_max >= 1 the 1|(N-1) cut
+    has the Schmidt pair (sqrt(1 - 1/N), sqrt(1/N)) and the entropy h(1/N)
+    in nats. Returns ``(entropy, schmidt_1, schmidt_2)``. Fails like
+    ``mode_excitation_state(build_reducible(...), mode)``, with no size ceiling.
+    """
+    if n_oscillators < 1 or n_max < 0 or mode not in profile.labels:
+        raise ConfigError(f"need N >= 1, n_max >= 0 and a profile mode, got "
+                          f"N={n_oscillators}, n_max={n_max}, mode={mode!r}")
+    if n_max == 0 or math.sqrt(profile.probability(mode)) < 1e-15:
+        raise ValidationError(f"mode {mode!r} creates nothing from the vacuum")
+    if n_oscillators == 1:
+        return 0.0, 1.0, 0.0
+    p = 1.0 / n_oscillators
+    entropy = -p * math.log(p) - (1.0 - p) * math.log1p(-p)
+    return entropy, math.sqrt(1.0 - p), math.sqrt(p)
 
 
 def ccr_check(rep: Representation) -> CcrReport:

@@ -52,6 +52,8 @@ DEFAULT_N_VALUES = {
     "single-mode": (1, 2, 3, 4),
 }
 
+_CUT_FIELDS = ("entropy", "schmidt_1", "schmidt_2")
+
 DEFAULT_TOLERANCES = {
     "entropy": 1e-12,
     "schmidt_rank": 1e-12,
@@ -384,6 +386,15 @@ def simulated_atomic_density(
     return rho if times.ndim else rho[0]
 
 
+def _dense_mode_cut(rep: reps.Representation, mode: str,
+                    factor: str) -> tuple[float, float, float]:
+    """Entropy and first two Schmidt coefficients of a_k^dag |vacuum>, factor | rest."""
+    psi = reps.mode_excitation_state(rep, mode)
+    cut = ent.Bipartition((factor,))
+    sv = np.append(ent.schmidt_coefficients(psi, cut), 0.0)
+    return ent.marginal_entropy(psi, cut), float(sv[0]), float(sv[1])
+
+
 def _is_half_pi(t: float) -> bool:
     return abs(t - math.pi / 2) < 1e-12
 
@@ -395,7 +406,6 @@ def _scenario_infinity(cfg: ScenarioConfig) -> ScenarioReport:
     skipped: list[dict] = []
     records: list[dict] = []
 
-    single_photon = reps.mode_excitation_state(rep, "mode1")
     shared = (rep.raising("mode1") + rep.raising("mode2")) @ rep.vacuum.amplitudes
     shared_state = StateVector(shared, rep.factorization).normalized()
     entropy = ent.marginal_entropy(shared_state, ent.Bipartition(("mode1",)))
@@ -405,10 +415,9 @@ def _scenario_infinity(cfg: ScenarioConfig) -> ScenarioReport:
         cfg.tolerance("entropy"),
         detail="mode-bipartition entropy of the shared single photon vs ln 2",
     ))
-    single_entropy = ent.marginal_entropy(single_photon, ent.Bipartition(("mode1",)))
     checks.append(_check(
         "single_mode_product_state",
-        abs(single_entropy),
+        abs(_dense_mode_cut(rep, "mode1", "mode1")[0]),
         cfg.tolerance("entropy"),
         detail="one-mode excitation is a product state across the modes",
     ))
@@ -690,59 +699,41 @@ def convergence_sweep(cfg: ScenarioConfig) -> ScenarioReport:
 
 def _scenario_single_mode(cfg: ScenarioConfig) -> ScenarioReport:
     profile, selected = profile_from_spec(cfg.profile)
-    mode = selected[0]
     checks: list[Check] = []
     skipped: list[dict] = []
     records: list[dict] = []
 
-    entropy_by_n: dict[int, float] = {}
     for n in cfg.resolved_n_values():
-        try:
-            rep = reps.build_reducible(n, profile, cfg.n_max, list(selected))
-        except SizeLimitError as exc:
-            skipped.append({"check": f"single_mode_N{n}", "reason": str(exc)})
+        if n > dyn.MAX_ENSEMBLE:
+            skipped.append({"check": f"single_mode_N{n}", "reason": f"ensemble size "
+                            f"{n} exceeds the supported {dyn.MAX_ENSEMBLE}"})
             continue
-        psi = reps.mode_excitation_state(rep, mode)
-        sv = ent.schmidt_coefficients(psi, ent.Bipartition(("osc1",)))
-        entropy = ent.marginal_entropy(psi, ent.Bipartition(("osc1",)))
-        entropy_by_n[n] = entropy
-        records.append({
-            "kind": "reducible",
-            "n": n,
-            "entropy": entropy,
-            "schmidt_1": float(sv[0]),
-            "schmidt_2": float(sv[1]) if sv.size > 1 else 0.0,
-        })
-
-    rep_i = reps.build_infinity_two_mode(cfg.n_max)
-    psi_i = reps.mode_excitation_state(rep_i, "mode1")
-    entropy_i = ent.marginal_entropy(psi_i, ent.Bipartition(("mode1",)))
-    sv_i = ent.schmidt_coefficients(psi_i, ent.Bipartition(("mode1",)))
-    records.append({
-        "kind": "infinity",
-        "n": None,
-        "entropy": entropy_i,
-        "schmidt_1": float(sv_i[0]),
-        "schmidt_2": float(sv_i[1]) if sv_i.size > 1 else 0.0,
-    })
-
-    if 1 in entropy_by_n:
-        checks.append(_check(
-            "degenerate_single_oscillator", abs(entropy_by_n[1]),
-            cfg.tolerance("entropy"),
-            detail="one oscillator admits no bipartition entanglement",
-        ))
-    for n, value in sorted(entropy_by_n.items()):
-        if n >= 2:
+        entropy, *_ = cut = reps.single_mode_cut(n, profile, selected[0], cfg.n_max)
+        records.append({"kind": "reducible", "n": n, **dict(zip(_CUT_FIELDS, cut))})
+        if n == 1:
             checks.append(_check(
-                f"entangled_with_vacuum_N{n}", value,
+                "degenerate_single_oscillator", abs(entropy),
+                cfg.tolerance("entropy"),
+                detail="one oscillator admits no bipartition entanglement",
+            ))
+        elif reps.fits_brute_force(n, profile, cfg.n_max):
+            checks.append(_check(
+                f"entangled_with_vacuum_N{n}", entropy,
                 cfg.tolerance("entangled_min"), comparison=">=",
                 detail="1|(N-1) oscillator bipartition entropy in nats; "
                        "cross-representation comparisons of the degree of "
                        "entanglement are measure-dependent",
             ))
+        else:
+            skipped.append({"check": f"entangled_with_vacuum_N{n}", "reason": (
+                f"h(1/N) = {entropy:.4e} nats falls like ln N / N; the fixed "
+                "entangled_min threshold is checked only where the dense "
+                "route is admitted (brute-force ceiling)")})
+
+    cut = _dense_mode_cut(reps.build_infinity_two_mode(cfg.n_max), "mode1", "mode1")
+    records.append({"kind": "infinity", "n": None, **dict(zip(_CUT_FIELDS, cut))})
     checks.append(_check(
-        "infinity_analogue_product", abs(entropy_i), cfg.tolerance("entropy"),
+        "infinity_analogue_product", abs(cut[0]), cfg.tolerance("entropy"),
         detail="the same excitation is a product state in the two-mode "
                "irreducible representation",
     ))
@@ -853,9 +844,9 @@ def validate(seed: int = 0) -> ScenarioReport:
         add(f"ccr_{kind}", reps.ccr_check(rep).max_deviation, 1e-12)
         pairs = [(rep.mode_labels[0], 0), (rep.mode_labels[1], 1)]
         h = dyn.jc_hamiltonian(rep, pairs)
-        n_exc = dyn.excitation_number_operator(rep)
+        n_exc = dyn.excitation_numbers(rep)
         add(f"excitation_conserved_{kind}",
-            float(np.max(np.abs(h @ n_exc - n_exc @ h))), 1e-12)
+            float(np.max(np.abs(h * (n_exc - n_exc[:, None])))), 1e-12)
 
     times = DEFAULT_TIMES
     closed_irr = [dyn.rho_atoms_irreducible(t) for t in times]
@@ -874,8 +865,10 @@ def validate(seed: int = 0) -> ScenarioReport:
     add("irreducible_reps_agree", worst, 1e-10)
 
     worst = 0.0
+    cut_reps = []
     for n in (1, 2, 3):
         rep = reps.build_reducible(n, profile, 1)
+        cut_reps.append(rep)
         closed_rhos = dyn.rho_atoms_reducible(times, n, 0.5, 0.5, 0.5)
         brute_rhos = simulated_atomic_density(rep, times, ("k1", "k2"),
                                               renormalize=True)
@@ -928,6 +921,12 @@ def validate(seed: int = 0) -> ScenarioReport:
             expected = spec1.projectors[s] if s == sp else 0.0
             worst = max(worst, float(np.max(np.abs(prod - expected))))
     add("central_spectrum_orthogonality", worst, 1e-10)
+
+    worst = max(float(np.max(np.abs(np.subtract(
+        _dense_mode_cut(rep, "k1", "osc1"),
+        reps.single_mode_cut(rep.n_oscillators, rep.profile, "k1", rep.n_max)))))
+        for rep in cut_reps + [rep3])
+    add("single_mode_entropy_closed_form", worst, 1e-12)
 
     rep2 = built["reducible"]
     vac2 = rep2.vacuum.amplitudes

@@ -12,7 +12,6 @@ from ccrlab.linalg import (
     kron,
     matrix_function_psd,
     reorder_matrix_factors,
-    reorder_state_factors,
     sinc_scaled,
 )
 
@@ -238,13 +237,6 @@ class TestReorderFactors:
         swapped = reorder_matrix_factors(np.kron(a, b), (2, 3), (1, 0))
         assert np.max(np.abs(swapped - np.kron(b, a))) <= 1e-14
 
-    def test_state_round_trip(self):
-        rng = np.random.default_rng(37)
-        vec = rng.normal(size=24) + 1j * rng.normal(size=24)
-        once = reorder_state_factors(vec, (2, 3, 4), (2, 0, 1))
-        back = reorder_state_factors(once, (4, 2, 3), (1, 2, 0))
-        assert np.max(np.abs(back - vec)) <= 1e-15
-
     def test_rejects_bad_permutation(self):
         with pytest.raises(ValidationError, match="permutation"):
-            reorder_state_factors(np.zeros(4), (2, 2), (0, 0))
+            reorder_matrix_factors(np.eye(4), (2, 2), (0, 0))

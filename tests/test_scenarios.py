@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from ccrlab import cli
 from ccrlab import dynamics as dyn
 from ccrlab import entanglement as ent
 from ccrlab import representations as reps
-from ccrlab.exceptions import ConfigError, SizeLimitError
+from ccrlab.exceptions import ConfigError, SizeLimitError, ValidationError
 from ccrlab.scenarios import (
     SCENARIO_NAMES,
     ScenarioConfig,
@@ -18,6 +19,14 @@ from ccrlab.scenarios import (
     simulated_atomic_density,
     validate,
 )
+
+
+def binary_entropy(n: int) -> float:
+    """h(1/n) in nats from a 40-digit mpmath evaluation."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        p = mpmath.mpf(1) / n
+        return float(-p * mpmath.log(p) - (1 - p) * mpmath.log(1 - p)) if n > 1 else 0.0
 
 
 def all_numbers_finite(obj):
@@ -242,6 +251,111 @@ class TestSimulatedDensity:
         assert np.max(np.abs(brute - closed)) <= 1e-8
 
 
+class TestSingleModeClosedForm:
+    """``single_mode_cut`` against the dense tensor route and a 40-digit oracle."""
+
+    @staticmethod
+    def dense_cut(rep, mode):
+        psi = reps.mode_excitation_state(rep, mode)
+        cut = ent.Bipartition(("osc1",))
+        sv = np.append(ent.schmidt_coefficients(psi, cut), 0.0)
+        return ent.marginal_entropy(psi, cut), sv[0], sv[1]
+
+    @pytest.mark.parametrize("profile, n", [
+        *[(reps.VacuumProfile.uniform(2), n) for n in (1, 2, 3, 4)],
+        *[(reps.VacuumProfile.uniform(3), n) for n in (1, 2, 3)],
+        *[(reps.VacuumProfile.plateau(3, (0, 0), 0.7), n) for n in (1, 2, 3)],
+    ])
+    @pytest.mark.parametrize("n_max", [1, 2])
+    def test_matches_dense_route(self, profile, n, n_max):
+        rep = reps.build_reducible(n, profile, n_max, ["k1", "k2"])
+        for mode in ("k1", "k2"):
+            closed = reps.single_mode_cut(n, profile, mode, n_max)
+            deviation = np.subtract(closed, self.dense_cut(rep, mode))
+            assert np.max(np.abs(deviation)) <= 1e-12
+            assert closed[1] >= closed[2]
+
+    @pytest.mark.parametrize("n", [2, 49, 10**5, 10**6])
+    def test_matches_extended_precision_entropy(self, n):
+        entropy, s1, s2 = reps.single_mode_cut(n, reps.VacuumProfile.uniform(2), "k1")
+        assert entropy == pytest.approx(binary_entropy(n), rel=1e-14, abs=0)
+        assert s1**2 + s2**2 == pytest.approx(1.0, abs=1e-15)
+
+    def test_degenerate_single_oscillator_is_exact(self):
+        assert reps.single_mode_cut(1, reps.VacuumProfile.uniform(2), "k1") == (
+            0.0, 1.0, 0.0)
+
+    def test_entropy_falls_below_threshold_at_49(self):
+        prof = reps.VacuumProfile.uniform(2)
+        assert reps.single_mode_cut(48, prof, "k1")[0] >= 0.1
+        assert 0.0996 < reps.single_mode_cut(49, prof, "k1")[0] < 0.1
+
+    FAILURES = [
+        ({"N": [0]}, ConfigError),
+        ({"N": [2], "n_max": -1}, ConfigError),
+        ({"N": [2], "n_max": 0}, ValidationError),
+        ({"N": [2], "profile": {"kind": "plateau", "modes": 2, "window": [0, 0],
+                                "rate": 100.0, "selected": [1, 0]}},
+         ValidationError),
+    ]
+
+    @pytest.mark.parametrize("config, error", FAILURES)
+    def test_failure_modes_match_dense_route(self, tmp_path, config, error):
+        cfg = ScenarioConfig.from_dict({"scenario": "single-mode", **config})
+        profile, selected = profile_from_spec(cfg.profile)
+        n = cfg.n_values[0]
+        with pytest.raises(error):
+            reps.mode_excitation_state(
+                reps.build_reducible(n, profile, cfg.n_max, list(selected)),
+                selected[0])
+        with pytest.raises(error):
+            reps.single_mode_cut(n, profile, selected[0], cfg.n_max)
+        with pytest.raises(error):
+            run_scenario(cfg)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenario": "single-mode", **config}))
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+
+    def test_entangled_check_only_where_dense_build_is_admitted(self):
+        # uniform(2) with n_max = 1 has factor dimension 4: 4^6 = 4096 is
+        # admitted, 4^7 is not
+        report = run_scenario(ScenarioConfig(
+            scenario="single-mode", n_values=tuple(range(1, 9))))
+        assert report.passed
+        names = [c.name for c in report.checks]
+        assert [n for n in range(2, 9) if f"entangled_with_vacuum_N{n}" in names] == [
+            2, 3, 4, 5, 6]
+        assert [s["check"] for s in report.skipped] == [
+            "entangled_with_vacuum_N7", "entangled_with_vacuum_N8"]
+        assert "ln N / N" in report.skipped[0]["reason"]
+        assert [r["n"] for r in report.records] == [*range(1, 9), None]
+
+    def test_never_builds_the_dense_representation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("single-mode must not build the dense ensemble")
+
+        monkeypatch.setattr(reps, "build_reducible", refuse)
+        cfg = ScenarioConfig(scenario="single-mode",
+                             n_values=(1, 2, 3, 4, 5, 1000000))
+        start = time.perf_counter()
+        report = run_scenario(cfg)
+        elapsed = time.perf_counter() - start
+        assert report.passed
+        assert elapsed < 0.05
+        assert [r["n"] for r in report.records] == [1, 2, 3, 4, 5, 1000000, None]
+
+    def test_validate_check_detects_a_wrong_closed_form(self, monkeypatch):
+        check = {c.name: c for c in validate(seed=0).checks}[
+            "single_mode_entropy_closed_form"]
+        assert check.passed and check.measured <= 1e-12
+        original = reps.single_mode_cut
+        monkeypatch.setattr(reps, "single_mode_cut",
+                            lambda *a: (original(*a)[0] * (1 + 1e-9), *original(*a)[1:]))
+        check = {c.name: c for c in validate(seed=0).checks}[
+            "single_mode_entropy_closed_form"]
+        assert not check.passed
+
+
 class TestReports:
     def test_write_outputs(self, tmp_path):
         report = run_scenario(ScenarioConfig(scenario="infinity"))
@@ -388,7 +502,9 @@ class TestCli:
 
     @pytest.mark.parametrize("config, skipped", [
         ({"scenario": "reducible-brute", "N": [1, 10000]}, "brute_force_N10000"),
-        ({"scenario": "single-mode", "N": [1, 2, 100000]}, "single_mode_N100000"),
+        ({"scenario": "single-mode", "N": [1, 2, 100000]},
+         "entangled_with_vacuum_N100000"),
+        ({"scenario": "single-mode", "N": [1, 2, 10**7]}, "single_mode_N10000000"),
     ])
     def test_huge_ensemble_size_is_skipped(self, tmp_path, config, skipped):
         cfg = tmp_path / "cfg.json"
@@ -396,6 +512,13 @@ class TestCli:
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         payload = json.loads((tmp_path / f"{config['scenario']}.json").read_text())
         assert [s["check"] for s in payload["skipped"]] == [skipped]
+        if config["scenario"] == "single-mode":
+            # every N up to the closed form's 1e6 is recorded, exactly h(1/N)
+            rows = {r["n"]: r["entropy"] for r in payload["records"]
+                    if r["kind"] == "reducible"}
+            assert sorted(rows) == [n for n in config["N"] if n <= 10**6]
+            for n, entropy in rows.items():
+                assert entropy == pytest.approx(binary_entropy(n), rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("config", [
         {"scenario": "infinity", "tolerances": {"entropy": float("nan")}},
