@@ -13,7 +13,7 @@ from .linalg import (
     matrix_function_psd,
     sinc_scaled,
 )
-from .fock import annihilation, commutator_defect, creation, number_operator
+from .fock import annihilation, number_operator
 from .representations import (
     CentralSpectrum,
     Representation,
@@ -30,7 +30,6 @@ from .dynamics import (
     closed_form_evolution,
     evolve,
     jc_hamiltonian,
-    normalization_constant,
     rho_atoms_irreducible,
     rho_atoms_limit,
     rho_atoms_reducible,

@@ -147,8 +147,7 @@ def single_photon_initial_state(
 
     The field part is ``(a_k1^dag + a_k2^dag)/sqrt(2)`` applied to the
     representation's vacuum and then normalized explicitly (for the
-    ensemble vacuum the raw norm is sqrt((Z_1 + Z_2)/2), compare
-    :func:`normalization_constant`).
+    ensemble vacuum the raw norm is sqrt((Z_1 + Z_2)/2)).
     """
     k1, k2 = modes
     photon = (
@@ -207,14 +206,6 @@ def evolve(
     return [StateVector(a, psi0.factorization) for a in amps]
 
 
-def normalization_constant(z1: float, z2: float) -> float:
-    """Prefactor sqrt(2 / (Z1 + Z2)) normalizing the shared-photon state."""
-    total = float(z1) + float(z2)
-    if total <= 0.0:
-        raise DomainError(f"z1 + z2 must be positive, got {total}")
-    return math.sqrt(2.0 / total)
-
-
 def rho_atoms_irreducible(t: float) -> np.ndarray:
     """Two-atom density matrix after time t, any irreducible representation.
 
@@ -259,8 +250,10 @@ def rho_atoms_reducible(
     Sector sums over the spectrum {s/N} of the central elements: diagonal
     terms carry binomial vacuum weights per mode, the |+-><-+| coherence
     carries the joint multinomial weight (which vanishes identically for
-    s + s' > N, killing the coherence at N = 1). The joint sum runs as a
-    1-D convolution of extended-precision tables
+    s + s' > N, killing the coherence at N = 1). Every weight is the
+    float64 exponential of an extended-precision log from the anchored
+    recurrence of :func:`~ccrlab.representations.log_binomial_weights`;
+    the joint sum runs as a 1-D convolution of such tables
     (:func:`~ccrlab.representations.joint_sector_sum`). Oscillation
     frequencies are sqrt(s/(N Z)) as produced by the H/sqrt(Z) generator.
 
@@ -276,7 +269,7 @@ def rho_atoms_reducible(
     def sector_values(z_k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         support = binomial_support(n, z_k)
         ratio = support / n
-        weights = np.exp(log_binomial_weights(n, support, z_k))
+        weights = np.exp(log_binomial_weights(n, support, z_k).astype(float))
         return ratio, weights, tt * np.sqrt(ratio / z)
 
     ratio1, w1, theta1 = sector_values(z1)

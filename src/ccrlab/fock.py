@@ -1,9 +1,8 @@
-"""Truncated single-oscillator Fock space: ladder operators and their defects.
+"""Truncated single-oscillator Fock space: ladder and number operators.
 
 A truncation keeping occupations 0..n_max realizes the ladder algebra
 exactly on every state with no amplitude at the top level; the commutator
-picks up a defect -(n_max + 1) in the (n_max, n_max) corner. The helper
-``commutator_defect`` exposes that defect so callers can budget for it.
+picks up a defect -(n_max + 1) in the (n_max, n_max) corner.
 """
 
 from __future__ import annotations
@@ -26,26 +25,8 @@ def annihilation(n_max: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, n + 1)), k=1).astype(complex)
 
 
-def creation(n_max: int) -> np.ndarray:
-    """Raising operator, the conjugate transpose of ``annihilation``."""
-    return annihilation(n_max).conj().T
-
-
 def number_operator(n_max: int) -> np.ndarray:
     """Occupation-number operator diag(0, 1, ..., n_max); exact in truncation."""
     n = _check_n_max(n_max)
     return np.diag(np.arange(n + 1, dtype=float)).astype(complex)
 
-
-def commutator_defect(n_max: int) -> np.ndarray:
-    """Truncation defect [a, a^dag] - I, in its exact closed form.
-
-    Zero everywhere except the (n_max, n_max) entry, which equals
-    -(n_max + 1). Returned exactly: the floating-point product
-    a a^dag - a^dag a reproduces the same matrix only to ~1e-16 on the
-    diagonal because (sqrt(n))^2 rounds.
-    """
-    n = _check_n_max(n_max)
-    defect = np.zeros((n + 1, n + 1), dtype=complex)
-    defect[n, n] = -(n + 1)
-    return defect

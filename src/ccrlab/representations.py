@@ -524,13 +524,14 @@ def _log_binom_stirling(n, s):
     return half, corr
 
 
-def log_binomial_weights(n: int, s: np.ndarray, z: float) -> np.ndarray:
-    """log of C(n, s) z^s (1-z)^(n-s), vectorized over s.
+def _log_binomial_direct(n: int, s: np.ndarray, z) -> np.ndarray:
+    """ln C(n, s) z^s (1-z)^(n-s), cell by cell, in extended precision.
 
-    Evaluated in extended precision with a cancellation-free Stirling
-    form (a relative-entropy term plus corrections) in the bulk and exact
-    small-coefficient logs near the edges, so weight sums stay within
-    1e-12 of unity even at n = 10^6.
+    A cancellation-free Stirling form (a relative-entropy term plus
+    corrections) in the bulk and exact small-coefficient logs near the
+    edges. Each cell costs ~25 extended-precision operations, so it
+    serves single cells, the anchor of :func:`log_binomial_weights`, the
+    point masses z in {0, 1}, and the tests as the oracle.
     """
     s = np.asarray(s)
     n_ld = _LD(n)
@@ -563,6 +564,44 @@ def log_binomial_weights(n: int, s: np.ndarray, z: float) -> np.ndarray:
         half, corr = _log_binom_stirling(n_ld, sm)
         out[mid] = -(t1 + t2) + half + corr
     return out
+
+
+def _anchored_cumsum(log_step, lo: int, hi: int, anchor: int) -> np.ndarray:
+    """f(j) - f(anchor) for j = lo..hi, given log_step(j) = f(j) - f(j - 1).
+
+    One extended-precision cumulative sum over the steps between
+    min(lo, anchor) and max(hi, anchor); ``log_step`` receives the
+    extended-precision j values. With the anchor near the bulk the steps
+    stay small there, so no large logs cancel.
+    """
+    start, stop = min(lo, anchor), max(hi, anchor)
+    steps = log_step(np.arange(start + 1, stop + 1, dtype=_LD))
+    cum = np.concatenate([np.zeros(1, dtype=_LD), np.cumsum(steps)])
+    return (cum - cum[anchor - start])[lo - start : hi - start + 1]
+
+
+def log_binomial_weights(n: int, s: np.ndarray, z: float) -> np.ndarray:
+    """log of C(n, s) z^s (1-z)^(n-s), vectorized over s.
+
+    For 0 < z < 1 the window min(s)..max(s) is one extended-precision
+    cumulative sum of the step log-ratios ln((n - j + 1) / j) +
+    ln(z / (1 - z)), anchored at floor(n z) clipped to the window; the
+    anchor value comes from the direct per-cell Stirling/small-table
+    formula. Weight sums stay within 1e-12 of unity even at n = 10^6.
+    Single cells and the point masses z in {0, 1} use the direct formula.
+    Callers exponentiate in float64 (:func:`joint_sector_sum`,
+    :func:`~ccrlab.dynamics.rho_atoms_reducible`), which changes a weight w
+    by at most |ln w| * 1.1e-16 relative.
+    """
+    s = np.asarray(s)
+    if s.size < 2 or not 0 < z < 1:
+        return _log_binomial_direct(n, s, z)
+    lo, hi = int(s.min()), int(s.max())
+    anchor = min(max(math.floor(n * float(z)), lo), hi)
+    n1 = _LD(n) + 1
+    odds = np.log(_LD(z) / (_LD(1) - _LD(z)))
+    table = _anchored_cumsum(lambda j: np.log((n1 - j) / j) + odds, lo, hi, anchor)
+    return (table + _log_binomial_direct(n, np.array([anchor]), z)[0])[s - lo]
 
 
 def log_joint_weights(
@@ -604,15 +643,9 @@ def binomial_support(n: int, z: float) -> np.ndarray:
 
 
 def _log_power_table(lam, lo: int, hi: int, anchor: int) -> np.ndarray:
-    """ln(lam^j / j!) - ln(lam^anchor / anchor!) for j = lo..hi.
-
-    Cumulative sums of ln(lam / j) in extended precision; the steps are
-    small wherever j is near lam, so no large log-factorials cancel.
-    """
-    start, stop = min(lo, anchor), max(hi, anchor)
-    steps = np.log(_LD(lam) / np.arange(start + 1, stop + 1, dtype=_LD))
-    cum = np.concatenate([np.zeros(1, dtype=_LD), np.cumsum(steps)])
-    return (cum - cum[anchor - start])[lo - start : hi - start + 1]
+    """ln(lam^j / j!) - ln(lam^anchor / anchor!) for j = lo..hi, by the steps ln(lam / j)."""
+    lam = _LD(lam)
+    return _anchored_cumsum(lambda j: np.log(lam / j), lo, hi, anchor)
 
 
 def joint_sector_sum(
@@ -628,10 +661,12 @@ def joint_sector_sum(
     The weight factors as w0 a(s) b(s') c(s + s') with a ~ (n z1)^s / s!,
     b ~ (n z2)^s' / s'! and c(k) ~ (n z0)^(n-k) / (n-k)!, all normalized
     at an anchor cell (s0, s0') near the mean. The anchor weight w0 comes
-    from :func:`log_joint_weights`; the tables are extended-precision
-    cumulative sums. The double sum is then sum_k c(k) (x * y)(k) with
-    x = a f1 and y = b f2, one 1-D convolution per row. For z0 = 0 the
-    weight is the point mass s' = n - s, i.e. Bin(n, s; z1).
+    from :func:`log_joint_weights`, i.e. from the direct per-cell binomial
+    formula; the log tables are anchored extended-precision cumulative
+    sums, exponentiated in float64. The double sum is then
+    sum_k c(k) (x * y)(k) with x = a f1 and y = b f2, one 1-D convolution
+    per row. For z0 = 0 the weight is the point mass s' = n - s, i.e.
+    Bin(n, s; z1), again exponentiated in float64.
     """
     s1 = binomial_support(n, z1)
     s2 = binomial_support(n, z2)
@@ -648,20 +683,20 @@ def joint_sector_sum(
         # no mass worth keeping
         sp = n - s1
         keep = (sp >= s2[0]) & (sp <= s2[-1])
-        w = np.exp(log_binomial_weights(n, s1[keep], z1)).astype(float)
+        w = np.exp(log_binomial_weights(n, s1[keep], z1).astype(float))
         return np.sum(w * f1[..., keep] * f2[..., sp[keep] - s2[0]], axis=-1)
 
     # anchor at the mean of s and the conditional mean of s' given s0
     s0 = int(np.clip(round(n * z1), s1[0], s1[-1]))
     s0p = min(n - s0, int(round((n - s0) * z2 / (1.0 - z1))))
     log_w0 = log_joint_weights(n, np.array([s0]), np.array([s0p]), z1, z2)[0, 0]
-    a = np.exp(_log_power_table(n * _LD(z1), s1[0], s1[-1], s0)).astype(float)
-    b = np.exp(_log_power_table(n * _LD(z2), s2[0], s2[-1], s0p)).astype(float)
+    a = np.exp(_log_power_table(n * _LD(z1), s1[0], s1[-1], s0).astype(float))
+    b = np.exp(_log_power_table(n * _LD(z2), s2[0], s2[-1], s0p).astype(float))
     k_lo = s1[0] + s2[0]
     k_hi = min(n, s1[-1] + s2[-1])
     r0 = n - s0 - s0p
     log_c = _log_power_table(n * z0, n - k_hi, n - k_lo, r0)[::-1] + log_w0
-    c = np.exp(log_c).astype(float)
+    c = np.exp(log_c.astype(float))
 
     lead = np.broadcast_shapes(f1.shape[:-1], f2.shape[:-1])
     x = np.broadcast_to(a * f1, lead + a.shape).reshape(-1, a.size)

@@ -73,7 +73,16 @@ DEFAULT_TOLERANCES = {
 
 
 def _coerce(convert, value, key: str):
-    """``convert(value)``; a value it cannot take is a ConfigError naming ``key``."""
+    """``convert(value)``; a value it cannot take is a ConfigError naming ``key``.
+
+    So are an empty list and a boolean, alone or in a list: Python would
+    take JSON ``true`` as the number 1.
+    """
+    items = value if isinstance(value, (list, tuple)) else (value,)
+    if not items:
+        raise ConfigError(f"config key {key!r} needs at least one value, got {value!r}")
+    if any(isinstance(v, bool) for v in items):
+        raise ConfigError(f"config key {key!r} takes numbers, not booleans, got {value!r}")
     try:
         return convert(value)
     except (TypeError, ValueError):
@@ -93,7 +102,8 @@ class ScenarioConfig:
     profile spec with keys ``kind`` (uniform | plateau), ``modes``,
     optional ``window``/``rate`` for the plateau shape, and ``selected``
     (two 0-based label indices, default the first two). Values are
-    coerced to their field types on construction; one that cannot be is a
+    coerced to their field types on construction; one that cannot be, an
+    empty ``N`` or ``times`` list, or a JSON boolean is a
     :class:`ConfigError` naming its config key.
     """
 
@@ -867,7 +877,7 @@ def validate(seed: int = 0) -> ScenarioReport:
     worst = 0.0
     cut_reps = []
     for n in (1, 2, 3):
-        rep = reps.build_reducible(n, profile, 1)
+        rep = built["reducible"] if n == 2 else reps.build_reducible(n, profile, 1)
         cut_reps.append(rep)
         closed_rhos = dyn.rho_atoms_reducible(times, n, 0.5, 0.5, 0.5)
         brute_rhos = simulated_atomic_density(rep, times, ("k1", "k2"),
@@ -876,14 +886,25 @@ def validate(seed: int = 0) -> ScenarioReport:
             worst = max(worst, ent.trace_distance(brute, closed))
     add("ensemble_reduction_brute_force", worst, 1e-8)
 
-    worst = 0.0
+    worst = worst_direct = 0.0
     for n in (1, 10, 1000, 10**6):
         for z in (0.1, 0.25, 0.5):
             support = reps.binomial_support(n, z)
-            worst = max(worst, abs(
-                float(np.exp(reps.log_binomial_weights(n, support, z)).sum())
-                - 1.0))
+            table = reps.log_binomial_weights(n, support, z)
+            worst = max(worst, abs(float(np.exp(table.astype(float)).sum()) - 1.0))
+            if n == 1 or z == 0.25:
+                continue
+            # window edges, the recurrence's anchor floor(n z) and two
+            # interior cells, each against the direct per-cell formula
+            anchor = min(max(math.floor(n * z), support[0]), support[-1]) - support[0]
+            picks = np.array([0, anchor // 2, anchor, (anchor + support.size) // 2,
+                              support.size - 1])
+            direct = reps._log_binomial_direct(n, support[picks], z)
+            worst_direct = max(worst_direct, float(np.max(np.abs(
+                np.expm1((table[picks] - direct).astype(float))))))
     add("weights_unit_sum", worst, 1e-12)
+    add("binomial_recurrence_vs_direct", worst_direct, 1e-13,
+        detail="relative weight error of the anchored recurrence, N up to 1e6")
 
     worst = 0.0
     for n in (10, 1000, 10**6):

@@ -14,6 +14,9 @@ from ccrlab.representations import (
     build_berezin,
     build_infinity_two_mode,
     build_reducible,
+    joint_sector_sum,
+    log_binomial_weights,
+    log_joint_weights,
 )
 from ccrlab.scenarios import simulated_atomic_density
 
@@ -426,6 +429,48 @@ class TestReducibleCoherence:
             assert sizes == sorted(sizes)
 
 
+class TestFloat64Exponentials:
+    """Sector sums with float64 exponentials of the extended-precision logs
+    against the same sums with extended-precision exponentials."""
+
+    TIMES = np.array([0.3, 1.1, math.pi / 2])
+
+    @classmethod
+    def sector_tables(cls, n, z_k, z):
+        support = binomial_support(n, z_k)
+        ratio = support.astype(np.longdouble) / n
+        theta = cls.TIMES[:, None] * np.sqrt(support / n / z)
+        return ratio, np.exp(log_binomial_weights(n, support, z_k)), theta
+
+    @pytest.mark.parametrize("n", [10, 1000, 10**5, 10**6])
+    @pytest.mark.parametrize("z1, z2, z", [(0.2, 0.05, 0.2), (0.5, 0.5, 0.5)])
+    def test_diagonal_of_rho_atoms_reducible(self, n, z1, z2, z):
+        ratio1, w1, theta1 = self.sector_tables(n, z1, z)
+        ratio2, w2, theta2 = self.sector_tables(n, z2, z)
+        norm = 1 / (np.longdouble(z1) + np.longdouble(z2))
+        expected = {
+            dyn.IDX_PM: norm * np.sum(np.sin(theta1) ** 2 * ratio1 * w1, axis=-1),
+            dyn.IDX_MP: norm * np.sum(np.sin(theta2) ** 2 * ratio2 * w2, axis=-1),
+            dyn.IDX_MM: norm * (np.sum(np.cos(theta1) ** 2 * ratio1 * w1, axis=-1)
+                                + np.sum(np.cos(theta2) ** 2 * ratio2 * w2, axis=-1)),
+        }
+        rhos = dyn.rho_atoms_reducible(self.TIMES, n, z1, z2, z)
+        for idx, values in expected.items():
+            assert np.max(np.abs(rhos[:, idx, idx].real - values)) <= 1e-14
+
+    @pytest.mark.parametrize("n", [10, 1000, 4000])
+    @pytest.mark.parametrize("z1, z2", [(0.2, 0.05), (0.5, 0.5)])
+    def test_joint_sector_sum(self, n, z1, z2):
+        s1, s2 = binomial_support(n, z1), binomial_support(n, z2)
+        rng = np.random.default_rng(11)
+        f1 = rng.uniform(size=(2, s1.size))
+        f2 = rng.uniform(size=(2, s2.size))
+        weights = np.exp(log_joint_weights(n, s1, s2, z1, z2))
+        expected = np.einsum("ij,ri,rj->r", weights, f1.astype(np.longdouble), f2)
+        got = joint_sector_sum(n, z1, z2, f1, f2)
+        assert np.max(np.abs(got - expected)) <= 1e-14
+
+
 class TestLimitDensity:
     @pytest.mark.parametrize("t", TIME_GRID)
     def test_plateau_case_equals_irreducible(self, t):
@@ -470,25 +515,11 @@ class TestLimitDensity:
 
 
 class TestNormalizationConstant:
-    def test_uniform_half(self):
-        assert dyn.normalization_constant(0.5, 0.5) == pytest.approx(math.sqrt(2.0))
-
-    def test_formal_unit(self):
-        assert dyn.normalization_constant(1.0, 1.0) == pytest.approx(1.0)
-
-    def test_direct_value(self):
-        assert dyn.normalization_constant(0.3, 0.1) == pytest.approx(math.sqrt(5.0))
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            dyn.normalization_constant(0.0, 0.0)
-
     def test_matches_explicit_normalization(self):
         prof = VacuumProfile.from_probabilities(("k1", "k2", "k3"), (0.3, 0.1, 0.6))
         rep = build_reducible(2, prof, n_max=1, selected_modes=["k1", "k2"])
         raw = (
             (rep.raising("k1") + rep.raising("k2")) @ rep.vacuum.amplitudes
         ) / math.sqrt(2.0)
-        assert 1.0 / np.linalg.norm(raw) == pytest.approx(
-            dyn.normalization_constant(0.3, 0.1), abs=1e-12
-        )
+        # sqrt(2 / (Z1 + Z2)) with Z1 + Z2 = 0.4
+        assert 1.0 / np.linalg.norm(raw) == pytest.approx(math.sqrt(5.0), abs=1e-12)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ccrlab.exceptions import ValidationError
-from ccrlab.fock import annihilation, commutator_defect, creation, number_operator
+from ccrlab.fock import annihilation, number_operator
 
 
 def test_two_level_ladder():
@@ -19,38 +19,10 @@ def test_matrix_elements_forced_by_number_eigenvalues():
     assert np.array_equal(a, expected)
 
 
-def test_creation_is_adjoint():
-    assert np.array_equal(creation(3), annihilation(3).conj().T)
-
-
 def test_commutator_defect_at_top_level():
     a = annihilation(3)
     comm = a @ a.conj().T - a.conj().T @ a
     assert np.allclose(comm, np.diag([1.0, 1.0, 1.0, -3.0]))
-
-
-def test_defect_dim_one():
-    assert np.array_equal(commutator_defect(0), np.array([[-1.0]], dtype=complex))
-
-
-def test_defect_values():
-    assert np.allclose(commutator_defect(2), np.diag([0.0, 0.0, -3.0]))
-
-
-def test_defect_vanishes_below_truncation():
-    n_max = 4
-    defect = commutator_defect(n_max)
-    # exact zero on every state without amplitude at the top level
-    below = np.eye(n_max + 1)[:, :n_max]
-    assert np.count_nonzero(defect @ below) == 0
-
-
-def test_product_commutator_matches_exact_defect():
-    a = annihilation(4)
-    product = a @ a.conj().T - a.conj().T @ a - np.eye(5)
-    # (sqrt(n))^2 rounds, so the product only reproduces the closed form
-    # to machine precision
-    assert np.max(np.abs(product - commutator_defect(4))) <= 1e-15
 
 
 def test_number_operator_exact():

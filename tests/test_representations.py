@@ -19,6 +19,7 @@ from ccrlab.representations import (
     central_spectral_projectors,
     joint_sector_sum,
     log_binomial_weights,
+    log_joint_weights,
     mode_excitation_state,
     occupation_basis,
     vacuum_weight,
@@ -417,6 +418,87 @@ class TestVacuumWeight:
         assert np.exp(log_binomial_weights(3, np.arange(4), 1.0)) == pytest.approx(
             [0.0, 0.0, 0.0, 1.0]
         )
+
+
+def direct(n, s, z):
+    return representations._log_binomial_direct(n, np.asarray(s), z)
+
+
+def rel_weight_error(log_a, log_b) -> float:
+    """max |w_a / w_b - 1| over two arrays of log weights."""
+    diff = (np.asarray(log_a) - np.asarray(log_b)).astype(float)
+    return float(np.max(np.abs(np.expm1(diff)), initial=0.0))
+
+
+class TestBinomialRecurrence:
+    """The anchored cumulative-log recurrence against the direct per-cell formula."""
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 24, 25, 49, 1000, 10**5, 10**6])
+    @pytest.mark.parametrize("z", [1e-3, 0.05, 0.2, 0.5, 0.95, 1 - 1e-3])
+    def test_full_window_matches_direct(self, n, z):
+        # every sector below 50, the sectors that matter above
+        s = np.arange(n + 1) if n < 50 else binomial_support(n, z)
+        got = log_binomial_weights(n, s, z)
+        assert got.dtype == np.longdouble and got.shape == s.shape
+        assert rel_weight_error(got, direct(n, s, z)) <= 1e-13
+        assert abs(float(np.exp(got.astype(float)).sum()) - 1.0) <= 1e-12
+
+    def test_unsorted_input_reads_the_same_table(self):
+        n, z = 10**5, 0.3
+        s = binomial_support(n, z)
+        perm = np.random.default_rng(5).permutation(s.size)
+        assert np.array_equal(log_binomial_weights(n, s[perm], z),
+                              log_binomial_weights(n, s, z)[perm])
+
+    @pytest.mark.parametrize("lo, hi", [(0, 30), (480_000, 490_000),
+                                        (503_000, 503_100), (496_000, 504_000)])
+    def test_sub_windows_on_either_side_of_the_mean(self, lo, hi):
+        n, z = 10**6, 0.5
+        s = np.arange(lo, hi + 1)
+        assert rel_weight_error(log_binomial_weights(n, s, z), direct(n, s, z)) <= 1e-13
+
+    @pytest.mark.parametrize("n, z1, z2", [(30, 0.3, 0.2), (1000, 0.45, 0.5),
+                                           (4000, 0.2, 0.05)])
+    def test_joint_rows_take_the_fitting_sub_window(self, n, z1, z2):
+        # log_joint_weights passes s_prime[fits] with n - s and z2 / (1 - z1)
+        s = binomial_support(n, z1)[::7]
+        s_prime = binomial_support(n, z2)
+        got = log_joint_weights(n, s, s_prime, z1, z2)
+        q = np.longdouble(z2) / (1 - np.longdouble(z1))
+        for i, s_i in enumerate(s):
+            fits = s_prime <= n - s_i
+            assert np.all(np.isneginf(got[i, ~fits]))
+            expected = direct(n, [s_i], z1)[0] + direct(n - s_i, s_prime[fits], q)
+            assert rel_weight_error(got[i, fits], expected) <= 1e-13
+
+    @pytest.mark.parametrize("n, s, z", [(1, 0, 0.3), (1, 1, 0.3), (49, 25, 0.95),
+                                         (10**6, 0, 0.2), (10**6, 10**6, 0.2),
+                                         (10**6, 200_123, 0.2)])
+    def test_single_cell_is_the_direct_formula(self, n, s, z):
+        assert log_binomial_weights(n, np.array([s]), z)[0] == direct(n, [s], z)[0]
+        assert vacuum_weight(n, s, z) == float(np.exp(direct(n, [s], z)[0]))
+
+    @pytest.mark.parametrize("n", [1, 25, 10**6])
+    def test_point_masses(self, n):
+        s = np.arange(max(0, n - 40), n + 1)
+        at_zero = np.exp(log_binomial_weights(n, np.arange(min(n, 40) + 1), 0.0))
+        at_one = np.exp(log_binomial_weights(n, s, 1.0))
+        assert at_zero[0] == 1.0 and np.all(at_zero[1:] == 0.0)
+        assert at_one[-1] == 1.0 and np.all(at_one[:-1] == 0.0)
+
+    @pytest.mark.parametrize("z", [1e-3, 0.2, 0.5, 0.95])
+    def test_matches_mpmath_at_edges_and_anchor(self, z):
+        mpmath = pytest.importorskip("mpmath")
+        n = 10**6
+        s = binomial_support(n, z)
+        got = log_binomial_weights(n, s, z)
+        with mpmath.workdps(40):
+            zm = mpmath.mpf(z)
+            for i in (0, math.floor(n * z) - s[0], s.size - 1):
+                k = int(s[i])
+                exact = (mpmath.log(mpmath.binomial(n, k)) + k * mpmath.log(zm)
+                         + (n - k) * mpmath.log(1 - zm))
+                assert abs(mpmath.expm1(mpmath.mpf(str(got[i])) - exact)) <= 1e-13
 
 
 class TestBinomialSupport:

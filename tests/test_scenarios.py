@@ -424,6 +424,30 @@ class TestValidate:
         assert not report.passed
 
 
+    def test_recurrence_check_detects_a_wrong_weight_table(self, monkeypatch):
+        check = {c.name: c for c in validate(seed=0).checks}[
+            "binomial_recurrence_vs_direct"]
+        assert check.passed and check.measured <= 1e-15
+        original = reps.log_binomial_weights
+        monkeypatch.setattr(reps, "log_binomial_weights",
+                            lambda n, s, z: original(n, s, z) + 1e-12)
+        check = {c.name: c for c in validate(seed=0).checks}[
+            "binomial_recurrence_vs_direct"]
+        assert not check.passed
+
+    def test_builds_each_reducible_representation_once(self, monkeypatch):
+        calls = []
+        original = reps.build_reducible
+
+        def counted(n, profile, *args, **kwargs):
+            calls.append((n, profile.labels))
+            return original(n, profile, *args, **kwargs)
+
+        monkeypatch.setattr(reps, "build_reducible", counted)
+        assert validate(seed=0).passed
+        assert sorted(calls) == [(1, ("k1", "k2")), (2, ("k1", "k2")),
+                                 (3, ("k1", "k2")), (3, ("k1", "k2", "k3", "k4"))]
+
 class TestCli:
     def test_run_writes_and_exits_zero(self, tmp_path, capsys):
         code = cli.main(["run", "--scenario", "infinity", "--out", str(tmp_path)])
@@ -499,6 +523,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, scenario", [
+        ("run", "infinity"), ("run", "berezin"), ("run", "reducible-brute"),
+        ("run", "reducible-limit"), ("run", "single-mode"),
+        ("sweep", "reducible-limit"),
+    ])
+    def test_empty_list_and_boolean_are_config_errors(
+            self, tmp_path, capsys, command, scenario):
+        for key, value in (("times", []), ("N", []), ("N", True), ("N", [2, True]),
+                           ("times", [0.0, True]), ("seed", False)):
+            cfg = tmp_path / "bad.json"
+            cfg.write_text(json.dumps({"scenario": scenario, key: value}))
+            code = cli.main([command, "--config", str(cfg),
+                              "--out", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            assert code == 2, (key, value, err)
+            assert err.startswith(f"error: config key {key!r}")
+            assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("config, skipped", [
         ({"scenario": "reducible-brute", "N": [1, 10000]}, "brute_force_N10000"),
