@@ -76,7 +76,8 @@ def _coerce(convert, value, key: str):
     """``convert(value)``; a value it cannot take is a ConfigError naming ``key``.
 
     So are an empty list and a boolean, alone or in a list: Python would
-    take JSON ``true`` as the number 1.
+    take JSON ``true`` as the number 1. Integer keys refuse a float with a
+    fractional part (:func:`_integer`).
     """
     items = value if isinstance(value, (list, tuple)) else (value,)
     if not items:
@@ -87,6 +88,13 @@ def _coerce(convert, value, key: str):
         return convert(value)
     except (TypeError, ValueError):
         raise ConfigError(f"config key {key!r} has an invalid value {value!r}") from None
+
+
+def _integer(value) -> int:
+    """``int(value)``, refusing a float with a fractional part, which int() truncates."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
 
 
 def _tuple_of(convert):
@@ -103,8 +111,8 @@ class ScenarioConfig:
     optional ``window``/``rate`` for the plateau shape, and ``selected``
     (two 0-based label indices, default the first two). Values are
     coerced to their field types on construction; one that cannot be, an
-    empty ``N`` or ``times`` list, or a JSON boolean is a
-    :class:`ConfigError` naming its config key.
+    empty ``N`` or ``times`` list, a JSON boolean, or a non-integral float
+    for an integer key is a :class:`ConfigError` naming its config key.
     """
 
     scenario: str
@@ -121,20 +129,20 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         tolerances = _coerce(dict, self.tolerances, "tolerances")
         coerced = {
-            "n_max": _coerce(int, self.n_max, "n_max"),
-            "d": _coerce(int, self.d, "d"),
-            "cutoff": _coerce(int, self.cutoff, "cutoff"),
+            "n_max": _coerce(_integer, self.n_max, "n_max"),
+            "d": _coerce(_integer, self.d, "d"),
+            "cutoff": _coerce(_integer, self.cutoff, "cutoff"),
             "times": _coerce(_tuple_of(float), self.times, "times"),
             "tolerances": {
                 str(k): _coerce(float, v, f"tolerances.{k}")
                 for k, v in tolerances.items()
             },
-            "seed": _coerce(int, self.seed, "seed"),
+            "seed": _coerce(_integer, self.seed, "seed"),
         }
         if np.isscalar(self.n_values):
-            coerced["n_values"] = (_coerce(int, self.n_values, "N"),)
+            coerced["n_values"] = (_coerce(_integer, self.n_values, "N"),)
         elif self.n_values is not None:
-            coerced["n_values"] = _coerce(_tuple_of(int), self.n_values, "N")
+            coerced["n_values"] = _coerce(_tuple_of(_integer), self.n_values, "N")
         for name, value in coerced.items():
             object.__setattr__(self, name, value)
         for t in self.times:
@@ -331,7 +339,7 @@ def _provenance(config_echo: dict) -> dict:
 
 
 def _index_pair(value, key: str) -> tuple[int, int]:
-    pair = _coerce(_tuple_of(int), value, f"profile.{key}")
+    pair = _coerce(_tuple_of(_integer), value, f"profile.{key}")
     if len(pair) != 2:
         raise ConfigError(f"profile key {key!r} needs two indices, got {value!r}")
     return pair
@@ -346,7 +354,7 @@ def profile_from_spec(spec: dict) -> tuple[reps.VacuumProfile, tuple[str, str]]:
         if key not in known:
             raise ConfigError(f"unknown profile key {key!r}; known: {sorted(known)}")
     kind = spec.get("kind", "uniform")
-    modes = _coerce(int, spec.get("modes", 2), "profile.modes")
+    modes = _coerce(_integer, spec.get("modes", 2), "profile.modes")
     if kind == "uniform":
         profile = reps.VacuumProfile.uniform(modes)
     elif kind == "plateau":
@@ -915,6 +923,23 @@ def validate(seed: int = 0) -> ScenarioReport:
                 float(reps.joint_sector_sum(n, z1, z2, ones1, ones2)) - 1.0))
     add("joint_weights_unit_sum", worst, 1e-12,
         detail="multinomial sector weights, N up to 1e6, incl. z1 + z2 = 1")
+
+    # With one table set to 1 the joint sum is the other mode's binomial
+    # marginal; N = 1000 takes the direct convolution, N = 1e4 the FFT.
+    worst = 0.0
+    z_pair = (0.2, 0.05)
+    for n in (1000, 10**4):
+        supports = [reps.binomial_support(n, z) for z in z_pair]
+        f = [rng.uniform(-1.0, 1.0, s.size) for s in supports]
+        ones = [np.ones(s.size) for s in supports]
+        # row 0 sums f over mode 1, row 1 over mode 2
+        sums = reps.joint_sector_sum(n, *z_pair, np.stack([f[0], ones[0]]),
+                                     np.stack([ones[1], f[1]]))
+        for k, z in enumerate(z_pair):
+            weights = np.exp(reps.log_binomial_weights(n, supports[k], z).astype(float))
+            worst = max(worst, abs(float(sums[k]) - float(weights @ f[k])))
+    add("joint_sum_marginals", worst, 1e-12,
+        detail="joint sum over one mode vs the binomial marginal, N = 1e3 and 1e4")
 
     wide = reps.VacuumProfile.uniform(4)
     rep3 = reps.build_reducible(3, wide, 1, ["k1", "k2"])

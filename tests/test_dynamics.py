@@ -5,7 +5,7 @@ import pytest
 
 from ccrlab import dynamics as dyn
 from ccrlab import entanglement as ent
-from ccrlab import fock
+from ccrlab import fock, representations
 from ccrlab.exceptions import ConfigError, DomainError, ValidationError
 from ccrlab.linalg import expm_generator, kron, reorder_matrix_factors
 from ccrlab.representations import (
@@ -465,6 +465,19 @@ class TestFloat64Exponentials:
         rng = np.random.default_rng(11)
         f1 = rng.uniform(size=(2, s1.size))
         f2 = rng.uniform(size=(2, s2.size))
+        weights = np.exp(log_joint_weights(n, s1, s2, z1, z2))
+        expected = np.einsum("ij,ri,rj->r", weights, f1.astype(np.longdouble), f2)
+        got = joint_sector_sum(n, z1, z2, f1, f2)
+        assert np.max(np.abs(got - expected)) <= 1e-14
+
+    @pytest.mark.parametrize("z1, z2", [(0.2, 0.05), (0.45, 0.55 - 1e-9)])
+    def test_joint_sector_sum_fft_route(self, z1, z2):
+        n = 10**4
+        s1, s2 = binomial_support(n, z1), binomial_support(n, z2)
+        assert s1.size * s2.size > representations._FFT_CELLS
+        rng = np.random.default_rng(12)
+        f1 = rng.uniform(-1.0, 1.0, size=(3, s1.size))
+        f2 = rng.uniform(-1.0, 1.0, size=(3, s2.size))
         weights = np.exp(log_joint_weights(n, s1, s2, z1, z2))
         expected = np.einsum("ij,ri,rj->r", weights, f1.astype(np.longdouble), f2)
         got = joint_sector_sum(n, z1, z2, f1, f2)

@@ -435,6 +435,15 @@ class TestValidate:
             "binomial_recurrence_vs_direct"]
         assert not check.passed
 
+    def test_marginal_check_detects_a_wrong_joint_sum(self, monkeypatch):
+        check = {c.name: c for c in validate(seed=0).checks}["joint_sum_marginals"]
+        assert check.passed and check.measured <= 1e-15
+        original = reps.joint_sector_sum
+        monkeypatch.setattr(reps, "joint_sector_sum",
+                            lambda *args: original(*args) + 1e-10)
+        check = {c.name: c for c in validate(seed=0).checks}["joint_sum_marginals"]
+        assert not check.passed
+
     def test_builds_each_reducible_representation_once(self, monkeypatch):
         calls = []
         original = reps.build_reducible
@@ -541,6 +550,54 @@ class TestCli:
             assert code == 2, (key, value, err)
             assert err.startswith(f"error: config key {key!r}")
             assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value, shape", [
+        ("N", 10.7, "scalar"), ("n_max", 1.5, "scalar"), ("d", 2.5, "scalar"),
+        ("cutoff", 1.25, "scalar"), ("seed", 3.5, "scalar"),
+        ("profile.modes", 3.5, "scalar"),
+        ("N", [10.7, 100], "list"),
+        ("profile.window", [0, 1.5], "pair"), ("profile.selected", [0, 1.5], "pair"),
+    ])
+    def test_non_integral_float_for_integer_key_is_config_error(
+            self, tmp_path, capsys, key, value, shape):
+        config = {"scenario": "reducible-limit", "N": [10, 100]}
+        if key.startswith("profile."):
+            config["profile"] = {"kind": "plateau", "modes": 4, key[8:]: value}
+        else:
+            config[key] = value
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config))
+        code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2, (shape, err)
+        assert err.startswith(f"error: config key {key!r}")
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_floats_are_integers(self):
+        cfg = ScenarioConfig.from_dict(
+            {"scenario": "reducible-limit", "N": [1e3, 1e6], "n_max": 2.0, "seed": 7.0})
+        assert cfg.n_values == (1000, 10**6) and cfg.n_max == 2 and cfg.seed == 7
+        assert all(type(v) is int for v in (*cfg.n_values, cfg.n_max, cfg.seed))
+        profile, selected = profile_from_spec(
+            {"kind": "plateau", "modes": 4.0, "window": [0.0, 1.0], "selected": [0.0, 3.0]})
+        assert len(profile.labels) == 4 and selected == ("k1", "k4")
+
+    @pytest.mark.parametrize("scenario, rate", [
+        ("reducible-limit", float("nan")), ("reducible-limit", float("inf")),
+        ("reducible-brute", float("nan")), ("reducible-brute", float("inf")),
+    ])
+    def test_non_finite_plateau_rate_is_rejected_at_profile_construction(
+            self, tmp_path, capsys, scenario, rate):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({
+            "scenario": scenario,
+            "profile": {"kind": "plateau", "modes": 3, "rate": rate},
+        }))
+        code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: rolloff rate must be finite")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("config, skipped", [
