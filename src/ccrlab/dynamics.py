@@ -254,11 +254,10 @@ def rho_atoms_reducible(
     float64 exponential of an extended-precision log from the anchored
     recurrence of :func:`~ccrlab.representations.log_binomial_weights`;
     the joint sum runs as a 1-D convolution of such tables
-    (:func:`~ccrlab.representations.joint_sector_sum`): direct for small
-    windows, where it is faster, and by FFT once the two windows span more
-    than 2**18 cells (N of order 1e4 and up), where the direct
-    O(|s| |s'|) product would dominate the call. Oscillation frequencies
-    are sqrt(s/(N Z)) as produced by the H/sqrt(Z) generator.
+    (:func:`~ccrlab.representations.joint_sector_sum`), taken by FFT for
+    all times at once; the direct O(|s| |s'|) product took most of the
+    call at N = 1e6. Oscillation frequencies are sqrt(s/(N Z)) as
+    produced by the H/sqrt(Z) generator.
 
     ``t`` is a scalar (returns a 4x4 matrix) or a 1-D array of T times
     (returns a (T, 4, 4) stack); the weights are built once for all times.

@@ -648,10 +648,6 @@ def _log_power_table(lam, lo: int, hi: int, anchor: int) -> np.ndarray:
     return _anchored_cumsum(lambda j: np.log(lam / j), lo, hi, anchor)
 
 
-# Above this many |a| * |b| cells an FFT beats np.convolve (break-even ~185k-422k cells).
-_FFT_CELLS = 2**18
-
-
 def joint_sector_sum(
     n: int, z1: float, z2: float, f1: np.ndarray, f2: np.ndarray
 ) -> np.ndarray:
@@ -669,14 +665,13 @@ def joint_sector_sum(
     formula; the log tables are anchored extended-precision cumulative
     sums, exponentiated in float64. The double sum is then
     sum_k c(k) (x * y)(k) with x = a f1 and y = b f2, one 1-D convolution
-    per row. The route depends on table size. Up to 2**18 |a| * |b| cells
-    each row goes through ``np.convolve``, which is faster there and keeps
-    small-N results bit for bit. Larger tables (N of order 1e4 and up) go
-    through one zero-padded ``rfft``/``irfft`` over the whole row stack,
-    O((|a| + |b|) log(|a| + |b|)) instead of O(|a| |b|) per row; it spreads
-    its rounding over all outputs and agrees with the direct route within
-    1e-15. For z0 = 0 the weight is the point mass s' = n - s, i.e.
-    Bin(n, s; z1), again exponentiated in float64.
+    per row, taken for the whole row stack by one zero-padded
+    ``rfft``/``irfft``: O((|a| + |b|) log(|a| + |b|)) per row instead of
+    the direct O(|a| |b|), which took most of the call at N = 1e6. Its
+    rounding is of order 1e-16 absolute on the unit-scale sums here, and
+    the length-4 transform of the N = 1 tables is exact, so the N = 1
+    coherence stays exactly 0. For z0 = 0 the weight is the point mass
+    s' = n - s, i.e. Bin(n, s; z1), again exponentiated in float64.
     """
     s1 = binomial_support(n, z1)
     s2 = binomial_support(n, z2)
@@ -711,12 +706,9 @@ def joint_sector_sum(
     lead = np.broadcast_shapes(f1.shape[:-1], f2.shape[:-1])
     x = np.broadcast_to(a * f1, lead + a.shape).reshape(-1, a.size)
     y = np.broadcast_to(b * f2, lead + b.shape).reshape(-1, b.size)
-    if a.size * b.size > _FFT_CELLS:
-        size = 1 << (a.size + b.size - 2).bit_length()
-        conv = np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(y, size), size)
-        return (conv[:, : c.size] @ c).reshape(lead)
-    out = [np.convolve(xr, yr)[: c.size] @ c for xr, yr in zip(x, y)]
-    return np.array(out).reshape(lead)
+    size = 1 << (a.size + b.size - 2).bit_length()
+    conv = np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(y, size), size)
+    return (conv[:, : c.size] @ c).reshape(lead)
 
 
 def vacuum_weight(

@@ -5,7 +5,7 @@ import pytest
 
 from ccrlab import dynamics as dyn
 from ccrlab import entanglement as ent
-from ccrlab import fock, representations
+from ccrlab import fock
 from ccrlab.exceptions import ConfigError, DomainError, ValidationError
 from ccrlab.linalg import expm_generator, kron, reorder_matrix_factors
 from ccrlab.representations import (
@@ -416,7 +416,8 @@ class TestReducibleCoherence:
         with pytest.raises(ConfigError):
             dyn.rho_atoms_reducible(np.zeros((2, 2)), 3, 0.5, 0.5, 0.5)
 
-    @pytest.mark.parametrize("z1, z2, z", [(0.3, 0.2, 0.4), (0.6, 0.1, 0.6)])
+    @pytest.mark.parametrize("z1, z2, z", [
+        (0.3, 0.2, 0.4), (0.6, 0.1, 0.6), (0.45, 0.55 - 1e-9, 0.6)])
     def test_single_oscillator_coherence_exactly_zero_asymmetric(self, z1, z2, z):
         rhos = dyn.rho_atoms_reducible(TIME_GRID, 1, z1, z2, z)
         assert np.all(rhos[:, dyn.IDX_PM, dyn.IDX_MP] == 0.0)
@@ -471,10 +472,9 @@ class TestFloat64Exponentials:
         assert np.max(np.abs(got - expected)) <= 1e-14
 
     @pytest.mark.parametrize("z1, z2", [(0.2, 0.05), (0.45, 0.55 - 1e-9)])
-    def test_joint_sector_sum_fft_route(self, z1, z2):
+    def test_joint_sector_sum_signed_rows_large_n(self, z1, z2):
         n = 10**4
         s1, s2 = binomial_support(n, z1), binomial_support(n, z2)
-        assert s1.size * s2.size > representations._FFT_CELLS
         rng = np.random.default_rng(12)
         f1 = rng.uniform(-1.0, 1.0, size=(3, s1.size))
         f2 = rng.uniform(-1.0, 1.0, size=(3, s2.size))

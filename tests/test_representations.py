@@ -551,37 +551,6 @@ class TestJointSectorSum:
         with pytest.raises(ValidationError):
             joint_sector_sum(10, 0.2, 0.3, np.ones(3), np.ones(11))
 
-    @pytest.mark.parametrize("z1, z2", [(0.3, 0.2), (0.6, 0.1), (0.45, 0.55 - 1e-9)])
-    def test_single_oscillator_sum_exactly_zero(self, z1, z2):
-        # tables vanishing at s = 0 and s' = 0, like the coherence's
-        # sin(theta) sqrt(s / N); the one cell left, s = s' = 1, exceeds N
-        f = np.array([[0.0, 0.7], [0.0, -1.3], [0.0, 1.0]])
-        assert np.all(joint_sector_sum(1, z1, z2, f, f) == 0.0)
-
-    @staticmethod
-    def sizes_around_cut(z1, z2):
-        """The largest N whose two windows span at most the FFT cut, and N + 1."""
-        def cells(n):
-            return binomial_support(n, z1).size * binomial_support(n, z2).size
-
-        n = next(n for n in itertools.count(1) if cells(n) > representations._FFT_CELLS)
-        return n - 1, n
-
-    @pytest.mark.parametrize("above", [False, True], ids=["below", "above"])
-    def test_routes_agree_at_the_cut(self, monkeypatch, above):
-        z1, z2 = 0.3, 0.2
-        n = self.sizes_around_cut(z1, z2)[above]
-        s1, s2 = binomial_support(n, z1), binomial_support(n, z2)
-        assert (s1.size * s2.size > representations._FFT_CELLS) == above
-        rng = np.random.default_rng(7)
-        f1 = rng.uniform(-1.0, 1.0, size=(3, s1.size))
-        f2 = rng.uniform(-1.0, 1.0, size=(3, s2.size))
-        got = joint_sector_sum(n, z1, z2, f1, f2)
-        # force the other route on the same tables
-        monkeypatch.setattr(representations, "_FFT_CELLS", 2**62 if above else 0)
-        other = joint_sector_sum(n, z1, z2, f1, f2)
-        assert np.max(np.abs(got - other)) <= 1e-15
-
 
 class TestCcrCheck:
     def test_infinity_exact_below_truncation(self):
