@@ -9,7 +9,8 @@ Three subcommands::
 Config files are JSON objects with the keys scenario, n_max, d, cutoff,
 N (scalar or list), profile {kind: uniform | plateau, ...}, times,
 tolerances, seed. Exit codes: 0 all assertions pass, 1 assertion failure,
-2 configuration or domain error, 3 brute-force size ceiling exceeded.
+2 configuration or domain error (an unwritable output directory included),
+3 brute-force size ceiling exceeded.
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="run the invariant suite")
     p_val.add_argument("--seed", type=int, default=0,
-                       help="seed for the randomized checks")
+                       help="seed in [0, 2**64) of the random.Random that "
+                            "draws the randomized checks' test points")
     p_val.add_argument("--out", help="optional output directory")
     return parser
 
@@ -79,7 +81,11 @@ def _emit(report: ScenarioReport, out_dir: str | None) -> int:
     for row in report.skipped:
         print(f"[SKIP] {row['check']}: {row['reason']}")
     if out_dir:
-        paths = report.write(out_dir)
+        try:
+            paths = report.write(out_dir)
+        except OSError as exc:
+            raise ConfigError(f"cannot write reports to {out_dir}: "
+                              f"{exc.strerror or exc}") from None
         for kind in sorted(paths):
             print(f"wrote {paths[kind]}")
     summary = "all checks passed" if report.passed else "CHECK FAILURES"

@@ -25,7 +25,6 @@ ensembles of 10^6 oscillators.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -42,7 +41,9 @@ from .linalg import (
 
 #: Profiles must carry unit total probability to this tolerance.
 TOL_PROFILE = 1e-12
-#: Default total-dimension ceiling for brute-force ensemble constructions.
+#: Default dimension ceiling for brute-force constructions: the field of a
+#: reducible ensemble, the coupled atoms-plus-field space (4 times the
+#: field) of the two irreducible representations.
 BRUTE_FORCE_CEILING = 4096
 
 
@@ -211,11 +212,14 @@ def build_infinity_two_mode(n_max: int) -> Representation:
     """Two-mode irreducible representation: a1 = a (x) I, a2 = I (x) a.
 
     Each mode owns one truncated oscillator factor; the central elements
-    are identities and the vacuum is the joint ground state.
+    are identities and the vacuum is the joint ground state. A coupled
+    dimension 4 (n_max + 1)^2 above :data:`BRUTE_FORCE_CEILING` raises
+    :class:`SizeLimitError` before anything is built.
     """
     n_max = int(n_max)
     if n_max < 1:
         raise ConfigError(f"two-mode build needs n_max >= 1, got {n_max}")
+    _check_coupled_ceiling("two-mode", (n_max + 1) ** 2)
     a = fock.annihilation(n_max)
     m = n_max + 1
     eye = np.eye(m, dtype=complex)
@@ -243,13 +247,47 @@ def build_infinity_two_mode(n_max: int) -> Representation:
     )
 
 
+def _check_coupled_ceiling(kind: str, field_dim: int) -> None:
+    """SizeLimitError if the coupled space, 4 * ``field_dim``, exceeds the ceiling.
+
+    ``field_dim`` may be a lower bound of the field dimension (see
+    :func:`_capped_comb`); it is reported as one.
+    """
+    if 4 * field_dim > BRUTE_FORCE_CEILING:
+        raise SizeLimitError(
+            f"{kind} field dimension is at least {field_dim}, so the coupled "
+            f"dimension 4 * {field_dim} exceeds the brute-force ceiling "
+            f"{BRUTE_FORCE_CEILING}"
+        )
+
+
+def _capped_comb(n: int, k: int, cap: int) -> int:
+    """C(n, k) if it is at most ``cap``, else some value above ``cap``.
+
+    Runs C(n - k + i, i) up over i <= min(k, n - k); each factor is at
+    least 2, so it stops within cap.bit_length() + 1 steps however large
+    n is.
+    """
+    k = min(k, n - k)
+    value = 1
+    for i in range(1, k + 1):
+        value = value * (n - k + i) // i
+        if value > cap:
+            break
+    return value
+
+
 def occupation_basis(n_modes: int, total_cutoff: int) -> list[tuple[int, ...]]:
-    """All occupation tuples (n_1..n_d) with sum <= total_cutoff, lexicographic."""
-    return [
-        tup
-        for tup in itertools.product(range(total_cutoff + 1), repeat=n_modes)
-        if sum(tup) <= total_cutoff
-    ]
+    """All occupation tuples (n_1..n_d) with sum <= total_cutoff, lexicographic.
+
+    Built slot by slot, each prefix extended by every count its remaining
+    budget admits, so only the C(d + cutoff, d) admissible tuples are made.
+    """
+    basis = [()]
+    for _ in range(n_modes):
+        basis = [tup + (k,) for tup in basis
+                 for k in range(total_cutoff - sum(tup) + 1)]
+    return basis
 
 
 def build_berezin(
@@ -262,6 +300,9 @@ def build_berezin(
     in slot n with matrix element sqrt(n_n + 1). The vacuum is the unique
     all-zero tuple. ``selected_modes`` are 1-based indices into the mode
     basis; operators are built only for those (default: all of them).
+    A coupled dimension 4 C(d + total_cutoff, d) above
+    :data:`BRUTE_FORCE_CEILING` raises :class:`SizeLimitError`, decided
+    without enumerating the basis.
     """
     d = int(d)
     total_cutoff = int(total_cutoff)
@@ -269,6 +310,8 @@ def build_berezin(
         raise ConfigError(f"need at least one mode, got d={d}")
     if total_cutoff < 1:
         raise ConfigError(f"total cutoff must be >= 1, got {total_cutoff}")
+    _check_coupled_ceiling("Berezin", _capped_comb(
+        d + total_cutoff, d, BRUTE_FORCE_CEILING // 4))
     if selected_modes is None:
         selected_modes = list(range(1, d + 1))
     for n in selected_modes:

@@ -7,7 +7,7 @@ from ccrlab import dynamics as dyn
 from ccrlab import entanglement as ent
 from ccrlab import fock
 from ccrlab.exceptions import ConfigError, DomainError, ValidationError
-from ccrlab.linalg import expm_generator, kron, reorder_matrix_factors
+from ccrlab.linalg import StateVector, expm_generator, kron, reorder_matrix_factors
 from ccrlab.representations import (
     VacuumProfile,
     binomial_support,
@@ -274,6 +274,32 @@ class TestSectorEvolve:
         drive = np.kron(np.kron(sigma_x, np.eye(2)), np.eye(rep.dim))
         with pytest.raises(ValidationError, match="excitation sectors"):
             dyn.evolve(rep, h + drive, psi0, 0.5)
+
+    @pytest.mark.parametrize("kind", ["infinity", "berezin", "reducible"])
+    def test_two_sector_state_matches_full_space_oracle(self, kind):
+        rep, _, h, psi0 = coupled_setup(kind)
+        # (|--> (x) vacuum + single photon) / sqrt(2): excitation sectors 0 and 1
+        ground = np.kron(np.kron(dyn.KET_GROUND, dyn.KET_GROUND), rep.vacuum.amplitudes)
+        psi = StateVector((ground + psi0.amplitudes) / math.sqrt(2.0), psi0.factorization)
+        assert set(dyn.excitation_numbers(rep)[psi.amplitudes != 0]) == {0.0, 1.0}
+        renorm = kind == "reducible"
+        h_eff = h / math.sqrt(rep.profile.z_max) if renorm else h
+        expected = expm_generator(h_eff, TIME_GRID) @ psi.amplitudes
+        states = dyn.evolve(rep, h, psi, TIME_GRID, renormalize=renorm)
+        for state, exact in zip(states, expected):
+            assert np.max(np.abs(state.amplitudes - exact)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["infinity", "berezin", "reducible"])
+    def test_sector_mask_matches_isin(self, kind):
+        rep, _, _, psi0 = coupled_setup(kind)
+        exc = dyn.excitation_numbers(rep)
+        rng = np.random.default_rng(5)
+        supports = [psi0.amplitudes, np.eye(exc.size)[0], np.eye(exc.size)[-1]]
+        supports += [rng.random(exc.size) < 0.1 for _ in range(5)]
+        for amps in supports:
+            mask = dyn.excitation_sector_mask(rep, amps)
+            assert mask.dtype == bool
+            assert np.array_equal(mask, np.isin(exc, exc[amps != 0]))
 
     @pytest.mark.parametrize("kind", ["infinity", "berezin", "reducible"])
     def test_excitation_numbers_match_operator(self, kind):

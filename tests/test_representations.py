@@ -136,6 +136,38 @@ class TestBerezinRepresentation:
         amp = ad[3, 2]
         assert amp == pytest.approx(math.sqrt(3.0))
 
+    @pytest.mark.parametrize("d", [0, 1, 2, 3, 5])
+    @pytest.mark.parametrize("cutoff", [0, 1, 2, 4])
+    def test_basis_matches_filtered_product(self, d, cutoff):
+        expected = [tup for tup in itertools.product(range(cutoff + 1), repeat=d)
+                    if sum(tup) <= cutoff]
+        assert occupation_basis(d, cutoff) == expected
+
+    @pytest.mark.parametrize("build, admitted, refused", [
+        # coupled dimension 4 (n_max + 1)^2: 4096 at n_max = 31, 4356 at 32
+        (build_infinity_two_mode, (31,), (32,)),
+        # 4 C(d + cutoff, d): 3960 at (2, 43), 4140 at (2, 44)
+        (build_berezin, (2, 43), (2, 44)),
+    ])
+    def test_coupled_dimension_ceiling(self, build, admitted, refused):
+        assert 4 * build(*admitted).dim <= representations.BRUTE_FORCE_CEILING
+        with pytest.raises(SizeLimitError, match="ceiling 4096"):
+            build(*refused)
+
+    @pytest.mark.parametrize("args", [(10**9, 10**9), (2, 10**12), (10**12, 1)])
+    def test_huge_berezin_refused_without_enumerating(self, args):
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitError, match="at least"):
+            build_berezin(*args)
+        assert time.perf_counter() - start < 0.05
+
+    @pytest.mark.parametrize("n", range(0, 40, 3))
+    def test_capped_comb_is_exact_up_to_the_cap(self, n):
+        for k in range(n + 1):
+            value = representations._capped_comb(n, k, 1024)
+            exact = math.comb(n, k)
+            assert value == exact if exact <= 1024 else value > 1024
+
 
 class TestReducibleRepresentation:
     def test_vacuum_central_expectation(self):

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -444,6 +448,11 @@ class TestValidate:
         check = {c.name: c for c in validate(seed=0).checks}["joint_sum_marginals"]
         assert not check.passed
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, True])
+    def test_seed_out_of_range_is_config_error(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            validate(seed=seed)
+
     def test_builds_each_reducible_representation_once(self, monkeypatch):
         calls = []
         original = reps.build_reducible
@@ -631,3 +640,57 @@ class TestCli:
         cfg.write_text(json.dumps(config))
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_validate_seed_out_of_range_exits_2(self, tmp_path, capsys, seed):
+        assert cli.main(["validate", "--seed", seed, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be an unsigned 64-bit integer")
+        assert not (tmp_path / "validate.json").exists()
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "reports"
+        assert cli.main(["run", "--scenario", "single-mode", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write reports to {out}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("config", [
+        {"scenario": "infinity", "n_max": 32},
+        {"scenario": "berezin", "d": 2, "cutoff": 60},
+    ])
+    def test_irreducible_size_ceiling_exits_3_fast(self, tmp_path, capsys, config):
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps(config))
+        start = time.perf_counter()
+        code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert time.perf_counter() - start < 0.05
+        assert code == 3
+        assert "exceeds the brute-force ceiling" in capsys.readouterr().err
+
+    def test_berezin_forty_modes_runs_fast(self, tmp_path):
+        start = time.perf_counter()
+        report = run_scenario(ScenarioConfig(scenario="berezin", d=40))
+        assert time.perf_counter() - start < 1.0
+        assert report.passed
+
+    def test_fresh_command_keeps_lazy_numpy_modules_unloaded(self, tmp_path):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        script = (
+            "import sys\n"
+            "from ccrlab import cli\n"
+            f"names = {list(SCENARIO_NAMES)!r}\n"
+            "codes = [cli.main(['run', '--scenario', n, '--out', sys.argv[1]]) for n in names]\n"
+            "codes.append(cli.main(['sweep', '--out', sys.argv[1]]))\n"
+            "codes.append(cli.main(['validate', '--out', sys.argv[1]]))\n"
+            "loaded = [m for m in ('numpy.ma', 'numpy.random', 'scipy') if m in sys.modules]\n"
+            "print(codes, loaded)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+        run = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == f"{[0] * 7} []"
