@@ -28,7 +28,7 @@ from .linalg import (
     as_complex_matrix,
     expm_generator,
     kron,
-    matrix_function_psd,
+    matrix_functions_psd,
     require_square,
     sinc_scaled,
 )
@@ -68,12 +68,9 @@ def closed_form_evolution(a, t: float) -> np.ndarray:
     """
     arr = require_square(a, "coupling operator")
     t = float(t)
-    aad = arr @ arr.conj().T
-    ada = arr.conj().T @ arr
-    cos_up = matrix_function_psd(aad, lambda x: math.cos(t * math.sqrt(x)))
-    cos_dn = matrix_function_psd(ada, lambda x: math.cos(t * math.sqrt(x)))
-    sinc_up = matrix_function_psd(aad, lambda x: sinc_scaled(x, t))
-    sinc_dn = matrix_function_psd(ada, lambda x: sinc_scaled(x, t))
+    fs = (lambda x: math.cos(t * math.sqrt(x)), lambda x: sinc_scaled(x, t))
+    cos_up, sinc_up = matrix_functions_psd(arr @ arr.conj().T, fs)
+    cos_dn, sinc_dn = matrix_functions_psd(arr.conj().T @ arr, fs)
     return np.block(
         [
             [cos_up, -1j * t * (sinc_up @ arr)],
@@ -98,7 +95,9 @@ def _atom_operator(op: np.ndarray, slot: int) -> np.ndarray:
 
 
 def jc_hamiltonian(
-    rep: Representation, mode_atom_pairs: Sequence[tuple[str, int]]
+    rep: Representation,
+    mode_atom_pairs: Sequence[tuple[str, int]],
+    sector: np.ndarray | None = None,
 ) -> np.ndarray:
     """Excitation-conserving coupling H = sum_k (R_k^dag (x) i a_k - h.c.).
 
@@ -107,26 +106,52 @@ def jc_hamiltonian(
     a Hermitian matrix on atom1 (x) atom2 (x) field that commutes with
     the total excitation number.
 
-    H is assembled block by block on its (4, d, 4, d) atom-block view:
-    each nonzero r_ij of the 4x4 two-atom operator R puts
-    r_ij (-i a_k^dag) into block (i, j) and conj(r_ij) (i a_k) into block
-    (j, i), so no product on the full coupled space is formed.
+    ``sector`` is an optional boolean mask over the coupled basis, such as
+    :func:`excitation_sector_mask` returns. With it the result is exactly
+    ``H[np.ix_(sector, sector)]``, and no matrix on the full coupled space
+    is formed. A kept state that H couples to a dropped one raises
+    :class:`ValidationError`. Without it every state is kept.
+
+    H is assembled block by block on its atom-block view: each nonzero
+    r_ij of the 4x4 two-atom operator R puts r_ij (-i a_k^dag) into block
+    (i, j) and conj(r_ij) (i a_k) into block (j, i). Block (i, j) keeps
+    the field rows ``sector.reshape(4, d)[i]`` and columns ``[j]``, so
+    only field-sized slices of a_k are ever taken.
     """
-    seen_atoms: set[int] = set()
     dim_f = rep.dim
-    h = np.zeros((4 * dim_f, 4 * dim_f), dtype=complex)
-    blocks = h.reshape(4, dim_f, 4, dim_f)
+    if sector is None:
+        sector = np.ones(4 * dim_f, dtype=bool)
+    sector = np.asarray(sector)
+    if sector.dtype != bool or sector.shape != (4 * dim_f,):
+        raise ValidationError(
+            f"sector must be a boolean mask of length {4 * dim_f}, got "
+            f"{sector.dtype} of shape {sector.shape}"
+        )
+    keep = sector.reshape(4, dim_f)
+    kept = [row.nonzero()[0][:, None] for row in keep]
+    dropped = [(~row).nonzero()[0][:, None] for row in keep]
+    offsets = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
+    h = np.zeros((offsets[-1], offsets[-1]), dtype=complex)
+    seen_atoms: set[int] = set()
     for mode, atom in mode_atom_pairs:
         if atom in seen_atoms:
             raise ConfigError(f"atom slot {atom} assigned to more than one mode")
         seen_atoms.add(atom)
         a_k = rep.lowering_of(mode)
         r = _atom_operator(ATOM_LOWERING, atom)
-        i_a = 1j * a_k
-        minus_i_adag = -1j * a_k.conj().T
         for i, j in zip(*np.nonzero(r)):
-            blocks[i, :, j, :] += r[i, j] * minus_i_adag
-            blocks[j, :, i, :] += np.conj(r[i, j]) * i_a
+            # Block (j, i) holds i a_k: a_k[p, q] couples field row p of
+            # atom state j to field column q of atom state i.
+            if a_k[kept[j], dropped[i].T].any() or a_k[dropped[j], kept[i].T].any():
+                raise ValidationError(
+                    "sector mask splits the excitation sectors: a kept state "
+                    "couples to a dropped one"
+                )
+            a_kept = a_k[kept[j], kept[i].T]
+            rows_i = slice(offsets[i], offsets[i + 1])
+            rows_j = slice(offsets[j], offsets[j + 1])
+            h[rows_i, rows_j] += r[i, j] * (-1j * a_kept.conj().T)
+            h[rows_j, rows_i] += np.conj(r[i, j]) * (1j * a_kept)
     return h
 
 
@@ -186,28 +211,36 @@ def evolve(
 
     The evolution is exact on the excitation sectors that ``psi0``
     occupies (:func:`excitation_sector_mask`): H is restricted to them and
-    diagonalized once, and amplitudes outside them stay zero. An ``h``
-    with a nonzero entry between those sectors and the rest does not
-    conserve the excitation number and raises :class:`ValidationError`.
+    diagonalized once, and amplitudes outside them stay zero. ``h`` is
+    either H on the full coupled space, or its block on exactly those
+    sectors, as ``jc_hamiltonian(rep, pairs, sector=mask)`` assembles it.
+    A full ``h`` with a nonzero entry between those sectors and the rest
+    does not conserve the excitation number and raises
+    :class:`ValidationError`; a block is taken as already checked.
     ``t`` is a scalar (returns one state) or a 1-D array of times (returns
     one state per time).
     """
     h = as_complex_matrix(h, "hamiltonian")
-    if h.shape[0] != psi0.dim:
-        raise ValidationError(
-            f"dimension mismatch: hamiltonian is {h.shape[0]}, state is {psi0.dim}"
-        )
     if renormalize and rep.profile is None:
         raise ConfigError(
             "renormalized evolution needs a representation with a vacuum profile"
         )
     inside = excitation_sector_mask(rep, psi0.amplitudes)
-    if np.any(h[np.ix_(inside, ~inside)]) or np.any(h[np.ix_(~inside, inside)]):
+    kept = int(np.count_nonzero(inside))
+    if h.shape == (psi0.dim, psi0.dim):
+        if np.any(h[np.ix_(inside, ~inside)]) or np.any(h[np.ix_(~inside, inside)]):
+            raise ValidationError(
+                "hamiltonian couples the excitation sectors of the initial state "
+                "to the rest of the space"
+            )
+        h_in = h[np.ix_(inside, inside)]
+    elif h.shape == (kept, kept):
+        h_in = h
+    else:
         raise ValidationError(
-            "hamiltonian couples the excitation sectors of the initial state "
-            "to the rest of the space"
+            f"dimension mismatch: hamiltonian is {h.shape[0]}, state is "
+            f"{psi0.dim} with {kept} states in its excitation sectors"
         )
-    h_in = h[np.ix_(inside, inside)]
     if renormalize:
         h_in = h_in / math.sqrt(rep.profile.z_max)
     u = expm_generator(h_in, t)

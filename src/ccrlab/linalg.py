@@ -7,9 +7,13 @@ bookkeeping types that pin a vector to an explicit tensor factorization.
 
 All matrices are plain ``numpy.ndarray`` with ``complex128`` entries; the
 module stays dense on purpose. Field spaces are capped at dimension 4096
-by the reducible builder's ceiling, and the largest diagonalization is
-that of a Hamiltonian restricted to one excitation sector (see
-:func:`ccrlab.dynamics.evolve`), not of the whole coupled space.
+by the reducible builder's ceiling. The brute-force route assembles the
+coupling Hamiltonian directly on the excitation sectors of its initial
+state (see :func:`ccrlab.dynamics.jc_hamiltonian`), so its largest
+matrices are the field operators, and its largest diagonalization is
+that sector block (see :func:`ccrlab.dynamics.evolve`), not the whole
+coupled space. Functions of a positive-semidefinite matrix share one
+eigendecomposition (:func:`matrix_functions_psd`).
 """
 
 from __future__ import annotations
@@ -164,12 +168,15 @@ def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def matrix_function_psd(m, f: Callable[[float], float]) -> np.ndarray:
-    """Apply a scalar function to a positive-semidefinite Hermitian matrix.
+def matrix_functions_psd(
+    m, fs: Sequence[Callable[[float], float]]
+) -> list[np.ndarray]:
+    """Apply several scalar functions to one positive-semidefinite Hermitian matrix.
 
-    Eigenvalues in ``[-TOL_PSD, 0)`` are roundoff from constructions such
-    as ``A @ A.conj().T`` and are clamped to zero before ``f`` is applied;
-    anything more negative raises.
+    ``m`` is diagonalized once for all of ``fs``. Eigenvalues in
+    ``[-TOL_PSD, 0)`` are roundoff from constructions such as
+    ``A @ A.conj().T`` and are clamped to zero before each function is
+    applied; anything more negative raises.
     """
     w, v = hermitian_eig(m)
     if w.size and w[0] < -TOL_PSD:
@@ -178,8 +185,19 @@ def matrix_function_psd(m, f: Callable[[float], float]) -> np.ndarray:
             f"{w[0]:.3e} < -{TOL_PSD:.1e}"
         )
     w = np.clip(w, 0.0, None)
-    fw = np.array([f(float(x)) for x in w], dtype=complex)
-    return (v * fw) @ v.conj().T
+    out = []
+    for f in fs:
+        fw = np.array([f(float(x)) for x in w], dtype=complex)
+        out.append((v * fw) @ v.conj().T)
+    return out
+
+
+def matrix_function_psd(m, f: Callable[[float], float]) -> np.ndarray:
+    """Apply a scalar function to a positive-semidefinite Hermitian matrix.
+
+    The one-function case of :func:`matrix_functions_psd`.
+    """
+    return matrix_functions_psd(m, (f,))[0]
 
 
 def sinc_scaled(x: float, t: float) -> float:

@@ -391,15 +391,17 @@ def simulated_atomic_density(
     Both atoms start in the ground state with one photon shared between
     the two modes; atom slot 0 couples to ``modes[0]``, slot 1 to
     ``modes[1]``. The initial state lies in the one-excitation sector, so
-    :func:`~ccrlab.dynamics.evolve` runs exactly on that sector, with one
-    diagonalization for all times. The atoms are the leading factors of a
-    pure state, so their density is A A^dag with A the (4, d_field) block
-    of its amplitudes. ``t`` is a scalar (returns a 4x4 matrix) or a 1-D
-    array of T times (returns a (T, 4, 4) stack).
+    H is assembled on that sector only (no 4 d_field x 4 d_field matrix is
+    formed) and :func:`~ccrlab.dynamics.evolve` runs exactly on it, with
+    one diagonalization for all times. The atoms are the leading factors
+    of a pure state, so their density is A A^dag with A the (4, d_field)
+    block of its amplitudes. ``t`` is a scalar (returns a 4x4 matrix) or a
+    1-D array of T times (returns a (T, 4, 4) stack).
     """
     pairs = [(modes[0], 0), (modes[1], 1)]
-    h = dyn.jc_hamiltonian(rep, pairs)
     psi0 = dyn.single_photon_initial_state(rep, modes)
+    sector = dyn.excitation_sector_mask(rep, psi0.amplitudes)
+    h = dyn.jc_hamiltonian(rep, pairs, sector=sector)
     times = np.asarray(t, dtype=float)
     states = dyn.evolve(rep, h, psi0, np.atleast_1d(times), renormalize=renormalize)
     atoms = psi0.factorization.subset(["atom1", "atom2"])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,14 @@ from ccrlab import dynamics as dyn
 from ccrlab import entanglement as ent
 from ccrlab import fock
 from ccrlab.exceptions import ConfigError, DomainError, ValidationError
-from ccrlab.linalg import StateVector, expm_generator, kron, reorder_matrix_factors
+from ccrlab.linalg import (
+    StateVector,
+    expm_generator,
+    kron,
+    matrix_function_psd,
+    reorder_matrix_factors,
+    sinc_scaled,
+)
 from ccrlab.representations import (
     VacuumProfile,
     binomial_support,
@@ -69,6 +77,23 @@ class TestClosedFormEvolution:
     def test_rejects_rectangular(self):
         with pytest.raises(ValidationError, match="square"):
             dyn.closed_form_evolution(np.zeros((2, 3)), 1.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 6])
+    def test_one_eigendecomposition_per_operator_is_bitwise_unchanged(self, dim):
+        # Oracle: each of the four blocks from its own diagonalization.
+        rng = np.random.default_rng(57)
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        for t in (0.0, 1e-7, 0.9, math.pi / 2):
+            aad, ada = a @ a.conj().T, a.conj().T @ a
+            cos_of = lambda x: math.cos(t * math.sqrt(x))  # noqa: E731
+            sinc_of = lambda x: sinc_scaled(x, t)  # noqa: E731
+            oracle = np.block([
+                [matrix_function_psd(aad, cos_of),
+                 -1j * t * (matrix_function_psd(aad, sinc_of) @ a)],
+                [-1j * t * (matrix_function_psd(ada, sinc_of) @ a.conj().T),
+                 matrix_function_psd(ada, cos_of)],
+            ])
+            assert np.array_equal(dyn.closed_form_evolution(a, t), oracle)
 
 
 class TestJcHamiltonian:
@@ -312,6 +337,77 @@ class TestSectorEvolve:
                   + np.kron(np.kron(np.eye(2), r_up), eye_f)
                   + np.kron(np.eye(4), rep.number_op))
         assert np.array_equal(np.diag(numbers), oracle)
+
+
+SECTOR_CASES = [("infinity", 2, "uniform"), ("berezin", 2, "uniform")] + [
+    ("reducible", n, profile) for profile in ("uniform", "plateau") for n in (1, 2, 3)
+]
+
+
+class TestSectorHamiltonian:
+    @pytest.mark.parametrize("kind,n,profile", SECTOR_CASES)
+    def test_sector_block_equals_restricted_full_hamiltonian(self, kind, n, profile):
+        rep, modes, h, psi0 = coupled_setup(kind, n, profile)
+        pairs = [(modes[0], 0), (modes[1], 1)]
+        exc = dyn.excitation_numbers(rep)
+        for mask in (dyn.excitation_sector_mask(rep, psi0.amplitudes), exc <= 1,
+                     np.ones(exc.size, dtype=bool)):
+            block = dyn.jc_hamiltonian(rep, pairs, sector=mask)
+            assert block.dtype == np.complex128
+            assert np.array_equal(block, h[np.ix_(mask, mask)])
+
+    @pytest.mark.parametrize("kind", ["infinity", "berezin", "reducible"])
+    def test_mask_splitting_a_sector_raises(self, kind):
+        rep, modes, _, psi0 = coupled_setup(kind)
+        mask = dyn.excitation_sector_mask(rep, psi0.amplitudes)
+        photons = np.diag(rep.number_op).real
+        # Drop |--> (x) one one-photon field state from the kept sector.
+        dropped = dyn.IDX_MM * rep.dim + int(np.flatnonzero(photons == 1)[0])
+        assert mask[dropped]
+        mask[dropped] = False
+        with pytest.raises(ValidationError, match="excitation sectors"):
+            dyn.jc_hamiltonian(rep, [(modes[0], 0), (modes[1], 1)], sector=mask)
+
+    def test_rejects_malformed_mask(self):
+        rep, modes, _, _ = coupled_setup("infinity")
+        pairs = [(modes[0], 0), (modes[1], 1)]
+        for bad in (np.ones(4 * rep.dim - 1, dtype=bool), np.ones(4 * rep.dim)):
+            with pytest.raises(ValidationError, match="boolean mask"):
+                dyn.jc_hamiltonian(rep, pairs, sector=bad)
+
+    @pytest.mark.parametrize("kind,n,profile", SECTOR_CASES)
+    def test_evolve_on_sector_block_matches_full_hamiltonian(self, kind, n, profile):
+        rep, modes, h, psi0 = coupled_setup(kind, n, profile)
+        mask = dyn.excitation_sector_mask(rep, psi0.amplitudes)
+        block = dyn.jc_hamiltonian(rep, [(modes[0], 0), (modes[1], 1)], sector=mask)
+        renorm = kind == "reducible"
+        full = dyn.evolve(rep, h, psi0, TIME_GRID, renormalize=renorm)
+        sector = dyn.evolve(rep, block, psi0, TIME_GRID, renormalize=renorm)
+        for a, b in zip(full, sector):
+            assert np.max(np.abs(a.amplitudes - b.amplitudes)) <= 1e-14
+
+    def test_evolve_rejects_block_of_other_size(self):
+        rep, modes, _, psi0 = coupled_setup("reducible")
+        exc = dyn.excitation_numbers(rep)
+        wider = dyn.jc_hamiltonian(rep, [(modes[0], 0), (modes[1], 1)],
+                                   sector=exc <= 2)
+        with pytest.raises(ValidationError, match="mismatch"):
+            dyn.evolve(rep, wider, psi0, 0.5, renormalize=True)
+
+    def test_brute_force_peak_below_one_coupled_matrix(self):
+        # At the N = 3 plateau the coupled space has 4 * 216 = 864 states;
+        # the brute-force route must never hold a matrix of that size.
+        rep, modes, _, _ = coupled_setup("reducible", 3, "plateau")
+        coupled_bytes = np.dtype(complex).itemsize * (4 * rep.dim) ** 2
+        times = np.array([0.0, 0.7, math.pi / 2])
+        simulated_atomic_density(rep, times, modes, renormalize=True)
+        tracemalloc.start()
+        try:
+            simulated_atomic_density(rep, times, modes, renormalize=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < coupled_bytes
 
 
 class TestIrreducibleDensity:

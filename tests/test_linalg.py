@@ -11,6 +11,7 @@ from ccrlab.linalg import (
     hermitian_eig,
     kron,
     matrix_function_psd,
+    matrix_functions_psd,
     reorder_matrix_factors,
     sinc_scaled,
 )
@@ -90,6 +91,20 @@ class TestMatrixFunctionPsd:
     def test_clamps_roundoff_negativity(self):
         out = matrix_function_psd(np.diag([-1e-12, 1.0]), math.sqrt)
         assert np.allclose(out, np.diag([0.0, 1.0]), atol=1e-12)
+
+    def test_several_functions_equal_single_calls(self):
+        rng = np.random.default_rng(13)
+        a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        psd = a @ a.conj().T
+        fs = (math.sqrt, lambda x: math.cos(math.sqrt(x)), lambda x: 1.0)
+        outs = matrix_functions_psd(psd, fs)
+        assert len(outs) == len(fs)
+        for f, out in zip(fs, outs):
+            assert np.array_equal(out, matrix_function_psd(psd, f))
+
+    def test_several_functions_reject_indefinite(self):
+        with pytest.raises(ValidationError, match="positive semidefinite"):
+            matrix_functions_psd(np.diag([1.0, -0.5]), (math.sqrt, math.cos))
 
 
 class TestSincScaled:
