@@ -17,31 +17,29 @@ from ccrlab import (
     build_infinity_two_mode,
     concurrence,
     evolve,
-    jc_hamiltonian,
+    mode_excitation_state,
     partial_trace,
     rho_atoms_irreducible,
     single_photon_initial_state,
     trace_distance,
 )
 from ccrlab.entanglement import marginal_entropy
-from ccrlab.linalg import StateVector
 
 rep = build_infinity_two_mode(1)
 
-shared = (rep.raising("mode1") + rep.raising("mode2")) @ rep.vacuum.amplitudes
-photon = StateVector(shared, rep.factorization).normalized()
+photon = mode_excitation_state(rep, "mode1", "mode2")
 entropy = marginal_entropy(photon, Bipartition(("mode1",)))
 print(f"mode-bipartition entropy of the shared photon: {entropy:.12f} nats")
 print(f"ln 2                                         : {math.log(2):.12f} nats")
 print()
 
-h = jc_hamiltonian(rep, [("mode1", 0), ("mode2", 1)])
+pairs = [("mode1", 0), ("mode2", 1)]
 psi0 = single_photon_initial_state(rep, ("mode1", "mode2"))
 
 print(" t/pi   concurrence   sin^2(t)   distance to closed form")
 for frac in (0.0, 0.125, 0.25, 0.375, 0.5):
     t = frac * math.pi
-    psi = evolve(rep, h, psi0, t)
+    psi = evolve(rep, pairs, psi0, t)
     atoms = partial_trace(DensityMatrix.from_state(psi),
                           Bipartition(("atom1", "atom2")))
     c = concurrence(atoms.matrix)

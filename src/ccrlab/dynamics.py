@@ -25,7 +25,6 @@ from .exceptions import ConfigError, DomainError, ValidationError
 from .linalg import (
     HilbertFactorization,
     StateVector,
-    as_complex_matrix,
     expm_generator,
     kron,
     matrix_functions_psd,
@@ -38,6 +37,7 @@ from .representations import (
     joint_sector_sum,
     kron_vector,
     log_binomial_weights,
+    mode_excitation_state,
 )
 
 #: Atomic lowering operator R: |+> -> |->, R^2 = 0.
@@ -183,67 +183,50 @@ def single_photon_initial_state(
 ) -> StateVector:
     """Both atoms in the ground state, one photon shared by two modes.
 
-    The field part is ``(a_k1^dag + a_k2^dag)/sqrt(2)`` applied to the
-    representation's vacuum and then normalized explicitly (for the
-    ensemble vacuum the raw norm is sqrt((Z_1 + Z_2)/2)).
+    The field part is (a_k1^dag + a_k2^dag) |vacuum>, normalized
+    explicitly (:func:`~ccrlab.representations.mode_excitation_state`;
+    for the ensemble vacuum the raw norm is sqrt(Z_1 + Z_2)).
     """
-    k1, k2 = modes
-    photon = (
-        (rep.raising(k1) + rep.raising(k2)) @ rep.vacuum.amplitudes
-    ) / math.sqrt(2.0)
-    field = StateVector(photon, rep.factorization).normalized()
+    field = mode_excitation_state(rep, *modes)
     full = kron_vector(KET_GROUND, KET_GROUND, field.amplitudes)
     return StateVector(full, coupled_factorization(rep))
 
 
 def evolve(
     rep: Representation,
-    h,
+    mode_atom_pairs: Sequence[tuple[str, int]],
     psi0: StateVector,
     t: float | np.ndarray,
     renormalize: bool = False,
 ) -> StateVector | list[StateVector]:
-    """Propagate ``psi0`` with exp(-i H_eff t).
+    """Propagate ``psi0`` with exp(-i H_eff t), H the coupling of ``mode_atom_pairs``.
 
     With ``renormalize`` the generator is H / sqrt(Z), Z being the largest
     vacuum probability of the representation's profile (the ensemble
     dynamics runs on the renormalized generator); otherwise H itself.
 
-    The evolution is exact on the excitation sectors that ``psi0``
-    occupies (:func:`excitation_sector_mask`): H is restricted to them and
-    diagonalized once, and amplitudes outside them stay zero. ``h`` is
-    either H on the full coupled space, or its block on exactly those
-    sectors, as ``jc_hamiltonian(rep, pairs, sector=mask)`` assembles it.
-    A full ``h`` with a nonzero entry between those sectors and the rest
-    does not conserve the excitation number and raises
-    :class:`ValidationError`; a block is taken as already checked.
-    ``t`` is a scalar (returns one state) or a 1-D array of times (returns
-    one state per time).
+    H conserves the excitation number, so the evolution is exact on the
+    sectors that ``psi0`` occupies (:func:`excitation_sector_mask`): H is
+    assembled on them only (:func:`jc_hamiltonian` with ``sector=``) and
+    diagonalized once for all times, and amplitudes outside them stay
+    zero. ``psi0`` lives on atom1 (x) atom2 (x) field, dimension
+    4 ``rep.dim``. ``t`` is a scalar (returns one state) or a 1-D array of
+    times (returns one state per time).
     """
-    h = as_complex_matrix(h, "hamiltonian")
+    if psi0.dim != 4 * rep.dim:
+        raise ValidationError(
+            f"dimension mismatch: state is {psi0.dim}, the coupled space of "
+            f"the representation is {4 * rep.dim}"
+        )
     if renormalize and rep.profile is None:
         raise ConfigError(
             "renormalized evolution needs a representation with a vacuum profile"
         )
     inside = excitation_sector_mask(rep, psi0.amplitudes)
-    kept = int(np.count_nonzero(inside))
-    if h.shape == (psi0.dim, psi0.dim):
-        if np.any(h[np.ix_(inside, ~inside)]) or np.any(h[np.ix_(~inside, inside)]):
-            raise ValidationError(
-                "hamiltonian couples the excitation sectors of the initial state "
-                "to the rest of the space"
-            )
-        h_in = h[np.ix_(inside, inside)]
-    elif h.shape == (kept, kept):
-        h_in = h
-    else:
-        raise ValidationError(
-            f"dimension mismatch: hamiltonian is {h.shape[0]}, state is "
-            f"{psi0.dim} with {kept} states in its excitation sectors"
-        )
+    h = jc_hamiltonian(rep, mode_atom_pairs, sector=inside)
     if renormalize:
-        h_in = h_in / math.sqrt(rep.profile.z_max)
-    u = expm_generator(h_in, t)
+        h = h / math.sqrt(rep.profile.z_max)
+    u = expm_generator(h, t)
     amps = np.zeros(u.shape[:-2] + (psi0.dim,), dtype=complex)
     amps[..., inside] = u @ psi0.amplitudes[inside]
     if amps.ndim == 1:

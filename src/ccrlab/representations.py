@@ -787,12 +787,18 @@ def vacuum_weight(
     return float(np.exp(logw)[0, 0])
 
 
-def mode_excitation_state(rep: Representation, mode: str) -> StateVector:
-    """Normalized single-quantum state a_k^dag |vacuum> of one mode."""
-    raised = rep.raising(mode) @ rep.vacuum.amplitudes
+def mode_excitation_state(rep: Representation, mode: str, *more: str) -> StateVector:
+    """Normalized single-quantum state (sum_k a_k^dag) |vacuum> over the given modes.
+
+    Each a_k^dag |vacuum> is taken as (vacuum^dag a_k)^dag, one
+    vector-matrix product, so no conjugate-transposed operator is formed.
+    """
+    modes = (mode, *more)
+    vac = rep.vacuum.amplitudes
+    raised = sum((vac.conj() @ rep.lowering_of(mode)).conj() for mode in modes)
     state = StateVector(raised, rep.factorization)
     if state.norm < 1e-15:
-        raise ValidationError(f"mode {mode!r} creates nothing from the vacuum")
+        raise ValidationError(f"modes {modes} create nothing from the vacuum")
     return state.normalized()
 
 

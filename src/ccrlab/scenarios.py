@@ -158,6 +158,9 @@ class ScenarioConfig:
             if not 0.0 <= t <= 2 * math.pi + 1e-12:
                 raise ConfigError(f"times must lie in [0, 2*pi], got {t}")
         for name, value in self.tolerances.items():
+            if name not in DEFAULT_TOLERANCES:
+                raise ConfigError(f"unknown tolerance {name!r}; known tolerances: "
+                                  f"{sorted(DEFAULT_TOLERANCES)}")
             if not value > 0.0:
                 raise ConfigError(f"tolerance {name!r} must be positive, got {value}")
 
@@ -390,20 +393,18 @@ def simulated_atomic_density(
 
     Both atoms start in the ground state with one photon shared between
     the two modes; atom slot 0 couples to ``modes[0]``, slot 1 to
-    ``modes[1]``. The initial state lies in the one-excitation sector, so
-    H is assembled on that sector only (no 4 d_field x 4 d_field matrix is
-    formed) and :func:`~ccrlab.dynamics.evolve` runs exactly on it, with
-    one diagonalization for all times. The atoms are the leading factors
-    of a pure state, so their density is A A^dag with A the (4, d_field)
-    block of its amplitudes. ``t`` is a scalar (returns a 4x4 matrix) or a
-    1-D array of T times (returns a (T, 4, 4) stack).
+    ``modes[1]``. :func:`~ccrlab.dynamics.evolve` runs exactly on the
+    initial state's one-excitation sector (no 4 d_field x 4 d_field
+    matrix is formed), with one diagonalization for all times. The atoms
+    are the leading factors of a pure state, so their density is A A^dag
+    with A the (4, d_field) block of its amplitudes. ``t`` is a scalar
+    (returns a 4x4 matrix) or a 1-D array of T times (returns a
+    (T, 4, 4) stack).
     """
     pairs = [(modes[0], 0), (modes[1], 1)]
     psi0 = dyn.single_photon_initial_state(rep, modes)
-    sector = dyn.excitation_sector_mask(rep, psi0.amplitudes)
-    h = dyn.jc_hamiltonian(rep, pairs, sector=sector)
     times = np.asarray(t, dtype=float)
-    states = dyn.evolve(rep, h, psi0, np.atleast_1d(times), renormalize=renormalize)
+    states = dyn.evolve(rep, pairs, psi0, np.atleast_1d(times), renormalize=renormalize)
     atoms = psi0.factorization.subset(["atom1", "atom2"])
     blocks = [psi.normalized().amplitudes.reshape(4, -1) for psi in states]
     rho = np.array([
@@ -432,9 +433,8 @@ def _scenario_infinity(cfg: ScenarioConfig) -> ScenarioReport:
     skipped: list[dict] = []
     records: list[dict] = []
 
-    shared = (rep.raising("mode1") + rep.raising("mode2")) @ rep.vacuum.amplitudes
-    shared_state = StateVector(shared, rep.factorization).normalized()
-    entropy = ent.marginal_entropy(shared_state, ent.Bipartition(("mode1",)))
+    shared = reps.mode_excitation_state(rep, *modes)
+    entropy = ent.marginal_entropy(shared, ent.Bipartition(("mode1",)))
     checks.append(_check(
         "initial_mode_entropy_ln2",
         abs(entropy - math.log(2.0)),
@@ -464,9 +464,8 @@ def _scenario_infinity(cfg: ScenarioConfig) -> ScenarioReport:
     rho_dev = 0.0
     conc_half_pi = None
     propagators = expm_generator(h, cfg.times)
-    states = dyn.evolve(rep, h, psi0, cfg.times)
     atom_pair = ent.Bipartition(("atom1", "atom2"))
-    for t, u, psi_t in zip(cfg.times, propagators, states):
+    for t, u in zip(cfg.times, propagators):
         u_local = dyn.closed_form_evolution(1j * a_single, t)
         u_product = reorder_matrix_factors(
             kron(u_local, u_local), (2, m, 2, m), (0, 2, 1, 3)
@@ -474,6 +473,7 @@ def _scenario_infinity(cfg: ScenarioConfig) -> ScenarioReport:
         loc = float(np.max(np.abs(u - u_product)))
         locality_dev = max(locality_dev, loc)
 
+        psi_t = StateVector(u @ psi0.amplitudes, psi0.factorization)
         atoms = ent.partial_trace(ent.DensityMatrix.from_state(psi_t), atom_pair).matrix
         dist = ent.trace_distance(atoms, dyn.rho_atoms_irreducible(t))
         rho_dev = max(rho_dev, dist)

@@ -66,9 +66,8 @@ class TestPartialTrace:
 
     def test_atoms_marginal_at_half_pi(self):
         rep = build_infinity_two_mode(1)
-        h = dyn.jc_hamiltonian(rep, [("mode1", 0), ("mode2", 1)])
         psi0 = dyn.single_photon_initial_state(rep, ("mode1", "mode2"))
-        psi = dyn.evolve(rep, h, psi0, math.pi / 2)
+        psi = dyn.evolve(rep, [("mode1", 0), ("mode2", 1)], psi0, math.pi / 2)
         atoms = partial_trace(
             DensityMatrix.from_state(psi), Bipartition(("atom1", "atom2"))
         )

@@ -222,6 +222,18 @@ class TestReducibleRepresentation:
         psi = mode_excitation_state(rep, "k1")
         assert psi.norm == pytest.approx(1.0, abs=1e-14)
 
+    @pytest.mark.parametrize("build, modes", [
+        (lambda: build_infinity_two_mode(2), ("mode1", "mode2")),
+        (lambda: build_berezin(2, 2, [1, 2]), ("f1", "f2")),
+        (lambda: build_reducible(
+            3, VacuumProfile.plateau(3, (0, 0), 0.7), 1, ["k1", "k2"]), ("k1", "k2")),
+    ], ids=["infinity", "berezin", "reducible"])
+    def test_two_mode_excitation_matches_dense_raising(self, build, modes):
+        rep = build()
+        dense = (rep.raising(modes[0]) + rep.raising(modes[1])) @ rep.vacuum.amplitudes
+        psi = mode_excitation_state(rep, *modes)
+        assert np.max(np.abs(psi.amplitudes - dense / np.linalg.norm(dense))) <= 1e-15
+
 
 def kron_sum_projectors(profile, n_osc, n_max, mode):
     """E_k(s) summed over s-subsets of oscillators as kron products of P_k, 1 - P_k."""

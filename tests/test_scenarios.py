@@ -14,7 +14,9 @@ from ccrlab import dynamics as dyn
 from ccrlab import entanglement as ent
 from ccrlab import representations as reps
 from ccrlab.exceptions import ConfigError, SizeLimitError, ValidationError
+from ccrlab.linalg import StateVector, expm_generator
 from ccrlab.scenarios import (
+    DEFAULT_TOLERANCES,
     SCENARIO_NAMES,
     ScenarioConfig,
     convergence_sweep,
@@ -203,14 +205,16 @@ class TestScenarioContent:
 
 
 def traced_atomic_density(rep, times, modes, renormalize=False):
-    """Atoms' density by the partial trace of the full-space density matrix."""
+    """Atoms' density by full-space propagators and the partial trace."""
     h = dyn.jc_hamiltonian(rep, [(modes[0], 0), (modes[1], 1)])
+    if renormalize:
+        h = h / math.sqrt(rep.profile.z_max)
     psi0 = dyn.single_photon_initial_state(rep, modes)
-    states = dyn.evolve(rep, h, psi0, np.asarray(times), renormalize=renormalize)
     atoms = ent.Bipartition(("atom1", "atom2"))
     return np.array([
-        ent.partial_trace(ent.DensityMatrix.from_state(psi), atoms).matrix
-        for psi in states
+        ent.partial_trace(ent.DensityMatrix.from_state(
+            StateVector(u @ psi0.amplitudes, psi0.factorization)), atoms).matrix
+        for u in expm_generator(h, np.asarray(times))
     ])
 
 
@@ -640,6 +644,17 @@ class TestCli:
         cfg.write_text(json.dumps(config))
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_misspelled_tolerance_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(
+            {"scenario": "infinity", "tolerances": {"locallity": 1e-30}}))
+        code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: unknown tolerance 'locallity'")
+        assert all(repr(name) in err for name in DEFAULT_TOLERANCES)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_validate_seed_out_of_range_exits_2(self, tmp_path, capsys, seed):

@@ -4,12 +4,15 @@ The benchmark's traced run (``perfbench/run.py --trace 1``) fails when a
 function in ``tracing.EXERCISED[workload]`` records no call, for example
 after a refactor stops reaching it through its module-level bindings.
 This test runs one pass of each workload's jobs under the same tracer, so
-the suite catches that without a benchmark run. The harness modules are
-only imported, never modified.
+the suite catches that without a benchmark run. The same pass compares
+each job's records with ``perfbench/reference.json``, as the benchmark's
+correctness gate does, so record drift or a changed record field set
+fails here too. The harness modules are only imported, never modified.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
@@ -26,12 +29,18 @@ import workloads  # noqa: E402
 def test_one_traced_pass_calls_every_exercised_function(workload):
     import ccrlab.cli as cli
 
+    reference = json.loads((BENCH / "reference.json").read_text(encoding="utf-8"))
     tracer = tracing.Tracer()
     patched, absent = tracing.install(tracer)
     try:
         for job in workloads.job_list(workload, 0):
             tracer.job = job.name
-            assert workloads.call_entry(cli, job).passed, job.name
+            report = workloads.call_entry(cli, job)
+            assert report.passed, job.name
+            if job.ref_key is not None:
+                records = json.loads(report.json_bytes())["records"]
+                assert workloads.compare_records(
+                    records, reference.get(job.ref_key, {})) == [], job.name
     finally:
         tracing.restore(patched)
     for mod, key, original in patched:
