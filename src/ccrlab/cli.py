@@ -8,9 +8,11 @@ Three subcommands::
 
 Config files are JSON objects with the keys scenario, n_max, d, cutoff,
 N (scalar or list), profile {kind: uniform | plateau, ...}, times,
-tolerances, seed. Exit codes: 0 all assertions pass, 1 assertion failure,
-2 configuration or domain error (an unwritable output directory included),
-3 brute-force size ceiling exceeded.
+tolerances, out, seed. ``run`` and ``sweep`` write their reports to
+``--out``, else to the config's ``out``, else to ``results``; ``validate``
+writes only when given ``--out``. Exit codes: 0 all assertions pass,
+1 assertion failure, 2 configuration or domain error (an unwritable output
+directory included), 3 brute-force size ceiling exceeded.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_CONFIG = 2
 EXIT_SIZE = 3
+OUT_HELP = "output directory (default: the config's out, else results)"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -46,11 +49,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--scenario", choices=sorted(SCENARIO_NAMES),
                        help="scenario name (overrides the config file)")
     p_run.add_argument("--config", help="JSON config file")
-    p_run.add_argument("--out", default="results", help="output directory")
+    p_run.add_argument("--out", help=OUT_HELP)
 
     p_sweep = sub.add_parser("sweep", help="ensemble-size convergence sweep")
     p_sweep.add_argument("--config", help="JSON config file")
-    p_sweep.add_argument("--out", default="results", help="output directory")
+    p_sweep.add_argument("--out", help=OUT_HELP)
 
     p_val = sub.add_parser("validate", help="run the invariant suite")
     p_val.add_argument("--seed", type=int, default=0,
@@ -99,11 +102,11 @@ def main(argv=None) -> int:
         if args.command == "run":
             cfg = _load_config(args)
             report = run_scenario(cfg)
-            return _emit(report, args.out or cfg.out_dir)
+            return _emit(report, args.out or cfg.out_dir or "results")
         if args.command == "sweep":
             cfg = _load_config(args, default_scenario="reducible-limit")
             report = convergence_sweep(cfg)
-            return _emit(report, args.out or cfg.out_dir)
+            return _emit(report, args.out or cfg.out_dir or "results")
         if args.command == "validate":
             report = validate(seed=args.seed)
             return _emit(report, args.out)

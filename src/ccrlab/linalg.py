@@ -216,12 +216,18 @@ def sinc_scaled(x: float, t: float) -> float:
     return math.sin(u) / u
 
 
+def _kron_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two matrices as one broadcast multiply (same bits, less overhead)."""
+    product = a[:, None, :, None] * b[None, :, None, :]
+    return product.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 def kron(*factors) -> np.ndarray:
     """Kronecker product of one or more matrices, grouped left to right."""
     if not factors:
         raise ValidationError("kron requires at least one factor")
     mats = [as_complex_matrix(f, f"kron factor {i}") for i, f in enumerate(factors)]
-    return reduce(np.kron, mats)
+    return reduce(_kron_pair, mats)
 
 
 def embed_operator(op, dims: Sequence[int], slot: int) -> np.ndarray:

@@ -457,8 +457,10 @@ def build_reducible(
     lowering = {}
     central = {}
     for label in labels:
-        lowering[label] = collective(one_lowering[label]) / math.sqrt(n_osc)
-        central[label] = collective(one_proj[label]) / n_osc
+        lowering[label] = collective(one_lowering[label])
+        lowering[label] /= math.sqrt(n_osc)
+        central[label] = collective(one_proj[label])
+        central[label] /= n_osc
 
     vac = kron_vector(*[one_vac] * n_osc)
     number = collective(one_number)
@@ -494,14 +496,20 @@ def central_spectral_projectors(rep: Representation, mode: str) -> CentralSpectr
     Each factor index divided by ``n_max + 1`` is that oscillator's mode
     label, so the projectors are diagonal and are returned as 0/1 vectors
     over the field basis (``np.diag`` gives the matrix).
+
+    They depend only on the basis labels, so ``mode`` may be any label of
+    ``rep.profile``, whether or not its operators were built; a label
+    outside the profile, or a representation of another kind, is a
+    :class:`ConfigError`.
     """
     if rep.kind != "reducible":
         raise ConfigError(
             f"central spectral projectors require the reducible kind, got {rep.kind!r}"
         )
-    if mode not in rep.mode_labels:
-        raise ConfigError(f"unknown mode {mode!r}; built modes: {rep.mode_labels}")
     assert rep.profile is not None and rep.n_oscillators is not None
+    if mode not in rep.profile.labels:
+        raise ConfigError(
+            f"unknown mode {mode!r}; profile labels: {rep.profile.labels}")
     assert rep.n_max is not None
     n_osc = rep.n_oscillators
     label = np.indices(rep.factorization.dims).reshape(n_osc, -1) // (rep.n_max + 1)

@@ -165,6 +165,37 @@ class TestKron:
         u = kron(*qs)
         assert np.max(np.abs(u @ u.conj().T - np.eye(12))) <= 1e-10
 
+    @pytest.mark.parametrize("kind", [
+        "complex", "real", "identity", "one_by_one", "rectangular"])
+    def test_bitwise_equal_to_np_kron(self, kind):
+        rng = np.random.default_rng(19)
+
+        def cplx(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        factors = {
+            "complex": [cplx(3, 3), cplx(2, 2), cplx(4, 4)],
+            "real": [rng.normal(size=(3, 3)), rng.normal(size=(2, 2))],
+            "identity": [np.eye(4), cplx(3, 3), np.eye(2)],
+            "one_by_one": [np.array([[2.5 - 1.0j]]), cplx(3, 3), np.zeros((1, 1))],
+            "rectangular": [cplx(2, 5), rng.normal(size=(3, 1)), cplx(1, 4)],
+        }[kind]
+        expected = np.asarray(factors[0], dtype=complex)
+        for f in factors[1:]:
+            expected = np.kron(expected, np.asarray(f, dtype=complex))
+        out = kron(*factors)
+        assert out.dtype == np.complex128 and out.shape == expected.shape
+        assert np.array_equal(out, expected)
+        assert out.tobytes() == expected.tobytes()
+
+    def test_validates_factors(self):
+        with pytest.raises(ValidationError, match="kron factor 1 must be 2-D"):
+            kron(np.eye(2), np.ones(3))
+        with pytest.raises(ValidationError, match="kron factor 0 contains non-finite"):
+            kron(np.array([[np.inf]]), np.eye(2))
+        with pytest.raises(ValidationError, match="at least one factor"):
+            kron()
+
 
 class TestExpmGenerator:
     def test_zero_generator(self):

@@ -399,6 +399,24 @@ class TestCentralSpectrum:
                 closed = vacuum_weight(n_osc, s, 0.25, s_prime=sp, z2=0.25)
                 assert brute == pytest.approx(closed, abs=1e-12)
 
+    def test_any_profile_label_without_its_operators(self):
+        prof = VacuumProfile.uniform(4)
+        lean = build_reducible(3, prof, n_max=1, selected_modes=["k1"])
+        full = build_reducible(3, prof, n_max=1, selected_modes=["k1", "k2"])
+        assert "k2" not in lean.lowering and "k2" not in lean.central
+        lean_spec = central_spectral_projectors(lean, "k2")
+        full_spec = central_spectral_projectors(full, "k2")
+        assert np.array_equal(lean_spec.eigenvalues, full_spec.eigenvalues)
+        assert len(lean_spec.projectors) == len(full_spec.projectors)
+        for p_lean, p_full in zip(lean_spec.projectors, full_spec.projectors):
+            assert np.array_equal(p_lean, p_full)
+
+    def test_label_outside_profile_rejected(self):
+        rep = build_reducible(2, VacuumProfile.uniform(2), n_max=1,
+                              selected_modes=["k1"])
+        with pytest.raises(ConfigError, match="unknown mode 'k3'"):
+            central_spectral_projectors(rep, "k3")
+
     def test_requires_reducible_kind(self):
         with pytest.raises(ConfigError, match="reducible"):
             central_spectral_projectors(build_infinity_two_mode(1), "mode1")

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -470,6 +471,19 @@ class TestValidate:
         assert sorted(calls) == [(1, ("k1", "k2")), (2, ("k1", "k2")),
                                  (3, ("k1", "k2")), (3, ("k1", "k2", "k3", "k4"))]
 
+    def test_peak_memory_below_20_mb(self):
+        # The N = 3 uniform(4) ensemble has a 512-dimensional field, 4.2 MB
+        # per dense operator: validate may build only the operators its
+        # checks read, and no dense temporaries beside them.
+        validate(seed=0)
+        tracemalloc.start()
+        try:
+            validate(seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+
 class TestCli:
     def test_run_writes_and_exits_zero(self, tmp_path, capsys):
         code = cli.main(["run", "--scenario", "infinity", "--out", str(tmp_path)])
@@ -516,6 +530,26 @@ class TestCli:
         assert (tmp_path / "berezin.json").exists()
         payload = json.loads((tmp_path / "berezin.json").read_text())
         assert payload["provenance"]["config"]["seed"] == 2
+
+    @pytest.mark.parametrize("command, config", [
+        ("run", {"scenario": "single-mode", "N": [1, 2]}),
+        ("sweep", {"scenario": "reducible-limit", "N": [10]}),
+    ])
+    @pytest.mark.parametrize("flag, in_config, expected", [
+        ("from_flag", "from_config", "from_flag"),
+        (None, "from_config", "from_config"),
+        (None, None, "results"),
+    ])
+    def test_out_precedence(self, tmp_path, monkeypatch, command, config,
+                            flag, in_config, expected):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            dict(config, **({"out": in_config} if in_config else {}))))
+        argv = [command, "--config", str(cfg)] + (["--out", flag] if flag else [])
+        assert cli.main(argv) == 0
+        written = sorted(p.parent.name for p in tmp_path.glob("*/*.json"))
+        assert written == [expected]
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
