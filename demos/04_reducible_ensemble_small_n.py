@@ -3,7 +3,8 @@
 Every oscillator carries all modes; the mode operators are collective,
 their commutators close on central elements with spectrum {s/N}, and the
 vacuum is an N-fold tensor power parametrized by probabilities Z_k. The
-dynamics runs on the renormalized generator H/sqrt(Z). This script
+dynamics runs on the generator H/sqrt(Z), which every evolution of a
+reducible representation uses. This script
 cross-checks the closed-form atomic density (sector sums with binomial
 and multinomial vacuum weights) against direct tensor simulation for
 N = 1, 2, 3 and shows the N = 1 coherence extinction.
@@ -22,14 +23,14 @@ from ccrlab.dynamics import IDX_MP, IDX_PM
 from ccrlab.scenarios import simulated_atomic_density
 
 profile = VacuumProfile.uniform(2)  # Z1 = Z2 = Z = 1/2
-print("uniform two-mode vacuum profile, renormalized generator H/sqrt(Z)")
+print("uniform two-mode vacuum profile, generator H/sqrt(Z)")
 print()
 print(" N    t/pi   |brute - closed|   atom-atom coherence")
 for n in (1, 2, 3):
     rep = build_reducible(n, profile, n_max=1)
     for frac in (0.25, 0.5):
         t = frac * math.pi
-        brute = simulated_atomic_density(rep, t, ("k1", "k2"), renormalize=True)
+        brute = simulated_atomic_density(rep, t, ("k1", "k2"))
         closed = rho_atoms_reducible(t, n, 0.5, 0.5, 0.5)
         d = trace_distance(brute, closed)
         coh = abs(brute[IDX_PM, IDX_MP])

@@ -8,9 +8,10 @@ Three subcommands::
 
 Config files are JSON objects with the keys scenario, n_max, d, cutoff,
 N (scalar or list), profile {kind: uniform | plateau, ...}, times,
-tolerances, out, seed. ``run`` and ``sweep`` write their reports to
-``--out``, else to the config's ``out``, else to ``results``; ``validate``
-writes only when given ``--out``. Exit codes: 0 all assertions pass,
+tolerances, out, seed; ``sweep`` takes only the reducible-limit scenario.
+``run`` and ``sweep`` write their reports to ``--out``, else to the
+config's ``out``, else to ``results``; ``validate`` writes only when
+given ``--out``. Exit codes: 0 all assertions pass,
 1 assertion failure, 2 configuration or domain error (an unwritable output
 directory included), 3 brute-force size ceiling exceeded.
 """

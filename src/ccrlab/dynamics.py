@@ -197,13 +197,12 @@ def evolve(
     mode_atom_pairs: Sequence[tuple[str, int]],
     psi0: StateVector,
     t: float | np.ndarray,
-    renormalize: bool = False,
 ) -> StateVector | list[StateVector]:
     """Propagate ``psi0`` with exp(-i H_eff t), H the coupling of ``mode_atom_pairs``.
 
-    With ``renormalize`` the generator is H / sqrt(Z), Z being the largest
-    vacuum probability of the representation's profile (the ensemble
-    dynamics runs on the renormalized generator); otherwise H itself.
+    A representation with a vacuum profile (the reducible ensemble) runs
+    on H_eff = H / sqrt(Z), Z being the profile's largest vacuum
+    probability; the irreducible ones, which have no profile, on H itself.
 
     H conserves the excitation number, so the evolution is exact on the
     sectors that ``psi0`` occupies (:func:`excitation_sector_mask`): H is
@@ -218,13 +217,9 @@ def evolve(
             f"dimension mismatch: state is {psi0.dim}, the coupled space of "
             f"the representation is {4 * rep.dim}"
         )
-    if renormalize and rep.profile is None:
-        raise ConfigError(
-            "renormalized evolution needs a representation with a vacuum profile"
-        )
     inside = excitation_sector_mask(rep, psi0.amplitudes)
     h = jc_hamiltonian(rep, mode_atom_pairs, sector=inside)
-    if renormalize:
+    if rep.profile is not None:
         h = h / math.sqrt(rep.profile.z_max)
     u = expm_generator(h, t)
     amps = np.zeros(u.shape[:-2] + (psi0.dim,), dtype=complex)

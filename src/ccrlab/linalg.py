@@ -53,13 +53,13 @@ def require_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def require_hermitian(m, tol: float = TOL_HERM, name: str = "matrix") -> np.ndarray:
-    """Validate a square matrix against ``max|M - M^dag| <= tol``."""
-    arr = require_square(m, name)
+def require_hermitian(m) -> np.ndarray:
+    """Validate a square matrix against ``max|M - M^dag| <= TOL_HERM``."""
+    arr = require_square(m)
     dev = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
-    if dev > tol:
+    if dev > TOL_HERM:
         raise ValidationError(
-            f"{name} is not Hermitian: max |M - M^dag| = {dev:.3e} > {tol:.1e}"
+            f"matrix is not Hermitian: max |M - M^dag| = {dev:.3e} > {TOL_HERM:.1e}"
         )
     return arr
 

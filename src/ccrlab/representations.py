@@ -41,7 +41,7 @@ from .linalg import (
 
 #: Profiles must carry unit total probability to this tolerance.
 TOL_PROFILE = 1e-12
-#: Default dimension ceiling for brute-force constructions: the field of a
+#: Dimension ceiling for brute-force constructions: the field of a
 #: reducible ensemble, the coupled atoms-plus-field space (4 times the
 #: field) of the two irreducible representations.
 BRUTE_FORCE_CEILING = 4096
@@ -150,7 +150,6 @@ class Representation:
     number_op: np.ndarray
     below_cutoff_mask: np.ndarray
     n_max: int | None = None
-    total_cutoff: int | None = None
     n_oscillators: int | None = None
     profile: VacuumProfile | None = None
 
@@ -354,7 +353,6 @@ def build_berezin(
         factorization=fact,
         number_op=number,
         below_cutoff_mask=mask,
-        total_cutoff=total_cutoff,
     )
 
 
@@ -392,12 +390,13 @@ def kron_vector(*vectors) -> np.ndarray:
     return out
 
 
-def fits_brute_force(n_oscillators: int, profile: VacuumProfile, n_max: int,
-                     ceiling: int = BRUTE_FORCE_CEILING) -> bool:
-    """Whether (modes * (n_max + 1))^N is within ``ceiling``. Exact without forming
-    a huge power: past exponent ceiling.bit_length() + 1 any factor >= 2 exceeds it."""
+def fits_brute_force(n_oscillators: int, profile: VacuumProfile, n_max: int) -> bool:
+    """Whether (modes * (n_max + 1))^N is within :data:`BRUTE_FORCE_CEILING`. Exact
+    without forming a huge power: past exponent ceiling.bit_length() + 1 any
+    factor >= 2 exceeds it."""
     factor_dim = len(profile.labels) * (int(n_max) + 1)
-    return factor_dim ** min(int(n_oscillators), int(ceiling).bit_length() + 1) <= ceiling
+    power = min(int(n_oscillators), BRUTE_FORCE_CEILING.bit_length() + 1)
+    return factor_dim**power <= BRUTE_FORCE_CEILING
 
 
 def build_reducible(
@@ -405,7 +404,6 @@ def build_reducible(
     profile: VacuumProfile,
     n_max: int = 1,
     selected_modes: list[str] | None = None,
-    ceiling: int = BRUTE_FORCE_CEILING,
 ) -> Representation:
     """Reducible ensemble representation of N oscillators carrying all modes.
 
@@ -413,8 +411,9 @@ def build_reducible(
     ladder level); the built mode operators are the collective
     ``(1/sqrt(N)) sum_n a_k^(n)`` and ``(1/N) sum_n I_k^(n)``, and the
     vacuum is the N-fold tensor power of ``sum_k O_k |k, 0>``. Intended
-    for brute-force work at small N; dimensions above ``ceiling`` raise
-    :class:`SizeLimitError`, decided without expanding the power.
+    for brute-force work at small N; a field dimension above
+    :data:`BRUTE_FORCE_CEILING` raises :class:`SizeLimitError`, decided
+    without expanding the power.
 
     Each collective sum ``S_N = sum_n op^(n)`` (lowering, central and
     photon-number operators) is built by the Kronecker-sum recurrence
@@ -436,10 +435,10 @@ def build_reducible(
             )
 
     factor_dim = len(profile.labels) * (n_max + 1)
-    if not fits_brute_force(n_osc, profile, n_max, ceiling):
+    if not fits_brute_force(n_osc, profile, n_max):
         raise SizeLimitError(
             f"field dimension {factor_dim}^N with N = {n_osc} exceeds the "
-            f"brute-force ceiling {ceiling}"
+            f"brute-force ceiling {BRUTE_FORCE_CEILING}"
         )
 
     one_lowering, one_proj, one_vac, one_number = _single_oscillator_mode_ops(
@@ -762,31 +761,21 @@ def joint_sector_sum(
     return (conv[:, : c.size] @ c).reshape(lead)
 
 
-def vacuum_weight(
-    n: int,
-    s: int,
-    z1: float,
-    s_prime: int | None = None,
-    z2: float | None = None,
-) -> float:
-    """Vacuum sector weight of the reducible representation.
+def vacuum_weight(n: int, s: int, z1: float, s_prime: int, z2: float) -> float:
+    """Joint vacuum sector weight of two modes of the reducible representation.
 
-    With only ``s``: the binomial C(n, s) z1^s (1-z1)^(n-s). With
-    ``s_prime`` and ``z2``: the joint multinomial
-    C(n; s, s') z1^s z2^s' (1-z1-z2)^(n-s-s'), exactly zero when s + s'
-    exceeds n, evaluated as Bin(n, s; z1) Bin(n - s, s'; z2 / (1 - z1))
-    by :func:`log_joint_weights`. Both routes are extended precision and
-    stable up to n = 10^6.
+    The multinomial C(n; s, s') z1^s z2^s' (1-z1-z2)^(n-s-s'), exactly
+    zero when s + s' exceeds n, evaluated as
+    Bin(n, s; z1) Bin(n - s, s'; z2 / (1 - z1)) by
+    :func:`log_joint_weights`, in extended precision and stable up to
+    n = 10^6. A single mode's binomial weight C(n, s) z^s (1-z)^(n-s) is
+    ``exp(log_binomial_weights(n, np.array([s]), z))``.
     """
     n = int(n)
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     s = _check_count(n, s, "s")
     z1 = _check_probability(z1, "z1")
-    if (s_prime is None) != (z2 is None):
-        raise DomainError("s_prime and z2 must be given together")
-    if s_prime is None:
-        return float(np.exp(log_binomial_weights(n, np.array([s]), z1))[0])
     s_prime = _check_count(n, s_prime, "s_prime")
     z2 = _check_probability(z2, "z2")
     if z1 + z2 > 1.0 + TOL_PROFILE:

@@ -120,8 +120,9 @@ class ScenarioConfig:
     optional ``window``/``rate`` for the plateau shape, and ``selected``
     (two 0-based label indices, default the first two). Values are
     coerced to their field types on construction; one that cannot be, an
-    empty ``N`` or ``times`` list, a JSON boolean, or a non-integral float
-    for an integer key is a :class:`ConfigError` naming its config key.
+    empty ``N`` or ``times`` list, one with a repeated entry, a JSON
+    boolean, or a non-integral float for an integer key is a
+    :class:`ConfigError` naming its config key.
     """
 
     scenario: str
@@ -154,6 +155,9 @@ class ScenarioConfig:
             coerced["n_values"] = _coerce(_tuple_of(_integer), self.n_values, "N")
         for name, value in coerced.items():
             object.__setattr__(self, name, value)
+        for key, values in (("N", self.n_values or ()), ("times", self.times)):
+            if len(set(values)) != len(values):
+                raise ConfigError(f"config key {key!r} repeats an entry: {list(values)}")
         for t in self.times:
             if not 0.0 <= t <= 2 * math.pi + 1e-12:
                 raise ConfigError(f"times must lie in [0, 2*pi], got {t}")
@@ -387,7 +391,6 @@ def simulated_atomic_density(
     rep: reps.Representation,
     t: float | np.ndarray,
     modes: tuple[str, str],
-    renormalize: bool = False,
 ) -> np.ndarray:
     """Brute-force two-atom density: evolve and trace out the field.
 
@@ -395,16 +398,18 @@ def simulated_atomic_density(
     the two modes; atom slot 0 couples to ``modes[0]``, slot 1 to
     ``modes[1]``. :func:`~ccrlab.dynamics.evolve` runs exactly on the
     initial state's one-excitation sector (no 4 d_field x 4 d_field
-    matrix is formed), with one diagonalization for all times. The atoms
-    are the leading factors of a pure state, so their density is A A^dag
-    with A the (4, d_field) block of its amplitudes. ``t`` is a scalar
+    matrix is formed), with one diagonalization for all times, on the
+    generator the representation implies: H / sqrt(Z) for the reducible
+    ensemble, H for the irreducible ones. The atoms are the leading
+    factors of a pure state, so their density is A A^dag with A the
+    (4, d_field) block of its amplitudes. ``t`` is a scalar
     (returns a 4x4 matrix) or a 1-D array of T times (returns a
     (T, 4, 4) stack).
     """
     pairs = [(modes[0], 0), (modes[1], 1)]
     psi0 = dyn.single_photon_initial_state(rep, modes)
     times = np.asarray(t, dtype=float)
-    states = dyn.evolve(rep, pairs, psi0, np.atleast_1d(times), renormalize=renormalize)
+    states = dyn.evolve(rep, pairs, psi0, np.atleast_1d(times))
     atoms = psi0.factorization.subset(["atom1", "atom2"])
     blocks = [psi.normalized().amplitudes.reshape(4, -1) for psi in states]
     rho = np.array([
@@ -614,8 +619,7 @@ def _scenario_reducible_brute(cfg: ScenarioConfig) -> ScenarioReport:
             continue
         ran_any = True
         closed_rhos = dyn.rho_atoms_reducible(cfg.times, n, z1, z2, z)
-        brute_rhos = simulated_atomic_density(rep, cfg.times, selected,
-                                              renormalize=True)
+        brute_rhos = simulated_atomic_density(rep, cfg.times, selected)
         for t, closed, brute in zip(cfg.times, closed_rhos, brute_rhos):
             dist = ent.trace_distance(brute, closed)
             brute_dev = max(brute_dev, dist)
@@ -664,8 +668,12 @@ def convergence_sweep(cfg: ScenarioConfig) -> ScenarioReport:
     Tabulates D(N, t) = trace distance between the N-oscillator closed
     form and its large-N limit over the configured ensemble sizes and time
     grid; asserts that D shrinks from the smallest to the largest N for
-    every t > 0 (and is zero at t = 0).
+    every t > 0 (and is zero at t = 0). This is the ``reducible-limit``
+    scenario; a config naming any other is a :class:`ConfigError`.
     """
+    if cfg.scenario != "reducible-limit":
+        raise ConfigError("the convergence sweep runs only 'reducible-limit', "
+                          f"got {cfg.scenario!r}")
     profile, selected = profile_from_spec(cfg.profile)
     z1 = profile.probability(selected[0])
     z2 = profile.probability(selected[1])
@@ -719,8 +727,8 @@ def convergence_sweep(cfg: ScenarioConfig) -> ScenarioReport:
             detail="with both modes on the plateau the limit is the "
                    "irreducible density",
         ))
-    name = cfg.scenario if cfg.scenario in SCENARIO_NAMES else "reducible-limit"
-    return ScenarioReport(name, records, checks, skipped, _provenance(cfg.to_dict()))
+    return ScenarioReport("reducible-limit", records, checks, skipped,
+                          _provenance(cfg.to_dict()))
 
 
 def _scenario_single_mode(cfg: ScenarioConfig) -> ScenarioReport:
@@ -907,8 +915,7 @@ def validate(seed: int = 0) -> ScenarioReport:
         rep = built["reducible"] if n == 2 else reps.build_reducible(n, profile, 1)
         cut_reps.append(rep)
         closed_rhos = dyn.rho_atoms_reducible(times, n, 0.5, 0.5, 0.5)
-        brute_rhos = simulated_atomic_density(rep, times, ("k1", "k2"),
-                                              renormalize=True)
+        brute_rhos = simulated_atomic_density(rep, times, ("k1", "k2"))
         for brute, closed in zip(brute_rhos, closed_rhos):
             worst = max(worst, ent.trace_distance(brute, closed))
     add("ensemble_reduction_brute_force", worst, 1e-8)
@@ -972,7 +979,7 @@ def validate(seed: int = 0) -> ScenarioReport:
             brute = float(np.vdot(
                 vac, spec1.projectors[s] * spec2.projectors[sp] * vac).real)
             worst = max(worst, abs(
-                brute - reps.vacuum_weight(3, s, 0.25, s_prime=sp, z2=0.25)))
+                brute - reps.vacuum_weight(3, s, 0.25, sp, 0.25)))
     add("joint_weights_vs_projectors", worst, 1e-12)
     add("central_spectrum_completeness",
         float(np.max(np.abs(sum(spec1.projectors) - 1.0))), 1e-12)

@@ -115,8 +115,7 @@ def test_criterion_4_finite_ensemble_vs_brute_force():
     for n in (1, 2, 3):
         rep = reps.build_reducible(n, profile, n_max=1)
         for t in TIME_GRID:
-            brute = simulated_atomic_density(rep, t, ("k1", "k2"),
-                                             renormalize=True)
+            brute = simulated_atomic_density(rep, t, ("k1", "k2"))
             closed = dyn.rho_atoms_reducible(t, n, 0.5, 0.5, 0.5)
             worst = max(worst, ent.trace_distance(brute, closed))
     elapsed = time.perf_counter() - start
@@ -137,7 +136,7 @@ def test_criterion_5_coherence_extinction_n1():
         closed = dyn.rho_atoms_reducible(t, 1, 0.5, 0.5, 0.5)
         closed_coh = max(closed_coh, abs(complex(
             closed[dyn.IDX_PM, dyn.IDX_MP])))
-        brute = simulated_atomic_density(rep, t, ("k1", "k2"), renormalize=True)
+        brute = simulated_atomic_density(rep, t, ("k1", "k2"))
         brute_coh = max(brute_coh, abs(complex(brute[dyn.IDX_PM, dyn.IDX_MP])))
         worst_conc = max(worst_conc, ent.concurrence(closed))
     _verdict(
@@ -197,7 +196,7 @@ def test_criterion_7_weight_identities():
                     brute = float(np.vdot(
                         vac,
                         spec1.projectors[s] * spec2.projectors[sp] * vac).real)
-                    closed = reps.vacuum_weight(n, s, z, s_prime=sp, z2=z)
+                    closed = reps.vacuum_weight(n, s, z, sp, z)
                     worst_joint = max(worst_joint, abs(brute - closed))
     _verdict(
         7, "binomial weights sum to one and joint weights match projectors",

@@ -42,11 +42,14 @@ def coupling_pairs(modes):
     return [(modes[0], 0), (modes[1], 1)]
 
 
-def atoms_of(rep, t, modes, renormalize=False):
+def effective_generator(rep, h):
+    """H / sqrt(Z) for a representation with a vacuum profile, else H."""
+    return h if rep.profile is None else h / math.sqrt(rep.profile.z_max)
+
+
+def atoms_of(rep, t, modes):
     """Atoms' density by the full-space propagator and the partial trace."""
-    h = dyn.jc_hamiltonian(rep, coupling_pairs(modes))
-    if renormalize:
-        h = h / math.sqrt(rep.profile.z_max)
+    h = effective_generator(rep, dyn.jc_hamiltonian(rep, coupling_pairs(modes)))
     psi0 = dyn.single_photon_initial_state(rep, modes)
     psi_t = StateVector(expm_generator(h, t) @ psi0.amplitudes, psi0.factorization)
     rho = ent.DensityMatrix.from_state(psi_t)
@@ -234,12 +237,13 @@ class TestEvolve:
             value = np.vdot(psi.amplitudes, n_exc @ psi.amplitudes).real
             assert value == pytest.approx(initial, abs=1e-10)
 
-    def test_renormalize_needs_profile(self):
-        rep = build_infinity_two_mode(1)
-        pairs = [("mode1", 0), ("mode2", 1)]
-        psi0 = dyn.single_photon_initial_state(rep, ("mode1", "mode2"))
-        with pytest.raises(ConfigError, match="profile"):
-            dyn.evolve(rep, pairs, psi0, 1.0, renormalize=True)
+    def test_reducible_runs_on_h_over_sqrt_z(self):
+        rep, modes, h, psi0 = coupled_setup("reducible", 2, "plateau")
+        psi = dyn.evolve(rep, coupling_pairs(modes), psi0, 0.9).amplitudes
+        renormalized = expm_generator(h / math.sqrt(rep.profile.z_max), 0.9) @ psi0.amplitudes
+        plain = expm_generator(h, 0.9) @ psi0.amplitudes
+        assert np.max(np.abs(psi - renormalized)) <= 1e-12
+        assert np.max(np.abs(psi - plain)) > 1e-2
 
     def test_dimension_mismatch(self):
         rep = build_infinity_two_mode(1)
@@ -267,17 +271,14 @@ def coupled_setup(kind, n=2, profile="uniform"):
 
 
 class TestSectorEvolve:
-    @pytest.mark.parametrize("renormalize", [False, True])
     @pytest.mark.parametrize("profile", ["uniform", "plateau"])
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_reducible_matches_full_space_oracle(self, n, profile, renormalize):
+    def test_reducible_matches_full_space_oracle(self, n, profile):
         rep, modes, h, psi0 = coupled_setup("reducible", n, profile)
         # Two times keep the full-space products (up to 864 x 864) cheap.
         times = (0.7, math.pi / 2)
-        h_eff = h / math.sqrt(rep.profile.z_max) if renormalize else h
-        expected = expm_generator(h_eff, times) @ psi0.amplitudes
-        states = dyn.evolve(rep, coupling_pairs(modes), psi0, times,
-                            renormalize=renormalize)
+        expected = expm_generator(effective_generator(rep, h), times) @ psi0.amplitudes
+        states = dyn.evolve(rep, coupling_pairs(modes), psi0, times)
         for psi, exact in zip(states, expected):
             assert np.max(np.abs(psi.amplitudes - exact)) <= 1e-12
 
@@ -292,16 +293,15 @@ class TestSectorEvolve:
     @pytest.mark.parametrize("kind", ["infinity", "berezin", "reducible"])
     def test_array_times_match_scalar_times(self, kind):
         rep, modes, _, psi0 = coupled_setup(kind)
-        renorm = kind == "reducible"
         times = np.array([0.0, 0.4, math.pi / 2, 2.9])
-        states = dyn.evolve(rep, coupling_pairs(modes), psi0, times, renormalize=renorm)
+        states = dyn.evolve(rep, coupling_pairs(modes), psi0, times)
         assert len(states) == times.size
-        rhos = simulated_atomic_density(rep, times, modes, renormalize=renorm)
+        rhos = simulated_atomic_density(rep, times, modes)
         assert rhos.shape == (times.size, 4, 4)
         for t, psi, rho in zip(times, states, rhos):
-            single = dyn.evolve(rep, coupling_pairs(modes), psi0, t, renormalize=renorm)
+            single = dyn.evolve(rep, coupling_pairs(modes), psi0, t)
             assert np.max(np.abs(psi.amplitudes - single.amplitudes)) <= 1e-14
-            single_rho = simulated_atomic_density(rep, t, modes, renormalize=renorm)
+            single_rho = simulated_atomic_density(rep, t, modes)
             assert single_rho.shape == (4, 4)
             assert np.max(np.abs(rho - single_rho)) <= 1e-14
 
@@ -312,11 +312,8 @@ class TestSectorEvolve:
         ground = np.kron(np.kron(dyn.KET_GROUND, dyn.KET_GROUND), rep.vacuum.amplitudes)
         psi = StateVector((ground + psi0.amplitudes) / math.sqrt(2.0), psi0.factorization)
         assert set(dyn.excitation_numbers(rep)[psi.amplitudes != 0]) == {0.0, 1.0}
-        renorm = kind == "reducible"
-        h_eff = h / math.sqrt(rep.profile.z_max) if renorm else h
-        expected = expm_generator(h_eff, TIME_GRID) @ psi.amplitudes
-        states = dyn.evolve(rep, coupling_pairs(modes), psi, TIME_GRID,
-                            renormalize=renorm)
+        expected = expm_generator(effective_generator(rep, h), TIME_GRID) @ psi.amplitudes
+        states = dyn.evolve(rep, coupling_pairs(modes), psi, TIME_GRID)
         for state, exact in zip(states, expected):
             assert np.max(np.abs(state.amplitudes - exact)) <= 1e-12
 
@@ -384,10 +381,8 @@ class TestSectorHamiltonian:
     @pytest.mark.parametrize("kind,n,profile", SECTOR_CASES)
     def test_evolve_on_sector_block_matches_full_hamiltonian(self, kind, n, profile):
         rep, modes, h, psi0 = coupled_setup(kind, n, profile)
-        renorm = kind == "reducible"
-        h_eff = h / math.sqrt(rep.profile.z_max) if renorm else h
-        full = expm_generator(h_eff, TIME_GRID) @ psi0.amplitudes
-        sector = dyn.evolve(rep, coupling_pairs(modes), psi0, TIME_GRID, renormalize=renorm)
+        full = expm_generator(effective_generator(rep, h), TIME_GRID) @ psi0.amplitudes
+        sector = dyn.evolve(rep, coupling_pairs(modes), psi0, TIME_GRID)
         for a, b in zip(full, sector):
             assert np.max(np.abs(a - b.amplitudes)) <= 1e-14
 
@@ -397,10 +392,10 @@ class TestSectorHamiltonian:
         rep, modes, _, _ = coupled_setup("reducible", 3, "plateau")
         coupled_bytes = np.dtype(complex).itemsize * (4 * rep.dim) ** 2
         times = np.array([0.0, 0.7, math.pi / 2])
-        simulated_atomic_density(rep, times, modes, renormalize=True)
+        simulated_atomic_density(rep, times, modes)
         tracemalloc.start()
         try:
-            simulated_atomic_density(rep, times, modes, renormalize=True)
+            simulated_atomic_density(rep, times, modes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -475,7 +470,7 @@ class TestReducibleDensity:
     def test_matches_brute_force_n2_half_pi(self):
         prof = VacuumProfile.uniform(2)
         rep = build_reducible(2, prof, n_max=1)
-        brute = atoms_of(rep, math.pi / 2, ("k1", "k2"), renormalize=True)
+        brute = atoms_of(rep, math.pi / 2, ("k1", "k2"))
         closed = dyn.rho_atoms_reducible(math.pi / 2, 2, 0.5, 0.5, 0.5)
         assert ent.trace_distance(brute, closed) <= 1e-8
 

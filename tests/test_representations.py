@@ -303,35 +303,31 @@ class TestReducibleRecurrence:
             build_reducible(n_osc, prof, n_max=1)
         assert time.perf_counter() - start < 0.05
 
-    @pytest.mark.parametrize("n_modes, n_max, ceiling, n_fits", [
-        (2, 1, 64, 3),
-        (2, 1, 63, 2),
-        (1, 1, 8, 3),
-        (1, 1, 2, 1),
-        (3, 0, 9, 2),
+    # (modes * (n_max + 1))^N: the largest N whose power is within 4096
+    @pytest.mark.parametrize("n_modes, n_max, n_fits", [
+        (2, 1, 6), (1, 1, 12), (4, 1, 4), (3, 0, 7), (2, 31, 2), (1, 4095, 1),
     ])
-    def test_ceiling_boundary_is_exact(self, n_modes, n_max, ceiling, n_fits):
-        prof = VacuumProfile.uniform(n_modes)
-        rep = build_reducible(n_fits, prof, n_max=n_max, ceiling=ceiling)
-        assert rep.dim <= ceiling
-        with pytest.raises(SizeLimitError, match="ceiling"):
-            build_reducible(n_fits + 1, prof, n_max=n_max, ceiling=ceiling)
-
-    def test_default_ceiling_admits_4_to_the_6(self, monkeypatch):
+    def test_ceiling_boundary_is_exact(self, monkeypatch, n_modes, n_max, n_fits):
         class Admitted(Exception):
             pass
 
         def stop(*args):
             raise Admitted
 
-        # a dense 4096-dimensional build is too large for a unit test, so
+        factor = n_modes * (n_max + 1)
+        assert factor**n_fits <= representations.BRUTE_FORCE_CEILING < factor ** (n_fits + 1)
+        prof = VacuumProfile.uniform(n_modes)
+        assert representations.fits_brute_force(n_fits, prof, n_max)
+        assert not representations.fits_brute_force(n_fits + 1, prof, n_max)
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitError, match=rf"N = {n_fits + 1} .*ceiling 4096"):
+            build_reducible(n_fits + 1, prof, n_max=n_max)
+        assert time.perf_counter() - start < 0.05
+        # a dense build at the ceiling is too large for a unit test, so
         # stop right after the ceiling check
         monkeypatch.setattr(representations, "_single_oscillator_mode_ops", stop)
-        prof = VacuumProfile.uniform(2)
         with pytest.raises(Admitted):
-            build_reducible(6, prof, n_max=1)
-        with pytest.raises(SizeLimitError, match="N = 7"):
-            build_reducible(7, prof, n_max=1)
+            build_reducible(n_fits, prof, n_max=n_max)
 
 
 class TestCentralSpectrum:
@@ -422,10 +418,15 @@ class TestCentralSpectrum:
             central_spectral_projectors(build_infinity_two_mode(1), "mode1")
 
 
+def binomial_cell(n, s, z):
+    """C(n, s) z^s (1-z)^(n-s) from :func:`log_binomial_weights` at one cell."""
+    return float(np.exp(log_binomial_weights(n, np.array([s]), z))[0])
+
+
 class TestVacuumWeight:
     def test_single_trial(self):
-        assert vacuum_weight(1, 1, 0.3) == pytest.approx(0.3, abs=1e-15)
-        assert vacuum_weight(1, 0, 0.3) == pytest.approx(0.7, abs=1e-15)
+        assert binomial_cell(1, 1, 0.3) == pytest.approx(0.3, abs=1e-15)
+        assert binomial_cell(1, 0, 0.3) == pytest.approx(0.7, abs=1e-15)
 
     def test_impossible_partition_is_exact_zero(self):
         assert vacuum_weight(1, 1, 0.3, s_prime=1, z2=0.3) == 0.0
@@ -435,7 +436,7 @@ class TestVacuumWeight:
             for z in (0.2, 0.5, 0.9):
                 for s in range(n + 1):
                     exact = math.comb(n, s) * z**s * (1 - z) ** (n - s)
-                    assert vacuum_weight(n, s, z) == pytest.approx(exact, rel=1e-13)
+                    assert binomial_cell(n, s, z) == pytest.approx(exact, rel=1e-13)
 
     def test_normalization_large_n(self):
         support = binomial_support(1000, 0.25)
@@ -474,13 +475,11 @@ class TestVacuumWeight:
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            vacuum_weight(3, 4, 0.5)
+            vacuum_weight(3, 4, 0.5, s_prime=0, z2=0.2)
         with pytest.raises(DomainError):
-            vacuum_weight(3, 1, 1.5)
+            vacuum_weight(3, 1, 1.5, s_prime=1, z2=0.0)
         with pytest.raises(DomainError):
             vacuum_weight(3, 1, 0.7, s_prime=1, z2=0.5)
-        with pytest.raises(DomainError):
-            vacuum_weight(3, 1, 0.5, s_prime=1)
 
     def test_degenerate_probabilities(self):
         assert np.exp(log_binomial_weights(3, np.arange(4), 0.0)) == pytest.approx(
@@ -547,7 +546,7 @@ class TestBinomialRecurrence:
                                          (10**6, 200_123, 0.2)])
     def test_single_cell_is_the_direct_formula(self, n, s, z):
         assert log_binomial_weights(n, np.array([s]), z)[0] == direct(n, [s], z)[0]
-        assert vacuum_weight(n, s, z) == float(np.exp(direct(n, [s], z)[0]))
+        assert binomial_cell(n, s, z) == float(np.exp(direct(n, [s], z)[0]))
 
     @pytest.mark.parametrize("n", [1, 25, 10**6])
     def test_point_masses(self, n):

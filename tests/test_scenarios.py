@@ -205,10 +205,13 @@ class TestScenarioContent:
         assert not any("limit_matches" in c.name for c in report.checks)
 
 
-def traced_atomic_density(rep, times, modes, renormalize=False):
-    """Atoms' density by full-space propagators and the partial trace."""
+def traced_atomic_density(rep, times, modes):
+    """Atoms' density by full-space propagators and the partial trace.
+
+    The reducible ensemble runs on H / sqrt(Z), the irreducible ones on H.
+    """
     h = dyn.jc_hamiltonian(rep, [(modes[0], 0), (modes[1], 1)])
-    if renormalize:
+    if rep.profile is not None:
         h = h / math.sqrt(rep.profile.z_max)
     psi0 = dyn.single_photon_initial_state(rep, modes)
     atoms = ent.Bipartition(("atom1", "atom2"))
@@ -220,28 +223,25 @@ def traced_atomic_density(rep, times, modes, renormalize=False):
 
 
 DENSITY_CASES = [
-    pytest.param(lambda: reps.build_infinity_two_mode(2), ("mode1", "mode2"), False,
+    pytest.param(lambda: reps.build_infinity_two_mode(2), ("mode1", "mode2"),
                  id="infinity"),
-    pytest.param(lambda: reps.build_berezin(2, 2, [1, 2]), ("f1", "f2"), False,
-                 id="berezin"),
+    pytest.param(lambda: reps.build_berezin(2, 2, [1, 2]), ("f1", "f2"), id="berezin"),
 ] + [
     pytest.param(lambda n=n, prof=prof: reps.build_reducible(n, prof, 1, ["k1", "k2"]),
-                 ("k1", "k2"), renorm,
-                 id=f"{kind}-N{n}-{'renorm' if renorm else 'plain'}")
+                 ("k1", "k2"), id=f"{kind}-N{n}-renorm")
     for kind, prof in (("uniform", reps.VacuumProfile.uniform(2)),
                        ("plateau", reps.VacuumProfile.plateau(3, (0, 0), 0.7)))
     for n in (1, 2, 3)
-    for renorm in (False, True)
 ]
 
 
 class TestSimulatedDensity:
-    @pytest.mark.parametrize("build, modes, renorm", DENSITY_CASES)
-    def test_matches_partial_trace_of_full_density(self, build, modes, renorm):
+    @pytest.mark.parametrize("build, modes", DENSITY_CASES)
+    def test_matches_partial_trace_of_full_density(self, build, modes):
         rep = build()
         times = np.array([0.0, 0.3, 0.8, math.pi / 2, 2.9])
-        block = simulated_atomic_density(rep, times, modes, renormalize=renorm)
-        traced = traced_atomic_density(rep, times, modes, renormalize=renorm)
+        block = simulated_atomic_density(rep, times, modes)
+        traced = traced_atomic_density(rep, times, modes)
         assert block.shape == (5, 4, 4)
         assert np.max(np.abs(block - traced)) <= 1e-14
 
@@ -255,7 +255,7 @@ class TestSimulatedDensity:
 
         prof = VacuumProfile.uniform(2)
         rep = build_reducible(3, prof, n_max=1)
-        brute = simulated_atomic_density(rep, 0.8, ("k1", "k2"), renormalize=True)
+        brute = simulated_atomic_density(rep, 0.8, ("k1", "k2"))
         closed = dyn.rho_atoms_reducible(0.8, 3, 0.5, 0.5, 0.5)
         assert np.max(np.abs(brute - closed)) <= 1e-8
 
@@ -597,6 +597,32 @@ class TestCli:
             assert code == 2, (key, value, err)
             assert err.startswith(f"error: config key {key!r}")
             assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, config", [
+        ("sweep", {"scenario": "reducible-limit", "N": [100, 100]}),
+        ("run", {"scenario": "reducible-brute", "N": [2, 1, 2]}),
+        ("sweep", {"scenario": "reducible-limit", "times": [0.3, 0.3]}),
+        ("run", {"scenario": "infinity", "times": [0.0, 0.5, 0.5]}),
+    ])
+    def test_duplicate_entries_are_config_errors(self, tmp_path, capsys, command, config):
+        cfg = tmp_path / "dup.json"
+        cfg.write_text(json.dumps(config))
+        code = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        key = "N" if "N" in config else "times"
+        assert code == 2, err
+        assert err.startswith(f"error: config key {key!r} repeats an entry")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("scenario", ["infinity", "single-mode", "reducible-limt"])
+    def test_sweep_refuses_other_scenarios(self, tmp_path, capsys, scenario):
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"scenario": scenario}))
+        code = cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "'reducible-limit'" in err and repr(scenario) in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, value, shape", [
