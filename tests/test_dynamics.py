@@ -245,6 +245,14 @@ class TestEvolve:
         assert np.max(np.abs(psi - renormalized)) <= 1e-12
         assert np.max(np.abs(psi - plain)) > 1e-2
 
+    @pytest.mark.parametrize("kind", ["infinity", "berezin"])
+    def test_irreducible_runs_on_h(self, kind):
+        rep, modes, h, psi0 = coupled_setup(kind)
+        assert rep.profile is None
+        psi = dyn.evolve(rep, coupling_pairs(modes), psi0, 0.9).amplitudes
+        plain = expm_generator(h, 0.9) @ psi0.amplitudes
+        assert np.max(np.abs(psi - plain)) <= 1e-12
+
     def test_dimension_mismatch(self):
         rep = build_infinity_two_mode(1)
         pairs = [("mode1", 0), ("mode2", 1)]

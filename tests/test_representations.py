@@ -468,6 +468,27 @@ class TestVacuumWeight:
                              * f1**s * f2**sp * f0 ** (n - s - sp))
                     assert closed == pytest.approx(float(exact), rel=1e-13)
 
+    @pytest.mark.parametrize("z1, z2", [(0.3, 0.2), (0.1, 0.05), (0.6, 0.4)])
+    def test_joint_marginal_is_binomial(self, z1, z2):
+        for n in (5, 30):
+            for s in range(n + 1):
+                marginal = sum(vacuum_weight(n, s, z1, sp, z2) for sp in range(n + 1))
+                assert marginal == pytest.approx(binomial_cell(n, s, z1), rel=1e-13)
+
+    def test_joint_with_empty_second_mode_is_binomial(self):
+        for n in (1, 5, 30):
+            for z in (0.2, 0.5, 0.9):
+                for s in range(n + 1):
+                    assert vacuum_weight(n, s, z, 0, 0.0) == pytest.approx(
+                        binomial_cell(n, s, z), rel=1e-13)
+
+    def test_joint_is_symmetric_in_the_modes(self):
+        for n in (5, 30):
+            for s in range(n + 1):
+                for sp in range(n + 1 - s):
+                    assert vacuum_weight(n, s, 0.3, sp, 0.2) == pytest.approx(
+                        vacuum_weight(n, sp, 0.2, s, 0.3), rel=1e-13)
+
     def test_joint_all_mass_in_first_mode(self):
         assert vacuum_weight(4, 4, 1.0, s_prime=0, z2=0.0) == 1.0
         assert vacuum_weight(4, 3, 1.0, s_prime=1, z2=0.0) == 0.0
