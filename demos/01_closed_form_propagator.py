@@ -1,10 +1,12 @@
 """The excitation-exchange propagator in closed form.
 
 For H = R^dag (x) A + R (x) A^dag, with R the two-level lowering operator,
-exp(-iHt) is a 2x2 block matrix of cosines and sincs of A A^dag and
-A^dag A. No property of A is needed. This script checks the block form
-against a brute-force matrix exponential for random couplings and shows
-the full Rabi transfer of the scalar-mode case.
+and the singular value decomposition A = U S V^dag, exp(-iHt) is the 2x2
+block matrix [[U cos(tS) U^dag, -i U sin(tS) V^dag], [-i V sin(tS) U^dag,
+V cos(tS) V^dag]]. No property of A is needed, and one SVD serves every
+time point. This script checks the block form against a brute-force
+matrix exponential for random couplings and shows the full Rabi transfer
+of the scalar-mode case.
 """
 
 import math

@@ -11,7 +11,6 @@ from .linalg import (
     hermitian_eig,
     kron,
     matrix_function_psd,
-    sinc_scaled,
 )
 from .fock import annihilation, number_operator
 from .representations import (

@@ -2,11 +2,12 @@
 
 The coupling Hamiltonian has the block form ``H = R^dag (x) A + R (x) A^dag``
 with ``R`` the atomic lowering operator, so its unitary is available in
-closed form: cosine blocks of ``A A^dag`` and ``A^dag A`` on the diagonal,
-sinc blocks off it. Everything else in the module is built on top of that
-identity: the two-atom Jaynes-Cummings-type Hamiltonian, brute-force state
-evolution, and the closed-form atomic density matrices of the irreducible,
-finite-ensemble, and infinite-ensemble cases.
+closed form from one singular value decomposition ``A = U S V^dag``:
+cos(tS) blocks on the diagonal, sin(tS) blocks off it. Everything else
+in the module is built on top of that identity: the two-atom
+Jaynes-Cummings-type Hamiltonian, brute-force state evolution, and the
+closed-form atomic density matrices of the irreducible, finite-ensemble,
+and infinite-ensemble cases.
 
 Conventions: coupling constant and hbar are 1, time is a dimensionless
 phase. Atom basis index 0 is the excited state |+>, index 1 the ground
@@ -27,9 +28,7 @@ from .linalg import (
     StateVector,
     expm_generator,
     kron,
-    matrix_functions_psd,
     require_square,
-    sinc_scaled,
 )
 from .representations import (
     Representation,
@@ -55,28 +54,32 @@ ATOM_EXCITATIONS = np.array([2.0, 1.0, 1.0, 0.0])
 MAX_ENSEMBLE = 10**6
 
 
-def closed_form_evolution(a, t: float) -> np.ndarray:
+def closed_form_evolution(a, t: float | np.ndarray) -> np.ndarray:
     """Closed-form unitary exp(-i H t) for ``H = R^dag (x) A + R (x) A^dag``.
 
-    Returns the block matrix
+    With the singular value decomposition ``A = U S V^dag`` it is the
+    block matrix
 
-        [[cos(t sqrt(A A^dag)),        -i t sinc(t sqrt(A A^dag)) A   ],
-         [-i t sinc(t sqrt(A^dag A)) A^dag,  cos(t sqrt(A^dag A))     ]]
+        [[U cos(tS) U^dag,      -i U sin(tS) V^dag],
+         [-i V sin(tS) U^dag,    V cos(tS) V^dag  ]]
 
-    which is exact for any square ``A`` (both square roots act on positive
-    operators). The atom factor is ordered (|+>, |->).
+    which is exact for any square ``A`` and has no square root and no
+    removable singularity. The atom factor is ordered (|+>, |->). ``t`` is
+    a scalar (returns a 2d x 2d matrix) or a 1-D array of T times (returns
+    a (T, 2d, 2d) stack); ``A`` is decomposed once for all times.
     """
     arr = require_square(a, "coupling operator")
-    t = float(t)
-    fs = (lambda x: math.cos(t * math.sqrt(x)), lambda x: sinc_scaled(x, t))
-    cos_up, sinc_up = matrix_functions_psd(arr @ arr.conj().T, fs)
-    cos_dn, sinc_dn = matrix_functions_psd(arr.conj().T @ arr, fs)
-    return np.block(
-        [
-            [cos_up, -1j * t * (sinc_up @ arr)],
-            [-1j * t * (sinc_dn @ arr.conj().T), cos_dn],
-        ]
-    )
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValidationError(f"t must be a scalar or a 1-D array, got shape {times.shape}")
+    u, s, vh = np.linalg.svd(arr)
+    uh, v = u.conj().T, vh.conj().T
+    phases = np.multiply.outer(times, s)[..., None, :]
+    cos, sin = np.cos(phases), np.sin(phases)
+    return np.block([
+        [(u * cos) @ uh, -1j * ((u * sin) @ vh)],
+        [-1j * ((v * sin) @ uh), (v * cos) @ vh],
+    ])
 
 
 def coupled_factorization(rep: Representation) -> HilbertFactorization:

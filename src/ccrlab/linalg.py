@@ -12,13 +12,12 @@ coupling Hamiltonian directly on the excitation sectors of its initial
 state (see :func:`ccrlab.dynamics.jc_hamiltonian`), so its largest
 matrices are the field operators, and its largest diagonalization is
 that sector block (see :func:`ccrlab.dynamics.evolve`), not the whole
-coupled space. Functions of a positive-semidefinite matrix share one
-eigendecomposition (:func:`matrix_functions_psd`).
+coupled space. The closed-form propagator takes no matrix function: it
+is one SVD of the coupling (see :func:`ccrlab.dynamics.closed_form_evolution`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Sequence
@@ -31,8 +30,6 @@ from .exceptions import ValidationError
 TOL_HERM = 1e-12
 #: Positivity tolerance: eigenvalues above -TOL_PSD are clamped to zero.
 TOL_PSD = 1e-10
-#: Below this argument magnitude sinc switches to its Taylor branch.
-SINC_SERIES_THRESHOLD = 1e-4
 
 
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -168,15 +165,12 @@ def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def matrix_functions_psd(
-    m, fs: Sequence[Callable[[float], float]]
-) -> list[np.ndarray]:
-    """Apply several scalar functions to one positive-semidefinite Hermitian matrix.
+def matrix_function_psd(m, f: Callable[[float], float]) -> np.ndarray:
+    """Apply a scalar function to a positive-semidefinite Hermitian matrix.
 
-    ``m`` is diagonalized once for all of ``fs``. Eigenvalues in
-    ``[-TOL_PSD, 0)`` are roundoff from constructions such as
-    ``A @ A.conj().T`` and are clamped to zero before each function is
-    applied; anything more negative raises.
+    Eigenvalues in ``[-TOL_PSD, 0)`` are roundoff from constructions such
+    as ``A @ A.conj().T`` and are clamped to zero before ``f`` is applied;
+    anything more negative raises.
     """
     w, v = hermitian_eig(m)
     if w.size and w[0] < -TOL_PSD:
@@ -185,35 +179,8 @@ def matrix_functions_psd(
             f"{w[0]:.3e} < -{TOL_PSD:.1e}"
         )
     w = np.clip(w, 0.0, None)
-    out = []
-    for f in fs:
-        fw = np.array([f(float(x)) for x in w], dtype=complex)
-        out.append((v * fw) @ v.conj().T)
-    return out
-
-
-def matrix_function_psd(m, f: Callable[[float], float]) -> np.ndarray:
-    """Apply a scalar function to a positive-semidefinite Hermitian matrix.
-
-    The one-function case of :func:`matrix_functions_psd`.
-    """
-    return matrix_functions_psd(m, (f,))[0]
-
-
-def sinc_scaled(x: float, t: float) -> float:
-    """Evaluate sin(t sqrt(x)) / (t sqrt(x)) for x >= 0, with sinc(0) = 1.
-
-    A Taylor branch takes over for |t sqrt(x)| < 1e-4 so the removable
-    singularity costs no precision; the two branches agree to ~1e-14 at
-    the crossover.
-    """
-    if x < 0:
-        raise ValidationError(f"sinc_scaled requires x >= 0, got x = {x}")
-    u = t * math.sqrt(x)
-    if abs(u) < SINC_SERIES_THRESHOLD:
-        u2 = u * u
-        return 1.0 - u2 / 6.0 + u2 * u2 / 120.0
-    return math.sin(u) / u
+    fw = np.array([f(float(x)) for x in w], dtype=complex)
+    return (v * fw) @ v.conj().T
 
 
 def _kron_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:

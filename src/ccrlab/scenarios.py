@@ -137,6 +137,8 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.scenario, str):
+            raise ConfigError(f"config key 'scenario' takes a name, got {self.scenario!r}")
         tolerances = _coerce(dict, self.tolerances, "tolerances")
         coerced = {
             "n_max": _coerce(_integer, self.n_max, "n_max"),
@@ -197,11 +199,14 @@ class ScenarioConfig:
 
     @classmethod
     def from_file(cls, path) -> "ScenarioConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise ConfigError(f"cannot read config file {path}: {reason}") from None
         if not isinstance(data, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
         return cls.from_dict(data)
@@ -469,9 +474,9 @@ def _scenario_infinity(cfg: ScenarioConfig) -> ScenarioReport:
     rho_dev = 0.0
     conc_half_pi = None
     propagators = expm_generator(h, cfg.times)
+    local_propagators = dyn.closed_form_evolution(1j * a_single, cfg.times)
     atom_pair = ent.Bipartition(("atom1", "atom2"))
-    for t, u in zip(cfg.times, propagators):
-        u_local = dyn.closed_form_evolution(1j * a_single, t)
+    for t, u, u_local in zip(cfg.times, propagators, local_propagators):
         u_product = reorder_matrix_factors(
             kron(u_local, u_local), (2, m, 2, m), (0, 2, 1, 3)
         )
@@ -683,11 +688,12 @@ def convergence_sweep(cfg: ScenarioConfig) -> ScenarioReport:
     skipped: list[dict] = []
     records: list[dict] = []
 
+    limits = {t: dyn.rho_atoms_limit(t, z1, z2, z) for t in cfg.times}
     distance: dict[tuple[int, float], float] = {}
     for n in n_values:
         closed_rhos = dyn.rho_atoms_reducible(cfg.times, n, z1, z2, z)
         for t, closed in zip(cfg.times, closed_rhos):
-            d = ent.trace_distance(closed, dyn.rho_atoms_limit(t, z1, z2, z))
+            d = ent.trace_distance(closed, limits[t])
             distance[(n, t)] = d
             records.append({
                 "n": n, "t": t, "z1": z1, "z2": z2, "z": z, "trace_distance": d,
@@ -717,9 +723,7 @@ def convergence_sweep(cfg: ScenarioConfig) -> ScenarioReport:
         ))
     if abs(z1 - z2) < 1e-15 and abs(z1 - z) < 1e-15:
         worst = max(
-            ent.trace_distance(
-                dyn.rho_atoms_limit(t, z1, z2, z), dyn.rho_atoms_irreducible(t)
-            )
+            ent.trace_distance(limits[t], dyn.rho_atoms_irreducible(t))
             for t in cfg.times
         )
         checks.append(_check(
@@ -876,7 +880,7 @@ def validate(seed: int = 0) -> ScenarioReport:
             worst = max(worst, float(np.max(np.abs(
                 u_closed - expm_generator(h, t)))))
     add("propagator_closed_form", worst, 1e-10,
-        detail="block cos/sinc form vs exp(-iHt) on random couplings")
+        detail="SVD block form vs exp(-iHt) on random couplings")
 
     # Representations: algebra, vacua, conservation, reductions.
     profile = reps.VacuumProfile.uniform(2)

@@ -14,7 +14,6 @@ from ccrlab.linalg import (
     kron,
     matrix_function_psd,
     reorder_matrix_factors,
-    sinc_scaled,
 )
 from ccrlab.representations import (
     VacuumProfile,
@@ -89,21 +88,56 @@ class TestClosedFormEvolution:
             dyn.closed_form_evolution(np.zeros((2, 3)), 1.0)
 
     @pytest.mark.parametrize("dim", [1, 2, 6])
-    def test_one_eigendecomposition_per_operator_is_bitwise_unchanged(self, dim):
-        # Oracle: each of the four blocks from its own diagonalization.
+    def test_matches_block_cos_sinc_formula(self, dim):
+        # Oracle: the cos/sinc blocks of A A^dag and A^dag A, each from its
+        # own diagonalization.
         rng = np.random.default_rng(57)
         a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         for t in (0.0, 1e-7, 0.9, math.pi / 2):
             aad, ada = a @ a.conj().T, a.conj().T @ a
             cos_of = lambda x: math.cos(t * math.sqrt(x))  # noqa: E731
-            sinc_of = lambda x: sinc_scaled(x, t)  # noqa: E731
+
+            def sinc_of(x):
+                u = t * math.sqrt(x)
+                return math.sin(u) / u if u else 1.0
+
             oracle = np.block([
                 [matrix_function_psd(aad, cos_of),
                  -1j * t * (matrix_function_psd(aad, sinc_of) @ a)],
                 [-1j * t * (matrix_function_psd(ada, sinc_of) @ a.conj().T),
                  matrix_function_psd(ada, cos_of)],
             ])
-            assert np.array_equal(dyn.closed_form_evolution(a, t), oracle)
+            assert np.max(np.abs(dyn.closed_form_evolution(a, t) - oracle)) <= 1e-12
+
+    def test_time_grid_equals_stacked_single_times(self, monkeypatch):
+        rng = np.random.default_rng(58)
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        times = np.array([0.0, 1e-9, 0.3, math.pi / 2, 2 * math.pi])
+        svd_calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda m: svd_calls.append(1) or svd(m))
+        grid = dyn.closed_form_evolution(a, times)
+        assert grid.shape == (5, 8, 8)
+        assert len(svd_calls) == 1  # one decomposition for the whole grid
+        stacked = np.stack([dyn.closed_form_evolution(a, t) for t in times])
+        assert np.array_equal(grid, stacked)
+
+    @pytest.mark.parametrize("a", [
+        np.zeros((3, 3)),
+        np.eye(2),
+        np.diag([1.0, 1.0, 0.0]),
+        1j * fock.annihilation(1),
+        1j * fock.annihilation(4),
+    ], ids=["zero", "identity", "rank-deficient", "fock-1", "fock-4"])
+    def test_degenerate_couplings_match_oracle(self, a):
+        times = np.array([0.0, 1e-9, 2 * math.pi])
+        u = dyn.closed_form_evolution(a, times)
+        u_oracle = expm_generator(coupling_hamiltonian(a), times)
+        assert np.max(np.abs(u - u_oracle)) <= 1e-10
+
+    def test_rejects_two_dimensional_times(self):
+        with pytest.raises(ValidationError, match="1-D"):
+            dyn.closed_form_evolution(np.eye(2), np.zeros((2, 2)))
 
 
 class TestJcHamiltonian:

@@ -11,9 +11,7 @@ from ccrlab.linalg import (
     hermitian_eig,
     kron,
     matrix_function_psd,
-    matrix_functions_psd,
     reorder_matrix_factors,
-    sinc_scaled,
 )
 
 
@@ -91,43 +89,6 @@ class TestMatrixFunctionPsd:
     def test_clamps_roundoff_negativity(self):
         out = matrix_function_psd(np.diag([-1e-12, 1.0]), math.sqrt)
         assert np.allclose(out, np.diag([0.0, 1.0]), atol=1e-12)
-
-    def test_several_functions_equal_single_calls(self):
-        rng = np.random.default_rng(13)
-        a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        psd = a @ a.conj().T
-        fs = (math.sqrt, lambda x: math.cos(math.sqrt(x)), lambda x: 1.0)
-        outs = matrix_functions_psd(psd, fs)
-        assert len(outs) == len(fs)
-        for f, out in zip(fs, outs):
-            assert np.array_equal(out, matrix_function_psd(psd, f))
-
-    def test_several_functions_reject_indefinite(self):
-        with pytest.raises(ValidationError, match="positive semidefinite"):
-            matrix_functions_psd(np.diag([1.0, -0.5]), (math.sqrt, math.cos))
-
-
-class TestSincScaled:
-    def test_removable_singularity(self):
-        assert sinc_scaled(0.0, 0.0) == 1.0
-        assert sinc_scaled(0.0, 3.7) == 1.0
-
-    def test_sine_zero(self):
-        assert abs(sinc_scaled(1.0, math.pi)) <= 1e-15
-
-    def test_direct_value(self):
-        # sin(0.5)/0.5, frozen from scalar evaluation
-        assert sinc_scaled(0.25, 1.0) == pytest.approx(0.958851077208406, abs=1e-15)
-
-    def test_branch_crossover_agreement(self):
-        # straddle the series threshold |t sqrt(x)| = 1e-4
-        for u in (0.99e-4, 1.01e-4):
-            direct = math.sin(u) / u
-            assert sinc_scaled(u * u, 1.0) == pytest.approx(direct, abs=1e-14)
-
-    def test_domain_error(self):
-        with pytest.raises(ValidationError):
-            sinc_scaled(-0.1, 1.0)
 
 
 class TestKron:

@@ -580,6 +580,22 @@ class TestCli:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("case", ["missing", "directory", "not-utf8", "list-scenario"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, case):
+        cfg = tmp_path / "cfg.json"
+        if case == "directory":
+            cfg.mkdir()
+        elif case == "not-utf8":
+            cfg.write_bytes(b'{"scenario": "infinity\xff"}')
+        elif case == "list-scenario":
+            cfg.write_text(json.dumps({"scenario": ["infinity"]}))
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert ("'scenario'" if case == "list-scenario" else str(cfg)) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command, scenario", [
         ("run", "infinity"), ("run", "berezin"), ("run", "reducible-brute"),
         ("run", "reducible-limit"), ("run", "single-mode"),
