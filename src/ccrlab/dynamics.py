@@ -29,6 +29,7 @@ from .linalg import (
     expm_generator,
     kron,
     require_square,
+    time_grid,
 )
 from .representations import (
     Representation,
@@ -69,9 +70,7 @@ def closed_form_evolution(a, t: float | np.ndarray) -> np.ndarray:
     a (T, 2d, 2d) stack); ``A`` is decomposed once for all times.
     """
     arr = require_square(a, "coupling operator")
-    times = np.asarray(t, dtype=float)
-    if times.ndim > 1:
-        raise ValidationError(f"t must be a scalar or a 1-D array, got shape {times.shape}")
+    times = time_grid(t)
     u, s, vh = np.linalg.svd(arr)
     uh, v = u.conj().T, vh.conj().T
     phases = np.multiply.outer(times, s)[..., None, :]
@@ -232,22 +231,26 @@ def evolve(
     return [StateVector(a, psi0.factorization) for a in amps]
 
 
-def rho_atoms_irreducible(t: float) -> np.ndarray:
+def _two_atom_density(mm, pm, mp, coherence) -> np.ndarray:
+    """(T, 4, 4) stack, or 4x4 for scalars, from |--><--|, |+-><+-|, |-+><-+|, |+-><-+|."""
+    rho = np.zeros(np.shape(mm) + (4, 4), dtype=complex)
+    rho[..., IDX_MM, IDX_MM] = mm
+    rho[..., IDX_PM, IDX_PM] = pm
+    rho[..., IDX_MP, IDX_MP] = mp
+    rho[..., IDX_PM, IDX_MP] = rho[..., IDX_MP, IDX_PM] = coherence
+    return rho
+
+
+def rho_atoms_irreducible(t: float | np.ndarray) -> np.ndarray:
     """Two-atom density matrix after time t, any irreducible representation.
 
     cos^2(t) on |--><--| plus a symmetric one-excitation block of weight
-    sin^2(t); maximally entangled at t = pi/2.
+    sin^2(t); maximally entangled at t = pi/2. ``t`` is a scalar (returns
+    a 4x4 matrix) or a 1-D array of T times (returns a (T, 4, 4) stack).
     """
-    t = float(t)
-    rho = np.zeros((4, 4), dtype=complex)
-    c2 = math.cos(t) ** 2
-    s2 = math.sin(t) ** 2
-    rho[IDX_MM, IDX_MM] = c2
-    rho[IDX_PM, IDX_PM] = s2 / 2.0
-    rho[IDX_MP, IDX_MP] = s2 / 2.0
-    rho[IDX_PM, IDX_MP] = s2 / 2.0
-    rho[IDX_MP, IDX_PM] = s2 / 2.0
-    return rho
+    times = time_grid(t)
+    half_s2 = np.sin(times) ** 2 / 2.0
+    return _two_atom_density(np.cos(times) ** 2, half_s2, half_s2, half_s2)
 
 
 def _check_ensemble_params(n: int, z1: float, z2: float, z: float) -> tuple:
@@ -289,10 +292,7 @@ def rho_atoms_reducible(
     (returns a (T, 4, 4) stack); the weights are built once for all times.
     """
     n, z1, z2, z = _check_ensemble_params(n, z1, z2, z)
-    times = np.asarray(t, dtype=float)
-    if times.ndim > 1:
-        raise ConfigError(f"t must be a scalar or a 1-D array, got shape {times.shape}")
-    tt = np.atleast_1d(times)[:, None]
+    tt = time_grid(t)[..., None]
 
     def sector_values(z_k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         support = binomial_support(n, z_k)
@@ -313,33 +313,26 @@ def rho_atoms_reducible(
         n, z1, z2, np.sin(theta1) * np.sqrt(ratio1), np.sin(theta2) * np.sqrt(ratio2)
     )
 
-    rho = np.zeros((tt.shape[0], 4, 4), dtype=complex)
-    rho[:, IDX_MM, IDX_MM] = norm * down
-    rho[:, IDX_PM, IDX_PM] = norm * up1
-    rho[:, IDX_MP, IDX_MP] = norm * up2
-    rho[:, IDX_PM, IDX_MP] = norm * coherence
-    rho[:, IDX_MP, IDX_PM] = norm * coherence
-    return rho if times.ndim else rho[0]
+    return _two_atom_density(norm * down, norm * up1, norm * up2, norm * coherence)
 
 
-def rho_atoms_limit(t: float, z1: float, z2: float, z: float) -> np.ndarray:
+def rho_atoms_limit(t: float | np.ndarray, z1: float, z2: float, z: float) -> np.ndarray:
     """Large-ensemble limit of :func:`rho_atoms_reducible`.
 
     The sector sums concentrate at s/N = Z_k, leaving mode frequencies
     sqrt(Z_k / Z); with Z1 = Z2 = Z this reduces to
-    :func:`rho_atoms_irreducible`.
+    :func:`rho_atoms_irreducible`. ``t`` is a scalar (returns a 4x4
+    matrix) or a 1-D array of T times (returns a (T, 4, 4) stack).
     """
     _, z1, z2, z = _check_ensemble_params(1, z1, z2, z)
-    t = float(t)
+    times = time_grid(t)
     w1 = z1 / (z1 + z2)
     w2 = z2 / (z1 + z2)
-    th1 = t * math.sqrt(z1 / z)
-    th2 = t * math.sqrt(z2 / z)
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[IDX_MM, IDX_MM] = w1 * math.cos(th1) ** 2 + w2 * math.cos(th2) ** 2
-    rho[IDX_PM, IDX_PM] = w1 * math.sin(th1) ** 2
-    rho[IDX_MP, IDX_MP] = w2 * math.sin(th2) ** 2
-    coherence = math.sqrt(w1 * w2) * math.sin(th1) * math.sin(th2)
-    rho[IDX_PM, IDX_MP] = coherence
-    rho[IDX_MP, IDX_PM] = coherence
-    return rho
+    th1 = times * math.sqrt(z1 / z)
+    th2 = times * math.sqrt(z2 / z)
+    return _two_atom_density(
+        w1 * np.cos(th1) ** 2 + w2 * np.cos(th2) ** 2,
+        w1 * np.sin(th1) ** 2,
+        w2 * np.sin(th2) ** 2,
+        math.sqrt(w1 * w2) * np.sin(th1) * np.sin(th2),
+    )

@@ -212,6 +212,14 @@ def embed_operator(op, dims: Sequence[int], slot: int) -> np.ndarray:
     return kron(*parts)
 
 
+def time_grid(t) -> np.ndarray:
+    """``t`` as floats; anything but a scalar or a 1-D grid is a ValidationError."""
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValidationError(f"t must be a scalar or a 1-D array, got shape {times.shape}")
+    return times
+
+
 def expm_generator(h, t: float | np.ndarray) -> np.ndarray:
     """Unitary ``exp(-i h t)`` of a Hermitian generator, via its spectrum.
 
@@ -220,9 +228,7 @@ def expm_generator(h, t: float | np.ndarray) -> np.ndarray:
     array of T times (returns a (T, d, d) stack); ``h`` is diagonalized
     once for all times.
     """
-    times = np.asarray(t, dtype=float)
-    if times.ndim > 1:
-        raise ValidationError(f"t must be a scalar or a 1-D array, got shape {times.shape}")
+    times = time_grid(t)
     w, v = hermitian_eig(h)
     phases = np.exp(-1j * np.multiply.outer(times, w))
     return (v * phases[..., None, :]) @ v.conj().T

@@ -583,7 +583,7 @@ class TestReducibleCoherence:
             assert np.max(np.abs(rho - single)) <= 1e-15
 
     def test_rejects_two_dimensional_times(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValidationError, match="1-D"):
             dyn.rho_atoms_reducible(np.zeros((2, 2)), 3, 0.5, 0.5, 0.5)
 
     @pytest.mark.parametrize("z1, z2, z", [
@@ -706,3 +706,61 @@ class TestNormalizationConstant:
         ) / math.sqrt(2.0)
         # sqrt(2 / (Z1 + Z2)) with Z1 + Z2 = 0.4
         assert 1.0 / np.linalg.norm(raw) == pytest.approx(math.sqrt(5.0), abs=1e-12)
+
+
+def _grid_routines():
+    """Each time-dependent routine as t -> array, on small fixed inputs."""
+    rng = np.random.default_rng(59)
+    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    h = coupling_hamiltonian(a)
+    rep = build_reducible(2, VacuumProfile.uniform(2), 1)
+    psi0 = dyn.single_photon_initial_state(rep, ("k1", "k2"))
+
+    def evolved(t):
+        out = dyn.evolve(rep, coupling_pairs(("k1", "k2")), psi0, t)
+        if isinstance(out, list):
+            return np.array([psi.amplitudes for psi in out])
+        return out.amplitudes
+
+    return {
+        "expm_generator": lambda t: expm_generator(h, t),
+        "closed_form_evolution": lambda t: dyn.closed_form_evolution(a, t),
+        "evolve": evolved,
+        "simulated_atomic_density":
+            lambda t: simulated_atomic_density(rep, t, ("k1", "k2")),
+        "rho_atoms_reducible": lambda t: dyn.rho_atoms_reducible(t, 1000, 0.2, 0.05, 0.2),
+        "rho_atoms_limit": lambda t: dyn.rho_atoms_limit(t, 0.3, 0.2, 0.4),
+        "rho_atoms_irreducible": dyn.rho_atoms_irreducible,
+    }
+
+
+GRID_ROUTINE_NAMES = sorted(_grid_routines())
+
+
+class TestTimeGridContract:
+    """A 1-D t gives the stack of scalar calls; a 2-D t is a ValidationError."""
+
+    TIMES = np.array([0.0, 0.3, math.pi / 2, 2.9])
+
+    @pytest.mark.parametrize("name", GRID_ROUTINE_NAMES)
+    def test_grid_entries_are_the_scalar_calls(self, name):
+        routine = _grid_routines()[name]
+        stacked = routine(self.TIMES)
+        assert len(stacked) == self.TIMES.size
+        for t, entry in zip(self.TIMES, stacked):
+            single = routine(t)
+            assert single.shape == entry.shape
+            if name == "rho_atoms_reducible":
+                # the joint sector sum's batched FFT moves the coherence
+                # by ~1e-16 against a single-time call
+                coherence = (
+                    [dyn.IDX_PM, dyn.IDX_MP], [dyn.IDX_MP, dyn.IDX_PM])
+                assert np.max(np.abs(entry[coherence] - single[coherence])) <= 1e-15
+                entry, single = entry.copy(), single.copy()
+                entry[coherence] = single[coherence] = 0.0
+            assert np.array_equal(entry, single)
+
+    @pytest.mark.parametrize("name", GRID_ROUTINE_NAMES)
+    def test_two_dimensional_times_raise(self, name):
+        with pytest.raises(ValidationError, match="1-D"):
+            _grid_routines()[name](np.zeros((2, 2)))

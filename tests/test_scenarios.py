@@ -78,12 +78,10 @@ class TestConfig:
             "scenario": "reducible-limit",
             "N": [100, 1000],
             "profile": {"kind": "uniform", "modes": 4},
-            "seed": 9,
         }))
         cfg = ScenarioConfig.from_file(path)
         assert cfg.scenario == "reducible-limit"
         assert cfg.n_values == (100, 1000)
-        assert cfg.seed == 9
 
     def test_unknown_scenario(self):
         with pytest.raises(ConfigError, match="unknown scenario"):
@@ -390,7 +388,7 @@ class TestReports:
                                       abs=0.0)
 
     def test_byte_identical_reruns(self):
-        cfg = ScenarioConfig(scenario="reducible-brute", seed=5)
+        cfg = ScenarioConfig(scenario="reducible-brute")
         a = run_scenario(cfg)
         b = run_scenario(cfg)
         assert a.json_bytes() == b.json_bytes()
@@ -523,13 +521,22 @@ class TestCli:
 
     def test_scenario_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"scenario": "infinity", "seed": 2}))
+        cfg.write_text(json.dumps(
+            {"scenario": "infinity", "tolerances": {"rho_match": 1e-9}}))
         code = cli.main(["run", "--scenario", "berezin", "--config", str(cfg),
                          "--out", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "berezin.json").exists()
         payload = json.loads((tmp_path / "berezin.json").read_text())
-        assert payload["provenance"]["config"]["seed"] == 2
+        assert payload["provenance"]["config"]["tolerances"] == {"rho_match": 1e-9}
+
+    def test_seed_is_not_a_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": "infinity", "seed": 2}))
+        code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: unknown config key 'seed'")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, config", [
         ("run", {"scenario": "single-mode", "N": [1, 2]}),
@@ -604,7 +611,7 @@ class TestCli:
     def test_empty_list_and_boolean_are_config_errors(
             self, tmp_path, capsys, command, scenario):
         for key, value in (("times", []), ("N", []), ("N", True), ("N", [2, True]),
-                           ("times", [0.0, True]), ("seed", False)):
+                           ("times", [0.0, True])):
             cfg = tmp_path / "bad.json"
             cfg.write_text(json.dumps({"scenario": scenario, key: value}))
             code = cli.main([command, "--config", str(cfg),
@@ -643,7 +650,7 @@ class TestCli:
 
     @pytest.mark.parametrize("key, value, shape", [
         ("N", 10.7, "scalar"), ("n_max", 1.5, "scalar"), ("d", 2.5, "scalar"),
-        ("cutoff", 1.25, "scalar"), ("seed", 3.5, "scalar"),
+        ("cutoff", 1.25, "scalar"),
         ("profile.modes", 3.5, "scalar"),
         ("N", [10.7, 100], "list"),
         ("profile.window", [0, 1.5], "pair"), ("profile.selected", [0, 1.5], "pair"),
@@ -665,9 +672,9 @@ class TestCli:
 
     def test_integral_floats_are_integers(self):
         cfg = ScenarioConfig.from_dict(
-            {"scenario": "reducible-limit", "N": [1e3, 1e6], "n_max": 2.0, "seed": 7.0})
-        assert cfg.n_values == (1000, 10**6) and cfg.n_max == 2 and cfg.seed == 7
-        assert all(type(v) is int for v in (*cfg.n_values, cfg.n_max, cfg.seed))
+            {"scenario": "reducible-limit", "N": [1e3, 1e6], "n_max": 2.0})
+        assert cfg.n_values == (1000, 10**6) and cfg.n_max == 2
+        assert all(type(v) is int for v in (*cfg.n_values, cfg.n_max))
         profile, selected = profile_from_spec(
             {"kind": "plateau", "modes": 4.0, "window": [0.0, 1.0], "selected": [0.0, 3.0]})
         assert len(profile.labels) == 4 and selected == ("k1", "k4")
