@@ -3,11 +3,23 @@
 The coupling Hamiltonian has the block form ``H = R^dag (x) A + R (x) A^dag``
 with ``R`` the atomic lowering operator, so its unitary is available in
 closed form from one singular value decomposition ``A = U S V^dag``:
-cos(tS) blocks on the diagonal, sin(tS) blocks off it. Everything else
-in the module is built on top of that identity: the two-atom
-Jaynes-Cummings-type Hamiltonian, brute-force state evolution, and the
-closed-form atomic density matrices of the irreducible, finite-ensemble,
-and infinite-ensemble cases.
+cos(tS) blocks on the diagonal, sin(tS) blocks off it. The module also
+assembles the two-atom Jaynes-Cummings-type Hamiltonian, evolves states
+by brute force, and gives the atomic density in closed form.
+
+The closed forms of the irreducible, finite-ensemble and large-ensemble
+cases share one body: a representation enters the atomic density only
+through mu, the joint vacuum distribution of the eigenvalues (r1, r2)
+of the central elements I_1 and I_2. With
+theta_k = t sqrt(r_k / Z) (the generator is H / sqrt(Z)) and
+norm = 1 / E[r1 + r2], taken from mu's exact means:
+
+    |+-><+-| = norm E[r1 sin^2 theta1], |-+><-+| likewise with r2,
+    |--><--| = norm E[r1 cos^2 theta1 + r2 cos^2 theta2],
+    |+-><-+| = norm E[sqrt(r1 r2) sin theta1 sin theta2].
+
+Each closed form takes ``t`` as a scalar (a 4x4 result) or a 1-D array
+of T times (a (T, 4, 4) stack) and builds mu once for all times.
 
 Conventions: coupling constant and hbar are 1, time is a dimensionless
 phase. Atom basis index 0 is the excited state |+>, index 1 the ground
@@ -42,8 +54,7 @@ from .representations import (
 
 #: Atomic lowering operator R: |+> -> |->, R^2 = 0.
 ATOM_LOWERING = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-#: Excited and ground kets in the (|+>, |->) basis.
-KET_EXCITED = np.array([1.0, 0.0], dtype=complex)
+#: Ground ket in the (|+>, |->) basis.
 KET_GROUND = np.array([0.0, 1.0], dtype=complex)
 
 #: Indices into the two-atom basis (|++>, |+->, |-+>, |-->).
@@ -231,26 +242,43 @@ def evolve(
     return [StateVector(a, psi0.factorization) for a in amps]
 
 
-def _two_atom_density(mm, pm, mp, coherence) -> np.ndarray:
-    """(T, 4, 4) stack, or 4x4 for scalars, from |--><--|, |+-><+-|, |-+><-+|, |+-><-+|."""
-    rho = np.zeros(np.shape(mm) + (4, 4), dtype=complex)
-    rho[..., IDX_MM, IDX_MM] = mm
-    rho[..., IDX_PM, IDX_PM] = pm
-    rho[..., IDX_MP, IDX_MP] = mp
-    rho[..., IDX_PM, IDX_MP] = rho[..., IDX_MP, IDX_PM] = coherence
+def _central_measure_density(t, z: float, marginals, joint) -> np.ndarray:
+    """The two-atom density of a central spectral measure mu (module docstring).
+
+    ``marginals`` holds (points, weights, exact mean) of r1 and of r2;
+    ``joint(g1, g2)`` is E[g1(r1) g2(r2)] for g1, g2 tabulated over the
+    points along their last axis.
+    """
+    tt = time_grid(t)[..., None]
+    norm = 1.0 / (marginals[0][2] + marginals[1][2])
+    rho = np.zeros(tt.shape[:-1] + (4, 4), dtype=complex)
+    amplitude = []
+    for idx, (r, w, _) in zip((IDX_PM, IDX_MP), marginals):
+        theta = tt * np.sqrt(r / z)
+        sin = np.sin(theta)
+        rho[..., idx, idx] = norm * np.sum(sin**2 * r * w, axis=-1)
+        rho[..., IDX_MM, IDX_MM] += np.sum(np.cos(theta) ** 2 * r * w, axis=-1)
+        amplitude.append(sin * np.sqrt(r))
+    rho[..., IDX_MM, IDX_MM] *= norm
+    rho[..., IDX_PM, IDX_MP] = rho[..., IDX_MP, IDX_PM] = norm * joint(*amplitude)
     return rho
+
+
+def _point_mass_density(t, z: float, r1: float, r2: float) -> np.ndarray:
+    """:func:`_central_measure_density` of the point mass at (r1, r2)."""
+    marginals = [(np.array([r]), np.ones(1), r) for r in (r1, r2)]
+    return _central_measure_density(
+        t, z, marginals, lambda g1, g2: g1[..., 0] * g2[..., 0])
 
 
 def rho_atoms_irreducible(t: float | np.ndarray) -> np.ndarray:
     """Two-atom density matrix after time t, any irreducible representation.
 
-    cos^2(t) on |--><--| plus a symmetric one-excitation block of weight
-    sin^2(t); maximally entangled at t = pi/2. ``t`` is a scalar (returns
-    a 4x4 matrix) or a 1-D array of T times (returns a (T, 4, 4) stack).
+    mu is the point mass at (1, 1) with Z = 1: cos^2(t) on |--><--| plus
+    a symmetric one-excitation block of weight sin^2(t), maximally
+    entangled at t = pi/2.
     """
-    times = time_grid(t)
-    half_s2 = np.sin(times) ** 2 / 2.0
-    return _two_atom_density(np.cos(times) ** 2, half_s2, half_s2, half_s2)
+    return _point_mass_density(t, 1.0, 1.0, 1.0)
 
 
 def _check_ensemble_params(n: int, z1: float, z2: float, z: float) -> tuple:
@@ -276,63 +304,30 @@ def rho_atoms_reducible(
 ) -> np.ndarray:
     """Two-atom density matrix for the N-oscillator reducible representation.
 
-    Sector sums over the spectrum {s/N} of the central elements: diagonal
-    terms carry binomial vacuum weights per mode, the |+-><-+| coherence
-    carries the joint multinomial weight (which vanishes identically for
-    s + s' > N, killing the coherence at N = 1). Every weight is the
-    float64 exponential of an extended-precision log from the anchored
-    recurrence of :func:`~ccrlab.representations.log_binomial_weights`;
-    the joint sum runs as a 1-D convolution of such tables
-    (:func:`~ccrlab.representations.joint_sector_sum`), taken by FFT for
-    all times at once; the direct O(|s| |s'|) product took most of the
-    call at N = 1e6. Oscillation frequencies are sqrt(s/(N Z)) as
-    produced by the H/sqrt(Z) generator.
-
-    ``t`` is a scalar (returns a 4x4 matrix) or a 1-D array of T times
-    (returns a (T, 4, 4) stack); the weights are built once for all times.
+    mu is the multinomial vacuum distribution of (s/N, s'/N): binomial
+    marginals over :func:`~ccrlab.representations.binomial_support`,
+    each weight the float64 exponential of an extended-precision log
+    (:func:`~ccrlab.representations.log_binomial_weights`), and the joint
+    sum :func:`~ccrlab.representations.joint_sector_sum`, one FFT
+    convolution for all times. The multinomial weight vanishes for
+    s + s' > N, which kills the coherence at N = 1.
     """
     n, z1, z2, z = _check_ensemble_params(n, z1, z2, z)
-    tt = time_grid(t)[..., None]
-
-    def sector_values(z_k: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    marginals = []
+    for z_k in (z1, z2):
         support = binomial_support(n, z_k)
-        ratio = support / n
         weights = np.exp(log_binomial_weights(n, support, z_k).astype(float))
-        return ratio, weights, tt * np.sqrt(ratio / z)
-
-    ratio1, w1, theta1 = sector_values(z1)
-    ratio2, w2, theta2 = sector_values(z2)
-
-    norm = 1.0 / (z1 + z2)
-    up1 = np.sum(np.sin(theta1) ** 2 * ratio1 * w1, axis=-1)
-    up2 = np.sum(np.sin(theta2) ** 2 * ratio2 * w2, axis=-1)
-    down = np.sum(np.cos(theta1) ** 2 * ratio1 * w1, axis=-1) + np.sum(
-        np.cos(theta2) ** 2 * ratio2 * w2, axis=-1
-    )
-    coherence = joint_sector_sum(
-        n, z1, z2, np.sin(theta1) * np.sqrt(ratio1), np.sin(theta2) * np.sqrt(ratio2)
-    )
-
-    return _two_atom_density(norm * down, norm * up1, norm * up2, norm * coherence)
+        marginals.append((support / n, weights, z_k))
+    return _central_measure_density(
+        t, z, marginals, lambda g1, g2: joint_sector_sum(n, z1, z2, g1, g2))
 
 
 def rho_atoms_limit(t: float | np.ndarray, z1: float, z2: float, z: float) -> np.ndarray:
     """Large-ensemble limit of :func:`rho_atoms_reducible`.
 
-    The sector sums concentrate at s/N = Z_k, leaving mode frequencies
-    sqrt(Z_k / Z); with Z1 = Z2 = Z this reduces to
-    :func:`rho_atoms_irreducible`. ``t`` is a scalar (returns a 4x4
-    matrix) or a 1-D array of T times (returns a (T, 4, 4) stack).
+    The multinomial concentrates at s/N = Z_k, so mu is the point mass at
+    (Z1, Z2): mode frequencies sqrt(Z_k / Z). With Z1 = Z2 = Z this is
+    :func:`rho_atoms_irreducible`.
     """
     _, z1, z2, z = _check_ensemble_params(1, z1, z2, z)
-    times = time_grid(t)
-    w1 = z1 / (z1 + z2)
-    w2 = z2 / (z1 + z2)
-    th1 = times * math.sqrt(z1 / z)
-    th2 = times * math.sqrt(z2 / z)
-    return _two_atom_density(
-        w1 * np.cos(th1) ** 2 + w2 * np.cos(th2) ** 2,
-        w1 * np.sin(th1) ** 2,
-        w2 * np.sin(th2) ** 2,
-        math.sqrt(w1 * w2) * np.sin(th1) * np.sin(th2),
-    )
+    return _point_mass_density(t, z, z1, z2)

@@ -547,14 +547,6 @@ def _xlogy_ld(x: np.ndarray, y) -> np.ndarray:
     return np.where(x == 0, _LD(0), out)
 
 
-def _log_binom_small(n: int, k_max: int) -> np.ndarray:
-    """ln C(n, k) for k = 0..k_max, by the exact product recurrence."""
-    k_max = min(k_max, n)
-    k = np.arange(1, k_max + 1, dtype=_LD)
-    steps = np.log(_LD(n) - k + 1) - np.log(k)
-    return np.concatenate([np.zeros(1, dtype=_LD), np.cumsum(steps)])
-
-
 def _log_binom_stirling(n, s):
     """Half-log and correction pieces of Stirling's series for ln C(n, s).
 
@@ -595,7 +587,9 @@ def _log_binomial_direct(n: int, s: np.ndarray, z) -> np.ndarray:
     mid = ~(lo | hi)
 
     if lo.any() or hi.any():
-        table = _log_binom_small(n, _SMALL_SECTOR)
+        # ln C(n, k) for k = 0.._SMALL_SECTOR, by the exact product recurrence
+        table = _anchored_cumsum(lambda j: np.log(n_ld - j + 1) - np.log(j),
+                                 0, min(_SMALL_SECTOR, n), 0)
         edge = lo | hi
         idx = np.where(lo, s, n - s)[edge]
         out[edge] = (

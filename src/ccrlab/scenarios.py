@@ -100,11 +100,13 @@ def _integer(value) -> int:
 
 
 def _seed(value) -> int:
-    """:func:`validate`'s seed: an integer in [0, 2**64), else a ConfigError."""
-    seed = _coerce(_integer, value, "seed")
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    return seed
+    """:func:`validate`'s seed: an integer in [0, 2**64), not a boolean, else a ConfigError."""
+    try:
+        if not isinstance(value, bool) and 0 <= (seed := _integer(value)) < 2**64:
+            return seed
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"seed must be an unsigned 64-bit integer, got {value!r}")
 
 
 def _tuple_of(convert):
@@ -914,7 +916,7 @@ def validate(seed: int = 0) -> ScenarioReport:
     )
     add("irreducible_reps_agree", worst, 1e-10)
 
-    worst = 0.0
+    worst = spectrum = 0.0
     cut_reps = []
     for n in (1, 2, 3):
         rep = built["reducible"] if n == 2 else reps.build_reducible(n, profile, 1)
@@ -923,7 +925,15 @@ def validate(seed: int = 0) -> ScenarioReport:
         brute_rhos = simulated_atomic_density(rep, times, ("k1", "k2"))
         for brute, closed in zip(brute_rhos, closed_rhos):
             worst = max(worst, ent.trace_distance(brute, closed))
+        # evolve's generator H / sqrt(Z) has eigenvalues +-sqrt(s / (N Z)) on
+        # the one-excitation sector: N Z lambda^2 = N eig(H)^2 is s in 0..N
+        h = dyn.jc_hamiltonian(rep, [("k1", 0), ("k2", 1)],
+                               sector=dyn.excitation_numbers(rep) == 1)
+        x = n * np.linalg.eigvalsh(h) ** 2
+        spectrum = max(spectrum, float(np.max(np.abs(x - np.clip(np.round(x), 0, n)))))
     add("ensemble_reduction_brute_force", worst, 1e-8)
+    add("sector_spectrum_integers", spectrum, 1e-12,
+        detail="N Z lambda^2 of the sector generator H / sqrt(Z) vs 0..N, N = 1, 2, 3")
 
     worst = worst_direct = 0.0
     marginals = {}  # N = 1000 weights by z, reused by joint_sum_marginals

@@ -654,6 +654,42 @@ class TestFloat64Exponentials:
         assert np.max(np.abs(got - expected)) <= 1e-14
 
 
+class TestExplicitMeasure:
+    """rho_atoms_reducible against its central spectral measure written out:
+    every point (s/N, s'/N) with s + s' <= N and its multinomial weight
+    from ``math.comb``, shared with none of the sector-sum machinery."""
+
+    @staticmethod
+    def explicit_density(times, n, z1, z2, z):
+        points = [(s, sp) for s in range(n + 1) for sp in range(n + 1 - s)]
+        w = np.array([math.comb(n, s) * math.comb(n - s, sp) * z1**s * z2**sp
+                      * (1.0 - z1 - z2) ** (n - s - sp) for s, sp in points])
+        r1, r2 = (np.array(p) / n for p in zip(*points))
+        theta1 = times[:, None] * np.sqrt(r1 / z)
+        theta2 = times[:, None] * np.sqrt(r2 / z)
+        norm = 1.0 / np.sum(w * (r1 + r2))
+
+        def mean(values):
+            return norm * np.sum(w * values, axis=-1)
+
+        rho = np.zeros((times.size, 4, 4))
+        rho[:, dyn.IDX_PM, dyn.IDX_PM] = mean(r1 * np.sin(theta1) ** 2)
+        rho[:, dyn.IDX_MP, dyn.IDX_MP] = mean(r2 * np.sin(theta2) ** 2)
+        rho[:, dyn.IDX_MM, dyn.IDX_MM] = mean(
+            r1 * np.cos(theta1) ** 2 + r2 * np.cos(theta2) ** 2)
+        rho[:, dyn.IDX_PM, dyn.IDX_MP] = rho[:, dyn.IDX_MP, dyn.IDX_PM] = mean(
+            np.sqrt(r1 * r2) * np.sin(theta1) * np.sin(theta2))
+        return rho
+
+    @pytest.mark.parametrize("n, z1, z2, z", [
+        (1, 0.3, 0.2, 0.4), (7, 0.25, 0.1, 0.25), (12, 0.3, 0.2, 0.4)])
+    def test_matches_enumerated_multinomial(self, n, z1, z2, z):
+        times = np.linspace(0.0, 3.0, 7)
+        expected = self.explicit_density(times, n, z1, z2, z)
+        got = dyn.rho_atoms_reducible(times, n, z1, z2, z)
+        assert np.max(np.abs(got - expected)) <= 1e-14
+
+
 class TestLimitDensity:
     @pytest.mark.parametrize("t", TIME_GRID)
     def test_plateau_case_equals_irreducible(self, t):

@@ -456,6 +456,32 @@ class TestValidate:
         with pytest.raises(ConfigError, match="seed"):
             validate(seed=seed)
 
+    @pytest.mark.parametrize("seed", [True, 3.5, "x"])
+    def test_bad_seed_message_names_the_seed_not_a_config_key(self, seed):
+        with pytest.raises(ConfigError) as info:
+            validate(seed=seed)
+        message = str(info.value)
+        assert message.startswith("seed must be an unsigned 64-bit integer")
+        assert repr(seed) in message
+        assert "config key" not in message
+
+    def test_sector_spectrum_check_detects_a_scaled_mode(self, monkeypatch):
+        check = {c.name: c for c in validate(seed=0).checks}[
+            "sector_spectrum_integers"]
+        assert check.passed and check.measured <= 1e-14
+        original = reps.build_reducible
+
+        def scaled(*args, **kwargs):
+            rep = original(*args, **kwargs)
+            rep.lowering["k1"] = rep.lowering["k1"] * (1.0 + 1e-6)
+            return rep
+
+        monkeypatch.setattr(reps, "build_reducible", scaled)
+        report = validate(seed=0)
+        check = {c.name: c for c in report.checks}["sector_spectrum_integers"]
+        assert not check.passed and check.measured > 1e-6
+        assert not report.passed
+
     def test_builds_each_reducible_representation_once(self, monkeypatch):
         calls = []
         original = reps.build_reducible
