@@ -13,7 +13,6 @@ import math
 
 from ccrlab import (
     Bipartition,
-    DensityMatrix,
     build_infinity_two_mode,
     concurrence,
     evolve,
@@ -40,8 +39,7 @@ print(" t/pi   concurrence   sin^2(t)   distance to closed form")
 for frac in (0.0, 0.125, 0.25, 0.375, 0.5):
     t = frac * math.pi
     psi = evolve(rep, pairs, psi0, t)
-    atoms = partial_trace(DensityMatrix.from_state(psi),
-                          Bipartition(("atom1", "atom2")))
+    atoms = partial_trace(psi, Bipartition(("atom1", "atom2")))
     c = concurrence(atoms.matrix)
     d = trace_distance(atoms.matrix, rho_atoms_irreducible(t))
     print(f" {frac:4.3f}   {c:11.9f}   {math.sin(t)**2:8.6f}   {d:.2e}")

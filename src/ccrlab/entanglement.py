@@ -3,9 +3,10 @@
 Every measure here is relative to a bipartition of labeled factors; that
 bookkeeping is the point, since the same vector can be entangled or not
 depending on which factorization one declares. Scalar measures
-(entropy, concurrence, trace distance) act on plain Hermitian matrices;
-partial traces and Schmidt cuts need a :class:`DensityMatrix` or
-:class:`~ccrlab.linalg.StateVector` carrying its factorization.
+(entropy, concurrence, trace distance) act on plain Hermitian matrices.
+Reductions (partial traces, Schmidt cuts, marginal entropies) take pure
+states: a :class:`~ccrlab.linalg.StateVector` carrying its factorization,
+regrouped across the cut by :func:`~ccrlab.linalg.matricize`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ValidationError
-from .linalg import HilbertFactorization, StateVector, require_square
+from .linalg import HilbertFactorization, StateVector, matricize, require_square
 
 #: Eigenvalues above -EIG_CLAMP are treated as roundoff and clamped to 0;
 #: anything more negative is rejected as a genuine positivity violation.
@@ -48,17 +49,19 @@ class Bipartition:
 
     def axes(self, fact: HilbertFactorization) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(kept axes, discarded axes), each in the factorization's order."""
-        kept = set(self.keep)
-        for lab in self.keep:
-            fact.index(lab)
-        keep_axes = tuple(i for i, lab in enumerate(fact.labels) if lab in kept)
-        drop_axes = tuple(i for i, lab in enumerate(fact.labels) if lab not in kept)
+        keep_axes = tuple(sorted(fact.index(lab) for lab in self.keep))
+        drop_axes = tuple(i for i in range(len(fact.factors)) if i not in keep_axes)
         return keep_axes, drop_axes
 
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian unit-trace PSD matrix with its declared factorization."""
+    """Hermitian unit-trace matrix with its declared factorization.
+
+    Only Hermiticity and unit trace are checked on construction; positivity
+    is checked where a spectrum is taken (:func:`von_neumann_entropy`,
+    :func:`concurrence`).
+    """
 
     matrix: np.ndarray
     factorization: HilbertFactorization
@@ -82,26 +85,22 @@ class DensityMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    @classmethod
-    def from_state(cls, psi: StateVector) -> "DensityMatrix":
-        amp = psi.normalized().amplitudes
-        return cls(np.outer(amp, amp.conj()), psi.factorization)
 
-
-def partial_trace(rho: DensityMatrix, bipartition: Bipartition) -> DensityMatrix:
-    """Trace out the discarded factors, keeping the rest in original order."""
-    fact = rho.factorization
+def _cut_matrix(psi: StateVector, bipartition: Bipartition) -> np.ndarray:
+    """The amplitudes as a (kept x discarded) matrix, each side in factor order."""
+    fact = psi.factorization
     keep_axes, drop_axes = bipartition.axes(fact)
-    dims = fact.dims
-    n = len(dims)
-    tensor = rho.matrix.reshape(dims + dims)
-    row_ids = list(range(n))
-    col_ids = [i if i in drop_axes else n + i for i in range(n)]
-    out_ids = [i for i in keep_axes] + [n + i for i in keep_axes]
-    reduced = np.einsum(tensor, row_ids + col_ids, out_ids)
-    kept_fact = fact.subset([fact.labels[i] for i in keep_axes])
-    d = kept_fact.dim
-    return DensityMatrix(reduced.reshape(d, d), kept_fact)
+    return matricize(psi.amplitudes, fact.dims, keep_axes, drop_axes)
+
+
+def partial_trace(psi: StateVector, bipartition: Bipartition) -> DensityMatrix:
+    """Density of the kept factors of a pure state, in the factorization's order.
+
+    With M the normalized state as a (kept x discarded) matrix, the
+    reduced density is M M^dag; no joint density matrix is formed.
+    """
+    m = _cut_matrix(psi.normalized(), bipartition)
+    return DensityMatrix(m @ m.conj().T, psi.factorization.subset(bipartition.keep))
 
 
 def schmidt_coefficients(psi: StateVector, bipartition: Bipartition) -> np.ndarray:
@@ -110,14 +109,7 @@ def schmidt_coefficients(psi: StateVector, bipartition: Bipartition) -> np.ndarr
     Nonincreasing; their squares sum to one for a normalized state. A
     single nonzero coefficient means a product state across the cut.
     """
-    fact = psi.factorization
-    keep_axes, drop_axes = bipartition.axes(fact)
-    dims = fact.dims
-    tensor = psi.amplitudes.reshape(dims)
-    ordered = tensor.transpose(keep_axes + drop_axes)
-    d_keep = int(np.prod([dims[i] for i in keep_axes], dtype=np.int64))
-    d_drop = int(np.prod([dims[i] for i in drop_axes], dtype=np.int64)) if drop_axes else 1
-    return np.linalg.svd(ordered.reshape(d_keep, d_drop), compute_uv=False)
+    return np.linalg.svd(_cut_matrix(psi, bipartition), compute_uv=False)
 
 
 def operator_schmidt_coefficients(
@@ -130,24 +122,18 @@ def operator_schmidt_coefficients(
     single nonzero entry certifies ``op = op_keep (x) op_rest``.
     """
     arr = require_square(op, "operator")
-    dims = fact.dims
-    n = len(dims)
     if arr.shape[0] != fact.dim:
         raise ValidationError(
             f"operator dimension {arr.shape[0]} does not match factorization "
             f"dimension {fact.dim}"
         )
+    n = len(fact.dims)
     keep_axes, drop_axes = bipartition.axes(fact)
-    tensor = arr.reshape(dims + dims)
-    perm = (
-        keep_axes
-        + tuple(n + i for i in keep_axes)
-        + drop_axes
-        + tuple(n + i for i in drop_axes)
+    mat = matricize(
+        arr, fact.dims + fact.dims,
+        keep_axes + tuple(n + i for i in keep_axes),
+        drop_axes + tuple(n + i for i in drop_axes),
     )
-    d_keep = int(np.prod([dims[i] for i in keep_axes], dtype=np.int64))
-    d_drop = int(np.prod([dims[i] for i in drop_axes], dtype=np.int64)) if drop_axes else 1
-    mat = tensor.transpose(perm).reshape(d_keep * d_keep, d_drop * d_drop)
     sv = np.linalg.svd(mat, compute_uv=False)
     total = float(np.linalg.norm(sv))
     if total == 0.0:
@@ -171,15 +157,19 @@ def _clamped_spectrum(m: np.ndarray) -> np.ndarray:
     return np.clip(w, 0.0, None)
 
 
+def _entropy(p: np.ndarray) -> float:
+    """-sum p ln p in nats over the positive weights, so 0 ln 0 = 0."""
+    p = p[p > 0.0]
+    return float(-np.sum(p * np.log(p)) + 0.0)
+
+
 def von_neumann_entropy(rho) -> float:
     """Entropy -sum p ln p in nats, with 0 ln 0 = 0.
 
     Eigenvalues within the roundoff clamp of zero are set to zero first;
     larger negativity raises.
     """
-    w = _clamped_spectrum(_density_array(rho))
-    w = w[w > 0.0]
-    return float(-np.sum(w * np.log(w)) + 0.0) if w.size else 0.0
+    return _entropy(_clamped_spectrum(_density_array(rho)))
 
 
 def concurrence(rho) -> float:
@@ -228,7 +218,4 @@ def marginal_entropy(
     psi: StateVector, bipartition: Bipartition
 ) -> float:
     """Entropy of the kept marginal of a pure state, from its Schmidt spectrum."""
-    sv = schmidt_coefficients(psi, bipartition)
-    p = sv**2
-    p = p[p > 0.0]
-    return float(-np.sum(p * np.log(p)) + 0.0) if p.size else 0.0
+    return _entropy(schmidt_coefficients(psi, bipartition) ** 2)

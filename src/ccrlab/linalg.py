@@ -2,22 +2,26 @@
 
 Everything here is deterministic and pure: Hermitian eigendecomposition,
 matrix functions of positive-semidefinite operators, Kronecker products,
-the spectral matrix exponential used as the dynamics oracle, and the
-bookkeeping types that pin a vector to an explicit tensor factorization.
+the spectral matrix exponential used as the dynamics oracle, the
+bookkeeping types that pin a vector to an explicit tensor factorization,
+and :func:`matricize`, the one regrouping of a tensor across a cut.
 
 All matrices are plain ``numpy.ndarray`` with ``complex128`` entries; the
-module stays dense on purpose. Field spaces are capped at dimension 4096
-by the reducible builder's ceiling. The brute-force route assembles the
-coupling Hamiltonian directly on the excitation sectors of its initial
-state (see :func:`ccrlab.dynamics.jc_hamiltonian`), so its largest
-matrices are the field operators, and its largest diagonalization is
-that sector block (see :func:`ccrlab.dynamics.evolve`), not the whole
-coupled space. The closed-form propagator takes no matrix function: it
-is one SVD of the coupling (see :func:`ccrlab.dynamics.closed_form_evolution`).
+module stays dense on purpose. The reducible ensemble's field space is
+capped at dimension 4096; the irreducible representations cap their
+coupled space at 4096, so their field dimension is at most 1024. The
+brute-force route assembles the coupling Hamiltonian directly on the
+excitation sectors of its initial state (see
+:func:`ccrlab.dynamics.jc_hamiltonian`), so its largest matrices are the
+field operators, and its largest diagonalization is that sector block
+(see :func:`ccrlab.dynamics.evolve`), not the whole coupled space. The
+closed-form propagator takes no matrix function: it is one SVD of the
+coupling (see :func:`ccrlab.dynamics.closed_form_evolution`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Sequence
@@ -234,21 +238,19 @@ def expm_generator(h, t: float | np.ndarray) -> np.ndarray:
     return (v * phases[..., None, :]) @ v.conj().T
 
 
-def reorder_matrix_factors(
-    m: np.ndarray, dims: Sequence[int], order: Sequence[int]
-) -> np.ndarray:
-    """Permute tensor factors of an operator on both row and column indices."""
-    dims = tuple(int(d) for d in dims)
-    order = tuple(int(i) for i in order)
-    if sorted(order) != list(range(len(dims))):
-        raise ValidationError(f"order {order} is not a permutation of {len(dims)} factors")
-    n = len(dims)
-    total = int(np.prod(dims, dtype=np.int64))
-    arr = require_square(m, "matrix")
-    if arr.shape[0] != total:
-        raise ValidationError(
-            f"matrix dimension {arr.shape[0]} does not match factor dims {dims}"
-        )
-    tensor = arr.reshape(dims + dims)
-    perm = order + tuple(n + i for i in order)
-    return tensor.transpose(perm).reshape(total, total)
+def matricize(array, dims: Sequence[int], rows: Sequence[int],
+              cols: Sequence[int]) -> np.ndarray:
+    """Regroup a tensor across a cut into one matrix.
+
+    ``array`` is reshaped to ``dims``; the axes ``rows`` (in that order)
+    form the row index and the axes ``cols`` the column index. Every cut
+    in the package is this one call: a state's Schmidt matrix, a pure
+    state's partial trace, an operator's Schmidt matrix (give each factor's
+    row and column axes on the same side) and a factor reordering of an
+    operator (give the reordered row axes, then the reordered column axes).
+    """
+    axes = tuple(rows) + tuple(cols)
+    if sorted(axes) != list(range(len(dims))):
+        raise ValidationError(f"axes {axes} are not a permutation of {len(dims)} axes")
+    n_rows = math.prod(int(dims[i]) for i in rows)
+    return np.asarray(array).reshape(dims).transpose(axes).reshape(n_rows, -1)

@@ -297,8 +297,9 @@ def build_berezin(
     The field is a single tensor factor spanned by occupation tuples; the
     creation operator for mode n connects tuples differing by one quantum
     in slot n with matrix element sqrt(n_n + 1). The vacuum is the unique
-    all-zero tuple. ``selected_modes`` are 1-based indices into the mode
-    basis; operators are built only for those (default: all of them).
+    all-zero tuple. ``selected_modes`` are distinct 1-based indices into
+    the mode basis; operators are built only for those (default: all of
+    them).
     A coupled dimension 4 C(d + total_cutoff, d) above
     :data:`BRUTE_FORCE_CEILING` raises :class:`SizeLimitError`, decided
     without enumerating the basis.
@@ -316,6 +317,8 @@ def build_berezin(
     for n in selected_modes:
         if not 1 <= int(n) <= d:
             raise ConfigError(f"selected mode {n} out of range 1..{d}")
+    if len({int(n) for n in selected_modes}) != len(selected_modes):
+        raise ConfigError(f"selected modes repeat a mode: {list(selected_modes)}")
 
     basis = occupation_basis(d, total_cutoff)
     index = {tup: i for i, tup in enumerate(basis)}
@@ -433,6 +436,8 @@ def build_reducible(
             raise ConfigError(
                 f"selected mode {label!r} not in profile labels {profile.labels}"
             )
+    if len(set(labels)) != len(labels):
+        raise ConfigError(f"selected modes repeat a mode: {labels}")
 
     factor_dim = len(profile.labels) * (n_max + 1)
     if not fits_brute_force(n_osc, profile, n_max):

@@ -32,8 +32,8 @@ from .linalg import (
     StateVector,
     expm_generator,
     kron,
+    matricize,
     matrix_function_psd,
-    reorder_matrix_factors,
     time_grid,
 )
 
@@ -405,9 +405,8 @@ def simulated_atomic_density(
     initial state's one-excitation sector (no 4 d_field x 4 d_field
     matrix is formed), with one diagonalization for all times, on the
     generator the representation implies: H / sqrt(Z) for the reducible
-    ensemble, H for the irreducible ones. The atoms are the leading
-    factors of a pure state, so their density is A A^dag with A the
-    (4, d_field) block of its amplitudes. ``t`` is a scalar
+    ensemble, H for the irreducible ones. The atoms' density is the
+    partial trace of each evolved pure state. ``t`` is a scalar
     (returns a 4x4 matrix) or a 1-D array of T times (returns a
     (T, 4, 4) stack).
     """
@@ -415,11 +414,9 @@ def simulated_atomic_density(
     psi0 = dyn.single_photon_initial_state(rep, modes)
     times = time_grid(t)
     states = dyn.evolve(rep, pairs, psi0, np.atleast_1d(times))
-    atoms = psi0.factorization.subset(["atom1", "atom2"])
-    blocks = [psi.normalized().amplitudes.reshape(4, -1) for psi in states]
-    rho = np.array([
-        ent.DensityMatrix(a @ a.conj().T, atoms).matrix for a in blocks
-    ]).reshape(-1, 4, 4)
+    atoms = ent.Bipartition(("atom1", "atom2"))
+    rho = np.reshape([ent.partial_trace(psi, atoms).matrix for psi in states],
+                     (-1, 4, 4))
     return rho if times.ndim else rho[0]
 
 
@@ -480,14 +477,14 @@ def _scenario_infinity(cfg: ScenarioConfig) -> ScenarioReport:
     atom_pair = ent.Bipartition(("atom1", "atom2"))
     for t, u, u_local, closed in zip(cfg.times, propagators, local_propagators,
                                      closed_rhos):
-        u_product = reorder_matrix_factors(
-            kron(u_local, u_local), (2, m, 2, m), (0, 2, 1, 3)
+        u_product = matricize(
+            kron(u_local, u_local), (2, m, 2, m) * 2, (0, 2, 1, 3), (4, 6, 5, 7)
         )
         loc = float(np.max(np.abs(u - u_product)))
         locality_dev = max(locality_dev, loc)
 
         psi_t = StateVector(u @ psi0.amplitudes, psi0.factorization)
-        atoms = ent.partial_trace(ent.DensityMatrix.from_state(psi_t), atom_pair).matrix
+        atoms = ent.partial_trace(psi_t, atom_pair).matrix
         dist = ent.trace_distance(atoms, closed)
         rho_dev = max(rho_dev, dist)
         conc = ent.concurrence(atoms)

@@ -16,7 +16,13 @@ from ccrlab.entanglement import (
     von_neumann_entropy,
 )
 from ccrlab.exceptions import ValidationError
-from ccrlab.linalg import HilbertFactorization, StateVector, expm_generator, kron
+from ccrlab.linalg import (
+    HilbertFactorization,
+    StateVector,
+    expm_generator,
+    kron,
+    matricize,
+)
 from ccrlab.representations import build_berezin, build_infinity_two_mode
 
 LN2 = math.log(2.0)
@@ -46,55 +52,77 @@ def random_density(rng, fact, rank=3):
     return DensityMatrix(acc, fact)
 
 
+def traced_oracle(psi, subscripts):
+    """Reduced density by an explicit |psi><psi| and an einsum trace.
+
+    ``subscripts`` maps the joint density's row then column factor axes
+    to the kept row then column axes, e.g. ``"abAb->aA"``.
+    """
+    amp = psi.amplitudes / np.linalg.norm(psi.amplitudes)
+    dims = psi.factorization.dims
+    joint = np.outer(amp, amp.conj()).reshape(dims + dims)
+    reduced = np.einsum(subscripts, joint)
+    d = int(math.isqrt(reduced.size))
+    return reduced.reshape(d, d)
+
+
 class TestPartialTrace:
     def test_product_state_marginal(self):
         rng = np.random.default_rng(71)
-        fact_a = HilbertFactorization((("a", 3),))
-        fact_b = HilbertFactorization((("b", 4),))
-        rho_a = random_density(rng, fact_a)
-        rho_b = random_density(rng, fact_b)
-        joint = DensityMatrix(
-            kron(rho_a.matrix, rho_b.matrix), fact_a.joined_with(fact_b)
-        )
-        reduced = partial_trace(joint, Bipartition(("a",)))
-        assert np.max(np.abs(reduced.matrix - rho_a.matrix)) <= 1e-12
+        a = rng.normal(size=3) + 1j * rng.normal(size=3)
+        b = rng.normal(size=4) + 1j * rng.normal(size=4)
+        fact = HilbertFactorization((("a", 3), ("b", 4)))
+        psi = StateVector(np.kron(a, b), fact)
+        reduced = partial_trace(psi, Bipartition(("a",)))
+        expected = np.outer(a, a.conj()) / np.vdot(a, a).real
+        assert np.max(np.abs(reduced.matrix - expected)) <= 1e-12
+        assert np.max(np.abs(reduced.matrix - traced_oracle(psi, "abAb->aA"))) <= 1e-12
 
     def test_bell_marginal_maximally_mixed(self):
-        rho = DensityMatrix.from_state(bell_pair())
-        reduced = partial_trace(rho, Bipartition(("left",)))
+        reduced = partial_trace(bell_pair(), Bipartition(("left",)))
         assert np.max(np.abs(reduced.matrix - np.eye(2) / 2)) <= 1e-12
 
     def test_atoms_marginal_at_half_pi(self):
         rep = build_infinity_two_mode(1)
         psi0 = dyn.single_photon_initial_state(rep, ("mode1", "mode2"))
         psi = dyn.evolve(rep, [("mode1", 0), ("mode2", 1)], psi0, math.pi / 2)
-        atoms = partial_trace(
-            DensityMatrix.from_state(psi), Bipartition(("atom1", "atom2"))
-        )
+        atoms = partial_trace(psi, Bipartition(("atom1", "atom2")))
         assert trace_distance(
             atoms.matrix, dyn.rho_atoms_irreducible(math.pi / 2)
         ) <= 1e-10
 
-    def test_commutes_with_convex_mixing(self):
+    def test_reordered_noncontiguous_keep_in_factorization_order(self):
         rng = np.random.default_rng(73)
+        fact = HilbertFactorization((("a", 2), ("b", 3), ("c", 2), ("d", 2)))
+        psi = random_state(rng, fact)
+        reduced = partial_trace(psi, Bipartition(("c", "a")))
+        assert reduced.factorization.labels == ("a", "c")
+        expected = traced_oracle(psi, "abcdAbCd->acAC")
+        assert np.max(np.abs(reduced.matrix - expected)) <= 1e-14
+
+    def test_normalizes_input(self):
+        rng = np.random.default_rng(75)
+        fact = HilbertFactorization((("a", 3), ("b", 2)))
+        amp = 3.7 * (rng.normal(size=6) + 1j * rng.normal(size=6))
+        psi = StateVector(amp, fact)
+        reduced = partial_trace(psi, Bipartition(("b",)))
+        assert complex(np.trace(reduced.matrix)) == pytest.approx(1.0, abs=1e-14)
+        expected = traced_oracle(psi, "abaB->bB")
+        assert np.max(np.abs(reduced.matrix - expected)) <= 1e-14
+
+    def test_keeping_every_factor_gives_projector(self):
+        rng = np.random.default_rng(77)
         fact = HilbertFactorization((("a", 2), ("b", 3)))
-        rho = random_density(rng, fact)
-        sigma = random_density(rng, fact)
-        p = 0.3
-        mixed = DensityMatrix(
-            p * rho.matrix + (1 - p) * sigma.matrix, fact
-        )
-        lhs = partial_trace(mixed, Bipartition(("a",))).matrix
-        rhs = (
-            p * partial_trace(rho, Bipartition(("a",))).matrix
-            + (1 - p) * partial_trace(sigma, Bipartition(("a",))).matrix
-        )
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12
+        psi = random_state(rng, fact)
+        reduced = partial_trace(psi, Bipartition(("b", "a")))
+        assert reduced.factorization == fact
+        amp = psi.amplitudes
+        assert np.max(np.abs(reduced.matrix - np.outer(amp, amp.conj()))) <= 1e-15
+        assert np.max(np.abs(reduced.matrix - traced_oracle(psi, "abAB->abAB"))) <= 1e-15
 
     def test_unknown_label_rejected(self):
-        rho = DensityMatrix.from_state(bell_pair())
         with pytest.raises(ValidationError, match="unknown factor"):
-            partial_trace(rho, Bipartition(("nope",)))
+            partial_trace(bell_pair(), Bipartition(("nope",)))
 
 
 class TestSchmidt:
@@ -134,14 +162,16 @@ class TestSchmidt:
         fact = HilbertFactorization((("a", 3), ("b", 4)))
         psi = random_state(rng, fact)
         sv = schmidt_coefficients(psi, Bipartition(("a",)))
-        marginal = partial_trace(DensityMatrix.from_state(psi), Bipartition(("a",)))
-        eigs = np.sort(np.linalg.eigvalsh(marginal.matrix))[::-1]
+        marginal = traced_oracle(psi, "abAb->aA")
+        eigs = np.sort(np.linalg.eigvalsh(marginal))[::-1]
         assert np.max(np.abs(np.sort(sv**2)[::-1] - eigs)) <= 1e-10
 
 
 class TestEntropy:
     def test_pure_state_zero(self):
-        rho = DensityMatrix.from_state(bell_pair())
+        psi = bell_pair()
+        amp = psi.amplitudes
+        rho = DensityMatrix(np.outer(amp, amp.conj()), psi.factorization)
         assert abs(von_neumann_entropy(rho)) <= 1e-12
 
     def test_maximally_mixed_qubit(self):
@@ -270,10 +300,8 @@ class TestOperatorSchmidt:
         # two-oscillator propagator is exactly a product
         rep = build_infinity_two_mode(1)
         h = dyn.jc_hamiltonian(rep, [("mode1", 0), ("mode2", 1)])
-        from ccrlab.linalg import reorder_matrix_factors
-
         u = expm_generator(h, 0.9)
-        u_perm = reorder_matrix_factors(u, (2, 2, 2, 2), (0, 2, 1, 3))
+        u_perm = matricize(u, (2, 2, 2, 2) * 2, (0, 2, 1, 3), (4, 6, 5, 7))
         fact = HilbertFactorization(
             (("atom1", 2), ("mode1", 2), ("atom2", 2), ("mode2", 2))
         )

@@ -10,8 +10,8 @@ from ccrlab.linalg import (
     expm_generator,
     hermitian_eig,
     kron,
+    matricize,
     matrix_function_psd,
-    reorder_matrix_factors,
 )
 
 
@@ -236,14 +236,27 @@ class TestStateVector:
             psi.amplitudes[0] = 5.0
 
 
-class TestReorderFactors:
+class TestMatricize:
     def test_matrix_swap_matches_kron_swap(self):
         rng = np.random.default_rng(31)
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        swapped = reorder_matrix_factors(np.kron(a, b), (2, 3), (1, 0))
+        swapped = matricize(np.kron(a, b), (2, 3, 2, 3), (1, 0), (3, 2))
         assert np.max(np.abs(swapped - np.kron(b, a))) <= 1e-14
+
+    def test_vector_cut_matches_transpose(self):
+        rng = np.random.default_rng(33)
+        vec = rng.normal(size=24) + 1j * rng.normal(size=24)
+        mat = matricize(vec, (2, 3, 4), (2, 0), (1,))
+        expected = vec.reshape(2, 3, 4).transpose(2, 0, 1).reshape(8, 3)
+        assert np.array_equal(mat, expected)
+
+    def test_empty_column_side_is_one_column(self):
+        vec = np.arange(6.0)
+        assert matricize(vec, (2, 3), (0, 1), ()).shape == (6, 1)
 
     def test_rejects_bad_permutation(self):
         with pytest.raises(ValidationError, match="permutation"):
-            reorder_matrix_factors(np.eye(4), (2, 2), (0, 0))
+            matricize(np.eye(4), (2, 2, 2, 2), (0, 0), (2, 3))
+        with pytest.raises(ValidationError, match="permutation"):
+            matricize(np.eye(4), (2, 2, 2, 2), (0, 1), (2,))

@@ -129,6 +129,14 @@ class TestBerezinRepresentation:
         with pytest.raises(ConfigError, match="out of range"):
             build_berezin(2, 1, [3])
 
+    def test_repeated_selected_mode_rejected_before_building(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("basis built for a rejected selection")
+
+        monkeypatch.setattr(representations, "occupation_basis", unreachable)
+        with pytest.raises(ConfigError, match="repeat"):
+            build_berezin(2, 1, [1, 1])
+
     def test_creation_matrix_element(self):
         rep = build_berezin(1, 3)
         ad = rep.raising("f1")
@@ -215,6 +223,14 @@ class TestReducibleRepresentation:
         prof = VacuumProfile.uniform(2)
         with pytest.raises(ConfigError, match="not in profile"):
             build_reducible(1, prof, n_max=1, selected_modes=["k9"])
+
+    def test_repeated_selected_mode_rejected_before_building(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("operators built for a rejected selection")
+
+        monkeypatch.setattr(representations, "_single_oscillator_mode_ops", unreachable)
+        with pytest.raises(ConfigError, match="repeat"):
+            build_reducible(1, VacuumProfile.uniform(2), 1, ["k1", "k1"])
 
     def test_mode_excitation_state_normalized(self):
         prof = VacuumProfile.from_probabilities(("k1", "k2"), (0.2, 0.8))
