@@ -3,7 +3,10 @@
 Every measure here is relative to a bipartition of labeled factors; that
 bookkeeping is the point, since the same vector can be entangled or not
 depending on which factorization one declares. Scalar measures
-(entropy, concurrence, trace distance) act on plain Hermitian matrices.
+(entropy, concurrence, trace distance) act on plain Hermitian matrices:
+one matrix gives a ``float``, a (..., n, n) stack, such as the (T, 4, 4)
+atom densities over a time grid, gives an array over its leading axes,
+entry by entry the bits of the one-matrix call.
 Reductions (partial traces, Schmidt cuts, marginal entropies) take pure
 states: a :class:`~ccrlab.linalg.StateVector` carrying its factorization,
 regrouped across the cut by :func:`~ccrlab.linalg.matricize`.
@@ -142,68 +145,97 @@ def operator_schmidt_coefficients(
 
 
 def _density_array(rho) -> np.ndarray:
+    """One matrix, or a (..., n, n) stack of them, as a finite complex array."""
     if isinstance(rho, DensityMatrix):
         return rho.matrix
-    return require_square(rho, "density matrix")
+    arr = np.asarray(rho, dtype=complex)
+    if arr.ndim <= 2:
+        return require_square(arr, "density matrix")
+    if arr.shape[-1] != arr.shape[-2]:
+        raise ValidationError(f"density matrix stack must hold square matrices, "
+                              f"got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("density matrix stack contains non-finite entries")
+    return arr
+
+
+def _float_or_array(values: np.ndarray) -> float | np.ndarray:
+    """A 0-d result as a ``float``, a stack's results as they are."""
+    return float(values) if values.ndim == 0 else values
 
 
 def _clamped_spectrum(m: np.ndarray) -> np.ndarray:
     w = np.linalg.eigvalsh(m)
-    if w.size and w[0] < -EIG_CLAMP:
+    lowest = np.min(w, initial=0.0)
+    if lowest < -EIG_CLAMP:
         raise ValidationError(
-            f"matrix has negative eigenvalue {w[0]:.3e} beyond the "
+            f"matrix has negative eigenvalue {lowest:.3e} beyond the "
             f"{EIG_CLAMP:.1e} roundoff clamp"
         )
     return np.clip(w, 0.0, None)
 
 
-def _entropy(p: np.ndarray) -> float:
-    """-sum p ln p in nats over the positive weights, so 0 ln 0 = 0."""
-    p = p[p > 0.0]
-    return float(-np.sum(p * np.log(p)) + 0.0)
+def _entropy(p: np.ndarray) -> float | np.ndarray:
+    """-sum p ln p in nats over the last axis, with 0 ln 0 = 0."""
+    logs = np.log(p, out=np.zeros_like(p), where=p > 0.0)
+    return _float_or_array(-np.sum(p * logs, axis=-1) + 0.0)
 
 
-def von_neumann_entropy(rho) -> float:
+def von_neumann_entropy(rho) -> float | np.ndarray:
     """Entropy -sum p ln p in nats, with 0 ln 0 = 0.
 
     Eigenvalues within the roundoff clamp of zero are set to zero first;
-    larger negativity raises.
+    larger negativity, in any member of a stack, raises. One matrix gives
+    a ``float``, a (..., n, n) stack an array over its leading axes.
     """
     return _entropy(_clamped_spectrum(_density_array(rho)))
 
 
-def concurrence(rho) -> float:
+def concurrence(rho) -> float | np.ndarray:
     """Wootters two-qubit concurrence of a 4x4 density matrix, in [0, 1].
 
     With rho factored as L L^dag over its genuine eigenvalues, the
     Wootters lambdas are the singular values of L^T (sy (x) sy) L. The
     SVD resolves near-zero lambdas to machine precision, where routes
     through sqrt(rho) or the spectrum of rho rho~ lose half the digits.
+    One matrix gives a ``float``; a (..., 4, 4) stack gives an array over
+    its leading axes, and each check applies to every member.
     """
     m = _density_array(rho)
-    if m.shape != (4, 4):
+    if m.shape[-2:] != (4, 4):
         raise ValidationError(f"concurrence needs a 4x4 matrix, got {m.shape}")
-    herm = float(np.max(np.abs(m - m.conj().T)))
+    m_dag = m.conj().swapaxes(-1, -2)
+    herm = float(np.max(np.abs(m - m_dag), initial=0.0))
     if herm > 1e-10:
         raise ValidationError(f"concurrence input not Hermitian: {herm:.3e}")
-    if abs(complex(np.trace(m)) - 1.0) > 1e-8:
-        raise ValidationError(f"concurrence input trace is {np.trace(m)!r}")
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-    if w[0] < -EIG_CLAMP:
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    if np.any(np.abs(tr - 1.0) > 1e-8):
+        raise ValidationError(f"concurrence input trace is {tr!r}")
+    w, v = np.linalg.eigh(((m + m_dag) / 2.0).reshape(-1, 4, 4))
+    lowest = np.min(w, initial=0.0)
+    if lowest < -EIG_CLAMP:
         raise ValidationError(
-            f"concurrence input has negative eigenvalue {w[0]:.3e}"
+            f"concurrence input has negative eigenvalue {lowest:.3e}"
         )
-    keep = w > 1e-12  # numerical-zero weights contribute no lambda
-    factor = v[:, keep] * np.sqrt(w[keep])
-    sym = factor.T @ _SIGMA_Y_PAIR @ factor
-    lam = np.zeros(4)
-    sv = np.linalg.svd(sym, compute_uv=False)
-    lam[: sv.size] = sv
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    # numerical-zero weights contribute no lambda; eigh sorts ascending, so
+    # a rank-k member keeps its last k eigenpairs
+    rank = np.count_nonzero(w > 1e-12, axis=-1)
+    lam = np.zeros(w.shape)
+    for k in set(rank.tolist()):
+        sel = rank == k
+        factor = v[sel, :, 4 - k:] * np.sqrt(w[sel, None, 4 - k:])
+        sym = factor.swapaxes(-1, -2) @ _SIGMA_Y_PAIR @ factor
+        lam[sel, :k] = np.linalg.svd(sym, compute_uv=False)
+    c = np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
+    return _float_or_array(c.reshape(m.shape[:-2]))
 
 
-def trace_distance(rho, sigma) -> float:
-    """Half the trace norm of rho - sigma (both Hermitian, equal dims)."""
+def trace_distance(rho, sigma) -> float | np.ndarray:
+    """Half the trace norm of rho - sigma (both Hermitian, equal shapes).
+
+    Two matrices give a ``float``; two (..., n, n) stacks of the same
+    shape give an array over their leading axes.
+    """
     a = _density_array(rho)
     b = _density_array(sigma)
     if a.shape != b.shape:
@@ -211,7 +243,7 @@ def trace_distance(rho, sigma) -> float:
             f"dimension mismatch: {a.shape} vs {b.shape}"
         )
     w = np.linalg.eigvalsh(a - b)
-    return float(0.5 * np.sum(np.abs(w)))
+    return _float_or_array(0.5 * np.sum(np.abs(w), axis=-1))
 
 
 def marginal_entropy(

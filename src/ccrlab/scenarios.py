@@ -39,14 +39,6 @@ from .linalg import (
 
 DEFAULT_TIMES = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2)
 
-SCENARIO_NAMES = (
-    "infinity",
-    "berezin",
-    "reducible-brute",
-    "reducible-limit",
-    "single-mode",
-)
-
 #: Default ensemble sizes per scenario that sweeps over N.
 DEFAULT_N_VALUES = {
     "reducible-brute": (1, 2, 3),
@@ -408,16 +400,22 @@ def simulated_atomic_density(
     ensemble, H for the irreducible ones. The atoms' density is the
     partial trace of each evolved pure state. ``t`` is a scalar
     (returns a 4x4 matrix) or a 1-D array of T times (returns a
-    (T, 4, 4) stack).
+    (T, 4, 4) stack); the result is ``complex`` for every grid, the
+    empty one included.
     """
     pairs = [(modes[0], 0), (modes[1], 1)]
     psi0 = dyn.single_photon_initial_state(rep, modes)
     times = time_grid(t)
     states = dyn.evolve(rep, pairs, psi0, np.atleast_1d(times))
-    atoms = ent.Bipartition(("atom1", "atom2"))
-    rho = np.reshape([ent.partial_trace(psi, atoms).matrix for psi in states],
-                     (-1, 4, 4))
+    rho = _atom_densities([psi.amplitudes for psi in states], psi0.factorization)
     return rho if times.ndim else rho[0]
+
+
+def _atom_densities(states, fact) -> np.ndarray:
+    """(T, 4, 4) complex atom densities of a (T, 4 d) stack of coupled states."""
+    atoms = ent.Bipartition(("atom1", "atom2"))
+    return np.array([ent.partial_trace(StateVector(amps, fact), atoms).matrix
+                     for amps in states], dtype=complex).reshape(-1, 4, 4)
 
 
 def _dense_mode_cut(rep: reps.Representation, mode: str,
@@ -425,12 +423,22 @@ def _dense_mode_cut(rep: reps.Representation, mode: str,
     """Entropy and first two Schmidt coefficients of a_k^dag |vacuum>, factor | rest."""
     psi = reps.mode_excitation_state(rep, mode)
     cut = ent.Bipartition((factor,))
-    sv = np.append(ent.schmidt_coefficients(psi, cut), 0.0)
-    return ent.marginal_entropy(psi, cut), float(sv[0]), float(sv[1])
+    sv = ent.schmidt_coefficients(psi, cut)
+    return ent.marginal_entropy(psi, cut), float(sv[0]), _second(sv)
 
 
-def _is_half_pi(t: float) -> bool:
-    return abs(t - math.pi / 2) < 1e-12
+def _second(sv: np.ndarray) -> float:
+    """The second of a nonincreasing coefficient list, 0 if there is none."""
+    return float(sv[1]) if sv.size > 1 else 0.0
+
+
+def _half_pi_index(times, check: str, skipped: list[dict]) -> int | None:
+    """Index of pi/2 in ``times``; if it is absent, ``check`` is recorded as skipped."""
+    hits = np.flatnonzero(np.abs(np.subtract(times, math.pi / 2)) < 1e-12)
+    if hits.size:
+        return int(hits[-1])
+    skipped.append({"check": check, "reason": "pi/2 not in the time grid"})
+    return None
 
 
 def _scenario_infinity(cfg: ScenarioConfig) -> ScenarioReport:
@@ -438,7 +446,6 @@ def _scenario_infinity(cfg: ScenarioConfig) -> ScenarioReport:
     modes = ("mode1", "mode2")
     checks: list[Check] = []
     skipped: list[dict] = []
-    records: list[dict] = []
 
     shared = reps.mode_excitation_state(rep, *modes)
     entropy = ent.marginal_entropy(shared, ent.Bipartition(("mode1",)))
@@ -468,50 +475,33 @@ def _scenario_infinity(cfg: ScenarioConfig) -> ScenarioReport:
     psi0 = dyn.single_photon_initial_state(rep, modes)
     m = cfg.n_max + 1
     a_single = fock.annihilation(cfg.n_max)
-    locality_dev = 0.0
-    rho_dev = 0.0
-    conc_half_pi = None
+    half = _half_pi_index(cfg.times, "concurrence_at_half_pi", skipped)
     propagators = expm_generator(h, cfg.times)
     local_propagators = dyn.closed_form_evolution(1j * a_single, cfg.times)
-    closed_rhos = dyn.rho_atoms_irreducible(cfg.times)
-    atom_pair = ent.Bipartition(("atom1", "atom2"))
-    for t, u, u_local, closed in zip(cfg.times, propagators, local_propagators,
-                                     closed_rhos):
-        u_product = matricize(
-            kron(u_local, u_local), (2, m, 2, m) * 2, (0, 2, 1, 3), (4, 6, 5, 7)
-        )
-        loc = float(np.max(np.abs(u - u_product)))
-        locality_dev = max(locality_dev, loc)
-
-        psi_t = StateVector(u @ psi0.amplitudes, psi0.factorization)
-        atoms = ent.partial_trace(psi_t, atom_pair).matrix
-        dist = ent.trace_distance(atoms, closed)
-        rho_dev = max(rho_dev, dist)
-        conc = ent.concurrence(atoms)
-        if _is_half_pi(t):
-            conc_half_pi = conc
-        records.append({
-            "t": t,
-            "locality_deviation": loc,
-            "trace_distance_closed_form": dist,
-            "concurrence": conc,
-            "atoms_entropy": ent.von_neumann_entropy(atoms),
-            "rho": _rho_entry(atoms),
-        })
+    locality = np.array([np.max(np.abs(u - matricize(
+        kron(u_local, u_local), (2, m, 2, m) * 2, (0, 2, 1, 3), (4, 6, 5, 7))))
+        for u, u_local in zip(propagators, local_propagators)])
+    atoms = _atom_densities(propagators @ psi0.amplitudes, psi0.factorization)
+    dist = ent.trace_distance(atoms, dyn.rho_atoms_irreducible(cfg.times))
+    conc = ent.concurrence(atoms)
+    records = [
+        {"t": t, "locality_deviation": loc, "trace_distance_closed_form": d,
+         "concurrence": c, "atoms_entropy": e, "rho": _rho_entry(rho)}
+        for t, loc, d, c, e, rho in zip(
+            cfg.times, locality.tolist(), dist.tolist(), conc.tolist(),
+            ent.von_neumann_entropy(atoms).tolist(), atoms)
+    ]
 
     checks.append(_check(
-        "propagator_local_product", locality_dev, cfg.tolerance("locality"),
+        "propagator_local_product", np.max(locality), cfg.tolerance("locality"),
         detail="full propagator vs product of (atom, mode)-local propagators",
     ))
     checks.append(_check(
-        "atomic_density_closed_form", rho_dev, cfg.tolerance("rho_match"),
+        "atomic_density_closed_form", np.max(dist), cfg.tolerance("rho_match"),
     ))
-    if conc_half_pi is None:
-        skipped.append({"check": "concurrence_at_half_pi",
-                        "reason": "pi/2 not in the time grid"})
-    else:
+    if half is not None:
         checks.append(_check(
-            "concurrence_at_half_pi", abs(conc_half_pi - 1.0),
+            "concurrence_at_half_pi", abs(conc[half] - 1.0),
             cfg.tolerance("concurrence"),
         ))
     return ScenarioReport("infinity", records, checks, skipped,
@@ -524,84 +514,67 @@ def _scenario_berezin(cfg: ScenarioConfig) -> ScenarioReport:
     modes_b = ("f1", "f2")
     checks: list[Check] = []
     skipped: list[dict] = []
-    records: list[dict] = []
 
     psi0 = dyn.single_photon_initial_state(rep_b, modes_b)
     sv = ent.schmidt_coefficients(psi0, ent.Bipartition(("atom1", "atom2")))
-    second = float(sv[1]) if sv.size > 1 else 0.0
     checks.append(_check(
-        "initial_atoms_field_product", second, cfg.tolerance("schmidt_rank"),
+        "initial_atoms_field_product", _second(sv), cfg.tolerance("schmidt_rank"),
         detail="second Schmidt coefficient of the initial atoms|field cut",
     ))
 
     h_b = dyn.jc_hamiltonian(rep_b, [("f1", 0), ("f2", 1)])
     fact_full = dyn.coupled_factorization(rep_b)
-    rho_dev = 0.0
-    cross_dev = 0.0
-    worst_split_second: dict[str, float] = {"atom1": 0.0, "atom1+field": 0.0}
-    bell_defect = None
+    half = _half_pi_index(cfg.times, "bell_times_unique_vacuum", skipped)
     propagators = expm_generator(h_b, cfg.times)
-    rhos_b = simulated_atomic_density(rep_b, cfg.times, modes_b)
-    rhos_i = simulated_atomic_density(rep_i, cfg.times, ("mode1", "mode2"))
-    closed_rhos = dyn.rho_atoms_irreducible(cfg.times)
-    for t, u, atoms_b, atoms_i, closed in zip(cfg.times, propagators, rhos_b,
-                                              rhos_i, closed_rhos):
-        sv_a = ent.operator_schmidt_coefficients(
-            u, fact_full, ent.Bipartition(("atom1",)))
-        sv_af = ent.operator_schmidt_coefficients(
-            u, fact_full, ent.Bipartition(("atom1", "field")))
-        second_a = float(sv_a[1]) if sv_a.size > 1 else 0.0
-        second_af = float(sv_af[1]) if sv_af.size > 1 else 0.0
-        if t > 0.0:
-            worst_split_second["atom1"] = max(worst_split_second["atom1"], second_a)
-            worst_split_second["atom1+field"] = max(
-                worst_split_second["atom1+field"], second_af)
+    splits = {keep: np.array([_second(ent.operator_schmidt_coefficients(
+        u, fact_full, ent.Bipartition(keep))) for u in propagators])
+        for keep in (("atom1",), ("atom1", "field"))}
+    states = propagators @ psi0.amplitudes
+    atoms_b = _atom_densities(states, psi0.factorization)
+    atoms_i = simulated_atomic_density(rep_i, cfg.times, ("mode1", "mode2"))
+    dist_closed = ent.trace_distance(atoms_b, dyn.rho_atoms_irreducible(cfg.times))
+    dist_cross = ent.trace_distance(atoms_b, atoms_i)
+    records = [
+        {"t": t, "op_schmidt2_atom1": a, "op_schmidt2_atom1_field": af,
+         "trace_distance_closed_form": dc, "trace_distance_vs_infinity": dx,
+         "concurrence": c, "rho": _rho_entry(rho)}
+        for t, a, af, dc, dx, c, rho in zip(
+            cfg.times, *(v.tolist() for v in splits.values()), dist_closed.tolist(),
+            dist_cross.tolist(), ent.concurrence(atoms_b).tolist(), atoms_b)
+    ]
 
-        dist_closed = ent.trace_distance(atoms_b, closed)
-        dist_cross = ent.trace_distance(atoms_b, atoms_i)
-        rho_dev = max(rho_dev, dist_closed)
-        cross_dev = max(cross_dev, dist_cross)
-
-        if _is_half_pi(t):
-            bell = np.zeros(4, dtype=complex)
-            bell[dyn.IDX_PM] = 1.0 / math.sqrt(2.0)
-            bell[dyn.IDX_MP] = 1.0 / math.sqrt(2.0)
-            target = reps.kron_vector(bell, rep_b.vacuum.amplitudes)
-            overlap = abs(np.vdot(target, u @ psi0.amplitudes))
-            bell_defect = 1.0 - overlap
-
-        records.append({
-            "t": t,
-            "op_schmidt2_atom1": second_a,
-            "op_schmidt2_atom1_field": second_af,
-            "trace_distance_closed_form": dist_closed,
-            "trace_distance_vs_infinity": dist_cross,
-            "concurrence": ent.concurrence(atoms_b),
-            "rho": _rho_entry(atoms_b),
-        })
-
-    for split, value in worst_split_second.items():
+    later = np.array(cfg.times) > 0.0
+    for keep, seconds in splits.items():
         checks.append(_check(
-            f"propagator_nonproduct_{split.replace('+', '_')}",
-            value, cfg.tolerance("nonproduct_min"), comparison=">=",
+            f"propagator_nonproduct_{'_'.join(keep)}",
+            np.max(seconds[later], initial=0.0), cfg.tolerance("nonproduct_min"),
+            comparison=">=",
             detail="operator Schmidt coefficient #2 must stay away from zero",
         ))
     checks.append(_check(
-        "atomic_density_closed_form", rho_dev, cfg.tolerance("rho_match")))
+        "atomic_density_closed_form", np.max(dist_closed), cfg.tolerance("rho_match")))
     checks.append(_check(
-        "agrees_with_infinity_rep", cross_dev, cfg.tolerance("rep_agreement"),
+        "agrees_with_infinity_rep", np.max(dist_cross), cfg.tolerance("rep_agreement"),
         detail="irreducible representations share the same atomic dynamics",
     ))
-    if bell_defect is None:
-        skipped.append({"check": "bell_times_unique_vacuum",
-                        "reason": "pi/2 not in the time grid"})
-    else:
+    if half is not None:
+        bell = np.zeros(4, dtype=complex)
+        bell[dyn.IDX_PM] = 1.0 / math.sqrt(2.0)
+        bell[dyn.IDX_MP] = 1.0 / math.sqrt(2.0)
+        target = reps.kron_vector(bell, rep_b.vacuum.amplitudes)
         checks.append(_check(
-            "bell_times_unique_vacuum", bell_defect, cfg.tolerance("bell_vacuum"),
+            "bell_times_unique_vacuum", 1.0 - abs(np.vdot(target, states[half])),
+            cfg.tolerance("bell_vacuum"),
             detail="final state overlap with (|+-> + |-+>)/sqrt(2) (x) vacuum",
         ))
     return ScenarioReport("berezin", records, checks, skipped,
                           _provenance(cfg.to_dict()))
+
+
+def _coherence(rho: np.ndarray) -> np.ndarray:
+    """|rho[+-, -+]| over a (T, 4, 4) stack, by hypot as Python's abs(complex)."""
+    cross = rho[:, dyn.IDX_PM, dyn.IDX_MP]
+    return np.hypot(cross.real, cross.imag)
 
 
 def _scenario_reducible_brute(cfg: ScenarioConfig) -> ScenarioReport:
@@ -613,55 +586,43 @@ def _scenario_reducible_brute(cfg: ScenarioConfig) -> ScenarioReport:
     skipped: list[dict] = []
     records: list[dict] = []
 
-    brute_dev = 0.0
-    coherence_n1 = 0.0
-    closed_coherence_n1 = 0.0
-    concurrence_n1 = 0.0
-    ran_any = False
+    # at N = 1: the largest closed-form and brute-force coherence, concurrence
+    n1_worst = (0.0, 0.0, 0.0)
     for n in cfg.resolved_n_values():
         try:
             rep = reps.build_reducible(n, profile, cfg.n_max, list(selected))
         except SizeLimitError as exc:
             skipped.append({"check": f"brute_force_N{n}", "reason": str(exc)})
             continue
-        ran_any = True
-        closed_rhos = dyn.rho_atoms_reducible(cfg.times, n, z1, z2, z)
-        brute_rhos = simulated_atomic_density(rep, cfg.times, selected)
-        for t, closed, brute in zip(cfg.times, closed_rhos, brute_rhos):
-            dist = ent.trace_distance(brute, closed)
-            brute_dev = max(brute_dev, dist)
-            coh = abs(complex(brute[dyn.IDX_PM, dyn.IDX_MP]))
-            conc = ent.concurrence(closed)
-            if n == 1:
-                coherence_n1 = max(coherence_n1, coh)
-                closed_coherence_n1 = max(
-                    closed_coherence_n1,
-                    abs(complex(closed[dyn.IDX_PM, dyn.IDX_MP])),
-                )
-                concurrence_n1 = max(concurrence_n1, conc)
-            records.append({
-                "n": n,
-                "t": t,
-                "trace_distance": dist,
-                "coherence_abs": coh,
-                "concurrence_closed_form": conc,
-                "rho": _rho_entry(brute),
-            })
-    if not ran_any:
+        closed = dyn.rho_atoms_reducible(cfg.times, n, z1, z2, z)
+        brute = simulated_atomic_density(rep, cfg.times, selected)
+        coh = _coherence(brute)
+        conc = ent.concurrence(closed)
+        if n == 1:
+            n1_worst = (np.max(_coherence(closed)), np.max(coh), np.max(conc))
+        records += [
+            {"n": n, "t": t, "trace_distance": d, "coherence_abs": c_abs,
+             "concurrence_closed_form": c, "rho": _rho_entry(rho)}
+            for t, d, c_abs, c, rho in zip(
+                cfg.times, ent.trace_distance(brute, closed).tolist(),
+                coh.tolist(), conc.tolist(), brute)
+        ]
+    if not records:
         raise SizeLimitError(
             "every configured ensemble size exceeds the brute-force ceiling"
         )
     checks.append(_check(
-        "brute_force_matches_closed_form", brute_dev, cfg.tolerance("brute_match")))
+        "brute_force_matches_closed_form", max(r["trace_distance"] for r in records),
+        cfg.tolerance("brute_match")))
     if 1 in cfg.resolved_n_values():
         checks.append(_check(
-            "coherence_extinct_n1_closed_form", closed_coherence_n1, 0.0,
+            "coherence_extinct_n1_closed_form", n1_worst[0], 0.0,
             detail="cross coherence weight vanishes identically at N = 1",
         ))
         checks.append(_check(
-            "coherence_extinct_n1_brute", coherence_n1, cfg.tolerance("coherence")))
+            "coherence_extinct_n1_brute", n1_worst[1], cfg.tolerance("coherence")))
         checks.append(_check(
-            "concurrence_zero_n1", concurrence_n1, cfg.tolerance("concurrence")))
+            "concurrence_zero_n1", n1_worst[2], cfg.tolerance("concurrence")))
     else:
         skipped.append({"check": "coherence_extinct_n1",
                         "reason": "N = 1 not in the configured ensemble sizes"})
@@ -688,27 +649,26 @@ def convergence_sweep(cfg: ScenarioConfig) -> ScenarioReport:
     n_values = sorted(cfg.resolved_n_values())
     checks: list[Check] = []
     skipped: list[dict] = []
-    records: list[dict] = []
 
     limits = dyn.rho_atoms_limit(cfg.times, z1, z2, z)
-    distance: dict[tuple[int, float], float] = {}
-    for n in n_values:
-        closed_rhos = dyn.rho_atoms_reducible(cfg.times, n, z1, z2, z)
-        for t, closed, limit in zip(cfg.times, closed_rhos, limits):
-            d = ent.trace_distance(closed, limit)
-            distance[(n, t)] = d
-            records.append({
-                "n": n, "t": t, "z1": z1, "z2": z2, "z": z, "trace_distance": d,
-            })
+    closed = np.array([dyn.rho_atoms_reducible(cfg.times, n, z1, z2, z)
+                       for n in n_values])
+    # distance[i, j]: D(N = n_values[i], t = times[j])
+    distance = ent.trace_distance(closed, np.broadcast_to(limits, closed.shape))
+    records = [
+        {"n": n, "t": t, "z1": z1, "z2": z2, "z": z, "trace_distance": d}
+        for n, row in zip(n_values, distance.tolist())
+        for t, d in zip(cfg.times, row)
+    ]
 
     if len(n_values) >= 2:
         n_lo, n_hi = n_values[0], n_values[-1]
-        for t in cfg.times:
+        for t, d_lo, d_hi in zip(cfg.times, distance[0], distance[-1]):
             if t == 0.0:
                 continue
             checks.append(_check(
                 f"d_decreasing_t_{t:.6f}",
-                distance[(n_hi, t)] - distance[(n_lo, t)],
+                d_hi - d_lo,
                 0.0,
                 comparison="<",
                 detail=f"D(N={n_hi}) < D(N={n_lo})",
@@ -719,13 +679,12 @@ def convergence_sweep(cfg: ScenarioConfig) -> ScenarioReport:
     if 0.0 in cfg.times:
         checks.append(_check(
             "zero_time_distance",
-            max(distance[(n, 0.0)] for n in n_values),
+            np.max(distance[:, cfg.times.index(0.0)]),
             cfg.tolerance("zero_time"),
             detail="no dynamics at t = 0, both forms give the ground projector",
         ))
     if abs(z1 - z2) < 1e-15 and abs(z1 - z) < 1e-15:
-        worst = max(map(ent.trace_distance, limits,
-                        dyn.rho_atoms_irreducible(cfg.times)))
+        worst = np.max(ent.trace_distance(limits, dyn.rho_atoms_irreducible(cfg.times)))
         checks.append(_check(
             "limit_matches_irreducible", worst, cfg.tolerance("limit_match"),
             detail="with both modes on the plateau the limit is the "
@@ -786,6 +745,8 @@ _SCENARIOS = {
     "reducible-limit": convergence_sweep,
     "single-mode": _scenario_single_mode,
 }
+
+SCENARIO_NAMES = tuple(_SCENARIOS)
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
@@ -905,30 +866,27 @@ def validate(seed: int = 0) -> ScenarioReport:
         "berezin": simulated_atomic_density(built["berezin"], times, ("f1", "f2")),
     }
     for kind, atoms in simulated.items():
-        worst = max(ent.trace_distance(a, c) for a, c in zip(atoms, closed_irr))
-        add(f"irreducible_reduction_{kind}", worst, 1e-10)
-    worst = max(
-        ent.trace_distance(a_inf, a_ber)
-        for a_inf, a_ber in zip(simulated["infinity"], simulated["berezin"])
-    )
-    add("irreducible_reps_agree", worst, 1e-10)
+        add(f"irreducible_reduction_{kind}",
+            np.max(ent.trace_distance(atoms, closed_irr)), 1e-10)
+    add("irreducible_reps_agree",
+        np.max(ent.trace_distance(simulated["infinity"], simulated["berezin"])), 1e-10)
 
-    worst = spectrum = 0.0
+    spectrum = 0.0
     cut_reps = []
+    brute_rhos, closed_rhos = [], []
     for n in (1, 2, 3):
         rep = built["reducible"] if n == 2 else reps.build_reducible(n, profile, 1)
         cut_reps.append(rep)
-        closed_rhos = dyn.rho_atoms_reducible(times, n, 0.5, 0.5, 0.5)
-        brute_rhos = simulated_atomic_density(rep, times, ("k1", "k2"))
-        for brute, closed in zip(brute_rhos, closed_rhos):
-            worst = max(worst, ent.trace_distance(brute, closed))
+        closed_rhos.append(dyn.rho_atoms_reducible(times, n, 0.5, 0.5, 0.5))
+        brute_rhos.append(simulated_atomic_density(rep, times, ("k1", "k2")))
         # evolve's generator H / sqrt(Z) has eigenvalues +-sqrt(s / (N Z)) on
         # the one-excitation sector: N Z lambda^2 = N eig(H)^2 is s in 0..N
         h = dyn.jc_hamiltonian(rep, [("k1", 0), ("k2", 1)],
                                sector=dyn.excitation_numbers(rep) == 1)
         x = n * np.linalg.eigvalsh(h) ** 2
         spectrum = max(spectrum, float(np.max(np.abs(x - np.clip(np.round(x), 0, n)))))
-    add("ensemble_reduction_brute_force", worst, 1e-8)
+    add("ensemble_reduction_brute_force",
+        np.max(ent.trace_distance(np.array(brute_rhos), np.array(closed_rhos))), 1e-8)
     add("sector_spectrum_integers", spectrum, 1e-12,
         detail="N Z lambda^2 of the sector generator H / sqrt(Z) vs 0..N, N = 1, 2, 3")
 
@@ -1030,9 +988,8 @@ def validate(seed: int = 0) -> ScenarioReport:
             vac2, (a_k @ a_k.conj().T) @ vac2).real) - zk))
     add("vacuum_expectations", worst, 1e-12)
 
-    worst = max(map(ent.trace_distance,
-                    dyn.rho_atoms_limit(times, 0.5, 0.5, 0.5), closed_irr))
-    add("limit_matches_irreducible", worst, 1e-12)
+    add("limit_matches_irreducible", np.max(ent.trace_distance(
+        dyn.rho_atoms_limit(times, 0.5, 0.5, 0.5), closed_irr)), 1e-12)
 
     records = [asdict(c) for c in checks]
     return ScenarioReport(

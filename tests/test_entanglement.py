@@ -24,8 +24,34 @@ from ccrlab.linalg import (
     matricize,
 )
 from ccrlab.representations import build_berezin, build_infinity_two_mode
+from ccrlab.scenarios import DEFAULT_TIMES
 
 LN2 = math.log(2.0)
+
+#: (T, 4, 4) closed-form atom densities over the default time grid; each
+#: starts with the rank-1 ground projector at t = 0.
+STACKS = {
+    "irreducible": dyn.rho_atoms_irreducible(DEFAULT_TIMES),
+    "reducible_N1": dyn.rho_atoms_reducible(DEFAULT_TIMES, 1, 0.5, 0.5, 0.5),
+    "reducible_N3": dyn.rho_atoms_reducible(DEFAULT_TIMES, 3, 0.3, 0.2, 0.4),
+    "limit": dyn.rho_atoms_limit(DEFAULT_TIMES, 0.3, 0.2, 0.4),
+}
+
+#: Each measure as a function of a density and a reference density of the
+#: same shape, which only the trace distance reads.
+MEASURES = {
+    "concurrence": lambda rho, ref: concurrence(rho),
+    "von_neumann_entropy": lambda rho, ref: von_neumann_entropy(rho),
+    "trace_distance": trace_distance,
+}
+
+
+def with_bad_member(eigenvalue):
+    """The irreducible stack with member 2 replaced by a trace-1 diagonal
+    holding ``eigenvalue``."""
+    stack = STACKS["irreducible"].copy()
+    stack[2] = np.diag([1.0 - eigenvalue, eigenvalue, 0.0, 0.0])
+    return stack
 
 
 def bell_pair():
@@ -64,6 +90,29 @@ def traced_oracle(psi, subscripts):
     reduced = np.einsum(subscripts, joint)
     d = int(math.isqrt(reduced.size))
     return reduced.reshape(d, d)
+
+
+class TestStacks:
+    def test_stacks_hold_rank_one_and_rank_two_members(self):
+        ranks = {name: [int(np.sum(np.linalg.eigvalsh(m) > 1e-12)) for m in stack]
+                 for name, stack in STACKS.items()}
+        assert all(r[0] == 1 for r in ranks.values())
+        assert 2 in ranks["irreducible"] and 2 in ranks["limit"]
+
+    @pytest.mark.parametrize("stack", STACKS)
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_stack_gives_the_bits_of_per_matrix_calls(self, measure, stack):
+        f = MEASURES[measure]
+        rho = STACKS[stack]
+        ref = STACKS["irreducible"][::-1]
+        single = [f(a, b) for a, b in zip(rho, ref)]
+        assert all(type(v) is float for v in single)
+        stacked = f(rho, ref)
+        assert isinstance(stacked, np.ndarray) and stacked.shape == (len(DEFAULT_TIMES),)
+        assert np.array_equal(stacked, single)
+        # any number of leading axes
+        assert np.array_equal(f(np.stack([rho, ref]), np.stack([ref, rho])),
+                              [single, [f(b, a) for a, b in zip(rho, ref)]])
 
 
 class TestPartialTrace:
@@ -194,10 +243,14 @@ class TestEntropy:
         right = marginal_entropy(psi, Bipartition(("b",)))
         assert left == pytest.approx(right, abs=1e-10)
 
-    def test_rejects_genuine_negativity(self):
-        bad = np.diag([1.2, -0.2])
+    @pytest.mark.parametrize("bad", [np.diag([1.2, -0.2]), with_bad_member(-2e-10)])
+    def test_rejects_genuine_negativity(self, bad):
         with pytest.raises(ValidationError, match="negative eigenvalue"):
             von_neumann_entropy(bad)
+
+    def test_clamps_roundoff_negativity_in_a_stack(self):
+        values = von_neumann_entropy(with_bad_member(-5e-11))
+        assert abs(values[2]) <= 1e-9
 
 
 class TestConcurrence:
@@ -237,6 +290,11 @@ class TestConcurrence:
         with pytest.raises(ValidationError, match="4x4"):
             concurrence(np.eye(2) / 2)
 
+    @pytest.mark.parametrize("bad", [with_bad_member(-2e-10)[2], with_bad_member(-2e-10)])
+    def test_rejects_genuine_negativity(self, bad):
+        with pytest.raises(ValidationError, match="negative eigenvalue"):
+            concurrence(bad)
+
 
 class TestTraceDistance:
     def test_identical_states(self):
@@ -261,9 +319,16 @@ class TestTraceDistance:
         d12 = trace_distance(rhos[1], rhos[2])
         assert d02 <= d01 + d12 + 1e-12
 
-    def test_dimension_mismatch(self):
+    @pytest.mark.parametrize("shapes", [
+        ((2, 2), (3, 3)),
+        ((5, 4, 4), (4, 4, 4)),
+        ((5, 4, 4), (4, 4)),
+        ((2, 5, 4, 4), (5, 4, 4)),
+    ])
+    def test_dimension_mismatch(self, shapes):
+        a, b = (np.broadcast_to(np.eye(s[-1]) / s[-1], s) for s in shapes)
         with pytest.raises(ValidationError, match="mismatch"):
-            trace_distance(np.eye(2) / 2, np.eye(3) / 3)
+            trace_distance(a, b)
 
     def test_finite_ensemble_distance_decreases(self):
         limit = dyn.rho_atoms_limit(math.pi / 2, 0.25, 0.25, 0.25)

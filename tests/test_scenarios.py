@@ -250,6 +250,7 @@ class TestSimulatedDensity:
         rep = reps.build_infinity_two_mode(1)
         rho = simulated_atomic_density(rep, np.array([]), ("mode1", "mode2"))
         assert rho.shape == (0, 4, 4)
+        assert rho.dtype == dyn.rho_atoms_irreducible(np.array([])).dtype == complex
 
     def test_matches_closed_form_row(self):
         from ccrlab.representations import VacuumProfile, build_reducible
