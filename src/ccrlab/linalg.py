@@ -9,7 +9,8 @@ and :func:`matricize`, the one regrouping of a tensor across a cut.
 All matrices are plain ``numpy.ndarray`` with ``complex128`` entries; the
 module stays dense on purpose. The reducible ensemble's field space is
 capped at dimension 4096; the irreducible representations cap their
-coupled space at 4096, so their field dimension is at most 1024. The
+coupled space at 1024, so their field dimension is at most 256, because
+their scenarios form whole coupled-space Hamiltonians and propagators. The
 brute-force route assembles the coupling Hamiltonian directly on the
 excitation sectors of its initial state (see
 :func:`ccrlab.dynamics.jc_hamiltonian`), so its largest matrices are the

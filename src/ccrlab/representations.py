@@ -11,7 +11,9 @@ Three constructions are provided:
   mode, ``I_k`` the identity),
 * the symmetric Fock space over an abstract orthonormal one-particle
   basis, built directly in the occupation-number basis with a total
-  occupation cutoff (``I_k`` again the identity, vacuum unique),
+  occupation cutoff (``I_k`` again the identity, vacuum unique); it and
+  the two-mode representation are one occupation-number construction
+  that differs only in the declared factorization,
 * the reducible finite-ensemble representation: N oscillators, each
   carrying every mode, with collective operators
   ``a_k = (1/sqrt(N)) sum_n a_k^(n)`` whose central element has spectrum
@@ -41,10 +43,15 @@ from .linalg import (
 
 #: Profiles must carry unit total probability to this tolerance.
 TOL_PROFILE = 1e-12
-#: Dimension ceiling for brute-force constructions: the field of a
-#: reducible ensemble, the coupled atoms-plus-field space (4 times the
-#: field) of the two irreducible representations.
+#: Dimension ceiling for the field of a brute-force reducible ensemble,
+#: whose evolution never forms a matrix on the coupled space.
 BRUTE_FORCE_CEILING = 4096
+#: Ceiling for the coupled atoms-plus-field space (4 times the field) of
+#: the two irreducible representations. Their scenarios form the full
+#: coupled Hamiltonian, its eigendecomposition and a propagator stack, so
+#: at 4096 (n_max = 31) one run took minutes and ~3 GB; 1024 keeps the
+#: largest admitted run within a few seconds and ~300 MB.
+_COUPLED_CEILING = 1024
 
 
 @dataclass(frozen=True)
@@ -208,39 +215,65 @@ class CcrReport:
 
 
 def build_infinity_two_mode(n_max: int) -> Representation:
-    """Two-mode irreducible representation: a1 = a (x) I, a2 = I (x) a.
+    """Two-mode irreducible representation: one oscillator factor per mode.
 
-    Each mode owns one truncated oscillator factor; the central elements
-    are identities and the vacuum is the joint ground state. A coupled
-    dimension 4 (n_max + 1)^2 above :data:`BRUTE_FORCE_CEILING` raises
-    :class:`SizeLimitError` before anything is built.
+    The occupation basis is the box n1, n2 <= n_max in lexicographic order
+    (the ``a (x) I`` / ``I (x) a`` order) with the factorization
+    mode1 (x) mode2; operators, vacuum and central identities come from the
+    occupation-number construction shared with :func:`build_berezin`. A
+    coupled dimension 4 (n_max + 1)^2 above the irreducible ceiling 1024
+    (so n_max > 15) raises :class:`SizeLimitError` before anything is built.
     """
     n_max = int(n_max)
     if n_max < 1:
         raise ConfigError(f"two-mode build needs n_max >= 1, got {n_max}")
     _check_coupled_ceiling("two-mode", (n_max + 1) ** 2)
-    a = fock.annihilation(n_max)
-    m = n_max + 1
-    eye = np.eye(m, dtype=complex)
-    fact = HilbertFactorization((("mode1", m), ("mode2", m)))
-    lowering = {"mode1": kron(a, eye), "mode2": kron(eye, a)}
-    identity = np.eye(m * m, dtype=complex)
-    central = {"mode1": identity, "mode2": identity}
-    vac = np.zeros(m * m, dtype=complex)
-    vac[0] = 1.0
-    number = kron(fock.number_operator(n_max), eye) + kron(
-        eye, fock.number_operator(n_max)
-    )
-    occ = np.indices((m, m)).reshape(2, -1)
-    mask = np.all(occ <= n_max - 1, axis=0)
+    box = [(n1, n2) for n1 in range(n_max + 1) for n2 in range(n_max + 1)]
+    fact = HilbertFactorization((("mode1", n_max + 1), ("mode2", n_max + 1)))
+    return _occupation_representation(
+        "infinity", box, {"mode1": 0, "mode2": 1}, fact, n_max=n_max)
+
+
+def _occupation_representation(
+    kind: str,
+    basis: list[tuple[int, ...]],
+    modes: dict[str, int],
+    fact: HilbertFactorization,
+    n_max: int | None = None,
+) -> Representation:
+    """Irreducible Fock representation on an occupation basis.
+
+    ``basis`` lists occupation tuples in the order of ``fact``'s basis;
+    ``modes`` maps each built mode label to its slot in the tuples. a_k
+    lowers slot k by one with matrix element sqrt(n_k), the vacuum is the
+    all-zero tuple, ``number_op`` is diagonal in the tuple totals, the
+    central elements are the identity, and a basis state is below the
+    cutoff when adding one quantum to any slot stays in the basis. Only
+    ``fact`` tells the representations apart; ``n_max`` is only recorded.
+    """
+    index = {tup: i for i, tup in enumerate(basis)}
+    dim = len(basis)
+    lowering = {}
+    for label, slot in modes.items():
+        a = np.zeros((dim, dim), dtype=complex)
+        for tup, col in index.items():
+            if tup[slot]:
+                lowered = tup[:slot] + (tup[slot] - 1,) + tup[slot + 1:]
+                a[index[lowered], col] = math.sqrt(tup[slot])
+        lowering[label] = a
+    identity = np.eye(dim, dtype=complex)
+    vac = np.zeros(dim, dtype=complex)
+    vac[index[(0,) * len(basis[0])]] = 1.0
+    mask = np.array([all(tup[:k] + (n + 1,) + tup[k + 1:] in index
+                         for k, n in enumerate(tup)) for tup in basis])
     return Representation(
-        kind="infinity",
-        mode_labels=("mode1", "mode2"),
+        kind=kind,
+        mode_labels=tuple(modes),
         lowering=lowering,
-        central=central,
+        central={label: identity for label in modes},
         vacuum=StateVector(vac, fact),
         factorization=fact,
-        number_op=number,
+        number_op=np.diag([float(sum(tup)) for tup in basis]).astype(complex),
         below_cutoff_mask=mask,
         n_max=n_max,
     )
@@ -252,11 +285,11 @@ def _check_coupled_ceiling(kind: str, field_dim: int) -> None:
     ``field_dim`` may be a lower bound of the field dimension (see
     :func:`_capped_comb`); it is reported as one.
     """
-    if 4 * field_dim > BRUTE_FORCE_CEILING:
+    if 4 * field_dim > _COUPLED_CEILING:
         raise SizeLimitError(
             f"{kind} field dimension is at least {field_dim}, so the coupled "
             f"dimension 4 * {field_dim} exceeds the brute-force ceiling "
-            f"{BRUTE_FORCE_CEILING}"
+            f"{_COUPLED_CEILING}"
         )
 
 
@@ -294,15 +327,16 @@ def build_berezin(
 ) -> Representation:
     """Symmetric Fock space over d abstract orthonormal modes, total cutoff.
 
-    The field is a single tensor factor spanned by occupation tuples; the
-    creation operator for mode n connects tuples differing by one quantum
-    in slot n with matrix element sqrt(n_n + 1). The vacuum is the unique
-    all-zero tuple. ``selected_modes`` are distinct 1-based indices into
-    the mode basis; operators are built only for those (default: all of
-    them).
-    A coupled dimension 4 C(d + total_cutoff, d) above
-    :data:`BRUTE_FORCE_CEILING` raises :class:`SizeLimitError`, decided
-    without enumerating the basis.
+    The occupation basis is the simplex of tuples with total <=
+    ``total_cutoff`` (:func:`occupation_basis`), declared as one ``field``
+    factor; operators, vacuum and central identities come from the same
+    occupation-number construction as :func:`build_infinity_two_mode`,
+    which differs only in declaring one factor per mode.
+    ``selected_modes`` are distinct 1-based indices into the mode basis;
+    operators ``f<n>`` are built only for those (default: all of them).
+    A coupled dimension 4 C(d + total_cutoff, d) above the irreducible
+    ceiling 1024 raises :class:`SizeLimitError`, decided without
+    enumerating the basis.
     """
     d = int(d)
     total_cutoff = int(total_cutoff)
@@ -311,7 +345,7 @@ def build_berezin(
     if total_cutoff < 1:
         raise ConfigError(f"total cutoff must be >= 1, got {total_cutoff}")
     _check_coupled_ceiling("Berezin", _capped_comb(
-        d + total_cutoff, d, BRUTE_FORCE_CEILING // 4))
+        d + total_cutoff, d, _COUPLED_CEILING // 4))
     if selected_modes is None:
         selected_modes = list(range(1, d + 1))
     for n in selected_modes:
@@ -321,42 +355,9 @@ def build_berezin(
         raise ConfigError(f"selected modes repeat a mode: {list(selected_modes)}")
 
     basis = occupation_basis(d, total_cutoff)
-    index = {tup: i for i, tup in enumerate(basis)}
-    dim = len(basis)
-    fact = HilbertFactorization((("field", dim),))
-
-    lowering: dict[str, np.ndarray] = {}
-    central: dict[str, np.ndarray] = {}
-    identity = np.eye(dim, dtype=complex)
-    labels = []
-    for n in selected_modes:
-        slot = int(n) - 1
-        raising = np.zeros((dim, dim), dtype=complex)
-        for tup, col in index.items():
-            if sum(tup) + 1 > total_cutoff:
-                continue
-            bumped = tup[:slot] + (tup[slot] + 1,) + tup[slot + 1 :]
-            raising[index[bumped], col] = math.sqrt(tup[slot] + 1)
-        label = f"f{int(n)}"
-        labels.append(label)
-        lowering[label] = raising.conj().T
-        central[label] = identity
-
-    vac = np.zeros(dim, dtype=complex)
-    vac[index[(0,) * d]] = 1.0
-    totals = np.array([sum(tup) for tup in basis])
-    number = np.diag(totals.astype(float)).astype(complex)
-    mask = totals <= total_cutoff - 1
-    return Representation(
-        kind="berezin",
-        mode_labels=tuple(labels),
-        lowering=lowering,
-        central=central,
-        vacuum=StateVector(vac, fact),
-        factorization=fact,
-        number_op=number,
-        below_cutoff_mask=mask,
-    )
+    fact = HilbertFactorization((("field", len(basis)),))
+    return _occupation_representation(
+        "berezin", basis, {f"f{int(n)}": int(n) - 1 for n in selected_modes}, fact)
 
 
 def _single_oscillator_mode_ops(

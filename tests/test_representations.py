@@ -8,7 +8,8 @@ import pytest
 
 from ccrlab import fock, representations
 from ccrlab.exceptions import ConfigError, DomainError, SizeLimitError, ValidationError
-from ccrlab.linalg import embed_operator
+from ccrlab.entanglement import Bipartition, marginal_entropy
+from ccrlab.linalg import embed_operator, kron
 from ccrlab.representations import (
     VacuumProfile,
     binomial_support,
@@ -152,14 +153,14 @@ class TestBerezinRepresentation:
         assert occupation_basis(d, cutoff) == expected
 
     @pytest.mark.parametrize("build, admitted, refused", [
-        # coupled dimension 4 (n_max + 1)^2: 4096 at n_max = 31, 4356 at 32
-        (build_infinity_two_mode, (31,), (32,)),
-        # 4 C(d + cutoff, d): 3960 at (2, 43), 4140 at (2, 44)
-        (build_berezin, (2, 43), (2, 44)),
+        # coupled dimension 4 (n_max + 1)^2: 1024 at n_max = 15, 1156 at 16
+        (build_infinity_two_mode, (15,), (16,)),
+        # 4 C(d + cutoff, d): 1012 at (2, 21), 1104 at (2, 22)
+        (build_berezin, (2, 21), (2, 22)),
     ])
     def test_coupled_dimension_ceiling(self, build, admitted, refused):
-        assert 4 * build(*admitted).dim <= representations.BRUTE_FORCE_CEILING
-        with pytest.raises(SizeLimitError, match="ceiling 4096"):
+        assert 4 * build(*admitted).dim <= representations._COUPLED_CEILING
+        with pytest.raises(SizeLimitError, match="ceiling 1024"):
             build(*refused)
 
     @pytest.mark.parametrize("args", [(10**9, 10**9), (2, 10**12), (10**12, 1)])
@@ -175,6 +176,98 @@ class TestBerezinRepresentation:
             value = representations._capped_comb(n, k, 1024)
             exact = math.comb(n, k)
             assert value == exact if exact <= 1024 else value > 1024
+
+
+def kron_infinity_fields(n_max):
+    """Two-mode fields assembled from kron products of one-oscillator matrices."""
+    a = fock.annihilation(n_max)
+    eye = np.eye(n_max + 1, dtype=complex)
+    number = fock.number_operator(n_max)
+    occ = np.indices((n_max + 1, n_max + 1)).reshape(2, -1)
+    vac = np.zeros((n_max + 1) ** 2, dtype=complex)
+    vac[0] = 1.0
+    return {
+        "labels": ("mode1", "mode2"),
+        "lowering": [kron(a, eye), kron(eye, a)],
+        "number": kron(number, eye) + kron(eye, number),
+        "vacuum": vac,
+        "mask": np.all(occ <= n_max - 1, axis=0),
+        "factors": (("mode1", n_max + 1), ("mode2", n_max + 1)),
+    }
+
+
+def raised_berezin_fields(d, cutoff, selected):
+    """Berezin fields from creation operators built tuple by tuple, then transposed."""
+    basis = list(itertools.product(range(cutoff + 1), repeat=d))
+    basis = [tup for tup in basis if sum(tup) <= cutoff]
+    index = {tup: i for i, tup in enumerate(basis)}
+    lowering = []
+    for n in selected:
+        raising = np.zeros((len(basis),) * 2, dtype=complex)
+        for tup, col in index.items():
+            if sum(tup) < cutoff:
+                bumped = tup[:n - 1] + (tup[n - 1] + 1,) + tup[n:]
+                raising[index[bumped], col] = math.sqrt(tup[n - 1] + 1)
+        lowering.append(raising.conj().T)
+    totals = np.array([sum(tup) for tup in basis])
+    vac = np.zeros(len(basis), dtype=complex)
+    vac[index[(0,) * d]] = 1.0
+    return {
+        "labels": tuple(f"f{n}" for n in selected),
+        "lowering": lowering,
+        "number": np.diag(totals.astype(float)).astype(complex),
+        "vacuum": vac,
+        "mask": totals <= cutoff - 1,
+        "factors": (("field", len(basis)),),
+    }
+
+
+class TestOneOccupationConstruction:
+    """The two irreducible representations differ only in their factorization."""
+
+    @pytest.mark.parametrize("c", [1, 2, 5])
+    def test_infinity_restricted_to_the_simplex_is_berezin(self, c):
+        inf, ber = build_infinity_two_mode(c), build_berezin(2, c)
+        keep = [i for i, (n1, n2) in enumerate(itertools.product(range(c + 1), repeat=2))
+                if n1 + n2 <= c]
+        cut = np.ix_(keep, keep)
+        for mode, field in (("mode1", "f1"), ("mode2", "f2")):
+            assert np.array_equal(inf.lowering[mode][cut], ber.lowering[field])
+        assert np.array_equal(inf.number_op[cut], ber.number_op)
+        assert np.array_equal(inf.vacuum.amplitudes[keep], ber.vacuum.amplitudes)
+
+    def test_shared_photon_entangled_only_across_declared_mode_factors(self):
+        inf = build_infinity_two_mode(1)
+        psi = mode_excitation_state(inf, "mode1", "mode2")
+        assert marginal_entropy(psi, Bipartition(("mode1",))) == pytest.approx(
+            math.log(2.0), abs=1e-14)
+        ber = build_berezin(2, 1)
+        with pytest.raises(ValidationError, match="unknown factor label 'f1'"):
+            marginal_entropy(mode_excitation_state(ber, "f1", "f2"), Bipartition(("f1",)))
+
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 7, 15])
+    def test_infinity_fields_equal_the_kron_construction(self, n_max):
+        assert_fields_equal(build_infinity_two_mode(n_max), kron_infinity_fields(n_max))
+
+    @pytest.mark.parametrize("d, cutoff, selected", [
+        (1, 1, [1]), (2, 1, [1, 2]), (2, 2, [1, 2]), (3, 2, [1, 2, 3]),
+        (2, 21, [1, 2]), (5, 3, [1, 2, 3, 4, 5]), (1, 5, [1]), (3, 2, [3, 1]),
+    ])
+    def test_berezin_fields_equal_the_raised_construction(self, d, cutoff, selected):
+        assert_fields_equal(build_berezin(d, cutoff, selected),
+                            raised_berezin_fields(d, cutoff, selected))
+
+
+def assert_fields_equal(rep, want):
+    assert rep.mode_labels == want["labels"]
+    for label, a in zip(want["labels"], want["lowering"]):
+        assert np.array_equal(rep.lowering[label], a)
+        assert np.array_equal(rep.central[label], np.eye(rep.dim))
+    assert rep.number_op.dtype == want["number"].dtype
+    assert np.array_equal(rep.number_op, want["number"])
+    assert np.array_equal(rep.vacuum.amplitudes, want["vacuum"])
+    assert np.array_equal(rep.below_cutoff_mask, want["mask"])
+    assert rep.factorization.factors == want["factors"]
 
 
 class TestReducibleRepresentation:

@@ -786,7 +786,9 @@ class TestCli:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("config", [
+        {"scenario": "infinity", "n_max": 16},
         {"scenario": "infinity", "n_max": 32},
+        {"scenario": "berezin", "d": 2, "cutoff": 22},
         {"scenario": "berezin", "d": 2, "cutoff": 60},
     ])
     def test_irreducible_size_ceiling_exits_3_fast(self, tmp_path, capsys, config):
