@@ -45,10 +45,10 @@ from .linalg import (
 )
 from .representations import (
     Representation,
+    _joint_sector_sum,
+    _log_binomial_table,
     binomial_support,
-    joint_sector_sum,
     kron_vector,
-    log_binomial_weights,
     mode_excitation_state,
 )
 
@@ -247,17 +247,20 @@ def _central_measure_density(t, z: float, marginals, joint) -> np.ndarray:
 
     ``marginals`` holds (points, weights, exact mean) of r1 and of r2;
     ``joint(g1, g2)`` is E[g1(r1) g2(r2)] for g1, g2 tabulated over the
-    points along their last axis.
+    points along their last axis. Each point takes one sine per time:
+    cos^2 = 1 - sin^2, so |--><--| is norm (E[r1] + E[r2] - E[r1 sin^2]
+    - E[r2 sin^2]), with the E[r_k] summed over the tabulated weights.
     """
     tt = time_grid(t)[..., None]
     norm = 1.0 / (marginals[0][2] + marginals[1][2])
     rho = np.zeros(tt.shape[:-1] + (4, 4), dtype=complex)
     amplitude = []
     for idx, (r, w, _) in zip((IDX_PM, IDX_MP), marginals):
-        theta = tt * np.sqrt(r / z)
-        sin = np.sin(theta)
-        rho[..., idx, idx] = norm * np.sum(sin**2 * r * w, axis=-1)
-        rho[..., IDX_MM, IDX_MM] += np.sum(np.cos(theta) ** 2 * r * w, axis=-1)
+        rw = r * w
+        sin = np.sin(tt * np.sqrt(r / z))
+        excited = np.sum(sin**2 * rw, axis=-1)
+        rho[..., idx, idx] = norm * excited
+        rho[..., IDX_MM, IDX_MM] += np.sum(rw, axis=-1) - excited
         amplitude.append(sin * np.sqrt(r))
     rho[..., IDX_MM, IDX_MM] *= norm
     rho[..., IDX_PM, IDX_MP] = rho[..., IDX_MP, IDX_PM] = norm * joint(*amplitude)
@@ -305,21 +308,25 @@ def rho_atoms_reducible(
     """Two-atom density matrix for the N-oscillator reducible representation.
 
     mu is the multinomial vacuum distribution of (s/N, s'/N): binomial
-    marginals over :func:`~ccrlab.representations.binomial_support`,
-    each weight the float64 exponential of an extended-precision log
-    (:func:`~ccrlab.representations.log_binomial_weights`), and the joint
-    sum :func:`~ccrlab.representations.joint_sector_sum`, one FFT
-    convolution for all times. The multinomial weight vanishes for
-    s + s' > N, which kills the coherence at N = 1.
+    marginals over :func:`~ccrlab.representations.binomial_support`, each
+    weight the float64 exponential of a float64 compensated log-ratio
+    recurrence anchored on one extended-precision cell of
+    :func:`~ccrlab.representations.log_binomial_weights` (one table for
+    both modes when z1 = z2), and the joint sum
+    :func:`~ccrlab.representations.joint_sector_sum`, one FFT convolution
+    for all times, whose point mass at z1 + z2 = 1 reads mode 1's table.
+    The multinomial weight vanishes for s + s' > N, which kills the
+    coherence at N = 1.
     """
     n, z1, z2, z = _check_ensemble_params(n, z1, z2, z)
-    marginals = []
-    for z_k in (z1, z2):
-        support = binomial_support(n, z_k)
-        weights = np.exp(log_binomial_weights(n, support, z_k).astype(float))
-        marginals.append((support / n, weights, z_k))
+
+    def marginal(z_k):
+        return binomial_support(n, z_k) / n, np.exp(_log_binomial_table(n, z_k)), z_k
+
+    first = marginal(z1)
+    marginals = (first, first if z2 == z1 else marginal(z2))
     return _central_measure_density(
-        t, z, marginals, lambda g1, g2: joint_sector_sum(n, z1, z2, g1, g2))
+        t, z, marginals, lambda g1, g2: _joint_sector_sum(n, z1, z2, g1, g2, first[1]))
 
 
 def rho_atoms_limit(t: float | np.ndarray, z1: float, z2: float, z: float) -> np.ndarray:

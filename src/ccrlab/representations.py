@@ -553,12 +553,14 @@ def _xlogy_ld(x: np.ndarray, y) -> np.ndarray:
     return np.where(x == 0, _LD(0), out)
 
 
-def _log_binom_stirling(n, s):
-    """Half-log and correction pieces of Stirling's series for ln C(n, s).
+def _log_binomial_bulk(n, s, z, q):
+    """ln C(n, s) z^s q^(n-s) by Stirling's series, q = 1 - z.
 
-    The entropy-like leading terms are assembled by the caller. Used only
-    with min(s, n - s) > _SMALL_SECTOR, where the truncated series is
-    accurate to ~1e-16. Arguments are extended-precision arrays.
+    A relative-entropy term, taken through log1p around the binomial mean
+    so that its large logs do not cancel, plus the half-log and the
+    series corrections. Accurate to ~1e-16 for min(s, n - s) >
+    _SMALL_SECTOR. Arguments are extended precision; ``s`` is a 0-d value
+    (one cell, in scalar arithmetic) or an array of cells.
     """
     r = n - s
 
@@ -567,24 +569,30 @@ def _log_binom_stirling(n, s):
         inv2 = inv * inv
         return inv / 12 - inv * inv2 / 360 + inv * inv2 * inv2 / 1260 - inv * inv2**3 / 1680
 
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # s ln(s/(nZ)) + (n-s) ln((n-s)/(n(1-Z))), the only large terms
+        t1 = s * np.log1p((s - n * z) / (n * z))
+        t2 = r * np.log1p((n * z - s) / (n * q))
     half = 0.5 * np.log(n / (_LD(2 * np.pi) * s * r))
-    corr = corrections(n) - corrections(s) - corrections(r)
-    return half, corr
+    return -(t1 + t2) + half + (corrections(n) - corrections(s) - corrections(r))
 
 
 def _log_binomial_direct(n: int, s: np.ndarray, z) -> np.ndarray:
     """ln C(n, s) z^s (1-z)^(n-s), cell by cell, in extended precision.
 
-    A cancellation-free Stirling form (a relative-entropy term plus
-    corrections) in the bulk and exact small-coefficient logs near the
-    edges. Each cell costs ~25 extended-precision operations, so it
-    serves single cells, the anchor of :func:`log_binomial_weights`, the
-    point masses z in {0, 1}, and the tests as the oracle.
+    A cancellation-free Stirling form in the bulk
+    (:func:`_log_binomial_bulk`) and exact small-coefficient logs near the
+    edges. Each cell costs ~25 extended-precision operations, so it serves
+    single cells, the anchor of :func:`log_binomial_weights`, the point
+    masses z in {0, 1}, and the tests as the oracle. A single bulk cell,
+    which every anchor is at large n, runs as scalar arithmetic.
     """
     s = np.asarray(s)
     n_ld = _LD(n)
     z_ld = _LD(z)
     q_ld = _LD(1) - z_ld
+    if s.size == 1 and _SMALL_SECTOR < s.flat[0] < n - _SMALL_SECTOR:
+        return np.full(s.shape, _log_binomial_bulk(n_ld, _LD(s.flat[0]), z_ld, q_ld))
     s_ld = s.astype(_LD)
     out = np.empty(s.shape, dtype=_LD)
 
@@ -604,15 +612,7 @@ def _log_binomial_direct(n: int, s: np.ndarray, z) -> np.ndarray:
             + _xlogy_ld(n_ld - s_ld[edge], q_ld)
         )
     if mid.any():
-        sm = s_ld[mid]
-        rm = n_ld - sm
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # s ln(s/(nZ)) + (n-s) ln((n-s)/(n(1-Z))), the only large terms,
-            # via log1p around the binomial mean to avoid cancellation
-            t1 = sm * np.log1p((sm - n_ld * z_ld) / (n_ld * z_ld))
-            t2 = rm * np.log1p((n_ld * z_ld - sm) / (n_ld * q_ld))
-        half, corr = _log_binom_stirling(n_ld, sm)
-        out[mid] = -(t1 + t2) + half + corr
+        out[mid] = _log_binomial_bulk(n_ld, s_ld[mid], z_ld, q_ld)
     return out
 
 
@@ -630,6 +630,86 @@ def _anchored_cumsum(log_step, lo: int, hi: int, anchor: int) -> np.ndarray:
     return (cum - cum[anchor - start])[lo - start : hi - start + 1]
 
 
+def _two_sum(a, b):
+    """(a + b, its rounding error), both exact: Knuth's TwoSum, on floats or arrays."""
+    total = a + b
+    b_part = total - a
+    return total, (a - (total - b_part)) + (b - b_part)
+
+
+def _split(a: float) -> tuple[float, float]:
+    """Veltkamp's split a = hi + lo, each half of at most 26 significant bits."""
+    hi = 134217729.0 * a - (134217729.0 * a - a)  # 2**27 + 1
+    return hi, a - hi
+
+
+def _two_prod(a: float, b: float) -> tuple[float, float]:
+    """(a * b, its rounding error), both exact: Dekker's product (no fma)."""
+    prod = a * b
+    (a1, a2), (b1, b2) = _split(a), _split(b)
+    return prod, ((a1 * b1 - prod) + a1 * b2 + a2 * b1) + a2 * b2
+
+
+def _log_ratio_table(lam: tuple[float, float], p: float, lo: int, hi: int,
+                     anchor: int, offset) -> np.ndarray:
+    """f(j) - f(anchor) + offset for j = lo..hi in float64, no extended precision.
+
+    The steps are f(j) - f(j - 1) = ln((lam - p j) / (q j)), q = 1 - p,
+    with lam an exact float pair (hi, lo): lam = (n + 1) z and p = z give
+    the binomial log-ratios ln(z (n + 1 - j) / ((1 - z) j)), lam = n z and
+    p = 0 the power-series ones ln(n z / j). Near the bulk, |x| < 1/2 with
+    x = (lam - j) / (q j), a step is log1p(x), whose numerator
+    (lam_hi - j) + lam_lo is exactly centred (Sterbenz). x falls with j,
+    so those cells are one run; outside it a step is the log of the ratio,
+    whose numerator takes p j exactly from a split of p. The prefix sums
+    carry the sum of their TwoSum errors (Ogita, Rump & Oishi's Sum2), so
+    their rounding does not grow with the window. ``offset``, an
+    extended-precision anchor value, enters as two floats.
+    """
+    start, stop = min(lo, anchor), max(hi, anchor)
+    j = np.arange(start + 1, stop + 1, dtype=float)
+    lam_hi, lam_lo = lam
+    q = 1.0 - p
+    near = slice(*np.searchsorted(j, (lam_hi / (1 + q / 2), lam_hi / (1 - q / 2))))
+    steps = np.empty_like(j)
+    x = np.subtract(lam_hi, j[near], out=steps[near])
+    x += lam_lo
+    x /= q * j[near]
+    np.log1p(x, out=x)
+    p_hi, p_lo = _split(p)
+    for far in (slice(None, near.start), slice(near.stop, None)):
+        jf = j[far]
+        steps[far] = np.log((((lam_hi - jf * p_hi) + lam_lo) - jf * p_lo) / (q * jf))
+    total = np.concatenate(([0.0], np.cumsum(steps)))
+    # TwoSum error of each partial sum total[i + 1] = total[i] + steps[i],
+    # as _two_sum but in place: the sums are already in total
+    part = np.subtract(total[1:], total[:-1], out=j)
+    err = total[:-1] - (total[1:] - part)
+    steps -= part
+    err += steps
+    errors = np.concatenate(([0.0], np.cumsum(err)))
+    window, k = slice(lo - start, hi - start + 1), anchor - start
+    low = (errors[window] - errors[k]) + float(offset - _LD(float(offset)))
+    return (total[window] - total[k]) + low + float(offset)
+
+
+def _log_binomial_table(n: int, z: float) -> np.ndarray:
+    """ln Bin(n, s; z) over ``binomial_support(n, z)``, in float64.
+
+    One :func:`_log_ratio_table` recurrence anchored at floor(n z), whose
+    value is the one extended-precision cell taken from
+    :func:`log_binomial_weights`; the point masses z in {0, 1} are read
+    from it whole. Within a few 1e-14 relative of it in every weight.
+    """
+    support = binomial_support(n, z)
+    if not 0.0 < z < 1.0:
+        return log_binomial_weights(n, support, z).astype(float)
+    anchor = min(max(math.floor(n * z), support[0]), support[-1])
+    log_w = log_binomial_weights(n, np.array([anchor]), z)[0]
+    return _log_ratio_table(_two_prod(n + 1.0, z), z, support[0], support[-1],
+                            anchor, log_w)
+
+
 def log_binomial_weights(n: int, s: np.ndarray, z: float) -> np.ndarray:
     """log of C(n, s) z^s (1-z)^(n-s), vectorized over s.
 
@@ -639,9 +719,9 @@ def log_binomial_weights(n: int, s: np.ndarray, z: float) -> np.ndarray:
     anchor value comes from the direct per-cell Stirling/small-table
     formula. Weight sums stay within 1e-12 of unity even at n = 10^6.
     Single cells and the point masses z in {0, 1} use the direct formula.
-    Callers exponentiate in float64 (:func:`joint_sector_sum`,
-    :func:`~ccrlab.dynamics.rho_atoms_reducible`), which changes a weight w
-    by at most |ln w| * 1.1e-16 relative.
+    The closed form's float64 tables (:func:`_log_binomial_table`,
+    :func:`joint_sector_sum`) take only their anchor cells from here, and
+    this extended-precision result is their oracle.
     """
     s = np.asarray(s)
     if s.size < 2 or not 0 < z < 1:
@@ -692,12 +772,6 @@ def binomial_support(n: int, z: float) -> np.ndarray:
     return np.arange(max(0, center - half), min(n, center + half) + 1)
 
 
-def _log_power_table(lam, lo: int, hi: int, anchor: int) -> np.ndarray:
-    """ln(lam^j / j!) - ln(lam^anchor / anchor!) for j = lo..hi, by the steps ln(lam / j)."""
-    lam = _LD(lam)
-    return _anchored_cumsum(lambda j: np.log(lam / j), lo, hi, anchor)
-
-
 def joint_sector_sum(
     n: int, z1: float, z2: float, f1: np.ndarray, f2: np.ndarray
 ) -> np.ndarray:
@@ -712,17 +786,27 @@ def joint_sector_sum(
     b ~ (n z2)^s' / s'! and c(k) ~ (n z0)^(n-k) / (n-k)!, all normalized
     at an anchor cell (s0, s0') near the mean. The anchor weight w0 comes
     from :func:`log_joint_weights`, i.e. from the direct per-cell binomial
-    formula; the log tables are anchored extended-precision cumulative
-    sums, exponentiated in float64. The double sum is then
-    sum_k c(k) (x * y)(k) with x = a f1 and y = b f2, one 1-D convolution
-    per row, taken for the whole row stack by one zero-padded
-    ``rfft``/``irfft``: O((|a| + |b|) log(|a| + |b|)) per row instead of
-    the direct O(|a| |b|), which took most of the call at N = 1e6. Its
-    rounding is of order 1e-16 absolute on the unit-scale sums here, and
-    the length-4 transform of the N = 1 tables is exact, so the N = 1
-    coherence stays exactly 0. For z0 = 0 the weight is the point mass
-    s' = n - s, i.e. Bin(n, s; z1), again exponentiated in float64.
+    formula in extended precision; the log tables are float64 compensated
+    log-ratio recurrences (:func:`_log_ratio_table`, with n z0 an exact
+    float pair from TwoSum and Dekker's product), exponentiated in
+    float64. The double sum is then sum_k c(k) (x * y)(k) with x = a f1
+    and y = b f2, one 1-D convolution per row, taken for the whole row
+    stack by one zero-padded ``rfft``/``irfft``: O((|a| + |b|) log(|a| +
+    |b|)) per row instead of the direct O(|a| |b|), which took most of the
+    call at N = 1e6. Its rounding is of order 1e-16 absolute on the
+    unit-scale sums here, and the length-4 transform of the N = 1 tables
+    is exact, so the N = 1 coherence stays exactly 0. For z0 = 0 the
+    weight is the point mass s' = n - s, i.e. the float64 binomial table
+    Bin(n, s; z1).
     """
+    return _joint_sector_sum(n, z1, z2, f1, f2, None)
+
+
+def _joint_sector_sum(n: int, z1: float, z2: float, f1: np.ndarray,
+                      f2: np.ndarray, w1: np.ndarray | None) -> np.ndarray:
+    """:func:`joint_sector_sum`, given mode 1's binomial weights ``w1`` over
+    ``binomial_support(n, z1)`` when the caller has them (None builds them
+    if the point mass z0 = 0 needs them)."""
     s1 = binomial_support(n, z1)
     s2 = binomial_support(n, z2)
     f1 = np.asarray(f1, dtype=float)
@@ -732,26 +816,29 @@ def joint_sector_sum(
             f"f1, f2 need {s1.size} and {s2.size} entries on their last axis, "
             f"got {f1.shape[-1]} and {f2.shape[-1]}"
         )
-    z0 = _LD(1) - _LD(z1) - _LD(z2)
-    if z0 <= 0:
+    # 1 - z1 - z2 exactly, as z0 + err1 + err2
+    rest, err1 = _two_sum(1.0, -z1)
+    z0, err2 = _two_sum(rest, -z2)
+    if z0 + (err1 + err2) <= 0:
         # point mass at s' = n - s; sectors outside the s' window carry
         # no mass worth keeping
         sp = n - s1
         keep = (sp >= s2[0]) & (sp <= s2[-1])
-        w = np.exp(log_binomial_weights(n, s1[keep], z1).astype(float))
-        return np.sum(w * f1[..., keep] * f2[..., sp[keep] - s2[0]], axis=-1)
+        w1 = np.exp(_log_binomial_table(n, z1)) if w1 is None else w1
+        return np.sum(w1[keep] * f1[..., keep] * f2[..., sp[keep] - s2[0]], axis=-1)
 
     # anchor at the mean of s and the conditional mean of s' given s0
     s0 = int(np.clip(round(n * z1), s1[0], s1[-1]))
     s0p = min(n - s0, int(round((n - s0) * z2 / (1.0 - z1))))
     log_w0 = log_joint_weights(n, np.array([s0]), np.array([s0p]), z1, z2)[0, 0]
-    a = np.exp(_log_power_table(n * _LD(z1), s1[0], s1[-1], s0).astype(float))
-    b = np.exp(_log_power_table(n * _LD(z2), s2[0], s2[-1], s0p).astype(float))
+    a = np.exp(_log_ratio_table(_two_prod(n, z1), 0.0, s1[0], s1[-1], s0, 0.0))
+    b = np.exp(_log_ratio_table(_two_prod(n, z2), 0.0, s2[0], s2[-1], s0p, 0.0))
     k_lo = s1[0] + s2[0]
     k_hi = min(n, s1[-1] + s2[-1])
     r0 = n - s0 - s0p
-    log_c = _log_power_table(n * z0, n - k_hi, n - k_lo, r0)[::-1] + log_w0
-    c = np.exp(log_c.astype(float))
+    lam_hi, lam_lo = _two_prod(n, z0)
+    c = np.exp(_log_ratio_table((lam_hi, lam_lo + n * (err1 + err2)), 0.0, n - k_hi,
+                                n - k_lo, r0, log_w0)[::-1])
 
     lead = np.broadcast_shapes(f1.shape[:-1], f2.shape[:-1])
     x = np.broadcast_to(a * f1, lead + a.shape).reshape(-1, a.size)

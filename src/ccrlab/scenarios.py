@@ -887,13 +887,15 @@ def validate(seed: int = 0) -> ScenarioReport:
     add("sector_spectrum_integers", spectrum, 1e-12,
         detail="N Z lambda^2 of the sector generator H / sqrt(Z) vs 0..N, N = 1, 2, 3")
 
-    worst = worst_direct = 0.0
+    worst = worst_direct = worst_float64 = 0.0
     marginals = {}  # N = 1000 weights by z, reused by joint_sum_marginals
     for n in (1, 10, 1000, 10**6):
         for z in (0.1, 0.25, 0.5):
             support = reps.binomial_support(n, z)
             table = reps.log_binomial_weights(n, support, z)
-            weights = np.exp(table.astype(float))
+            # the closed form's float64 table, whose weights are checked here
+            table64 = reps._log_binomial_table(n, z)
+            weights = np.exp(table64)
             worst = max(worst, abs(float(weights.sum()) - 1.0))
             if n == 1000:
                 marginals[z] = weights
@@ -907,9 +909,13 @@ def validate(seed: int = 0) -> ScenarioReport:
             direct = reps._log_binomial_direct(n, support[picks], z)
             worst_direct = max(worst_direct, float(np.max(np.abs(
                 np.expm1((table[picks] - direct).astype(float))))))
+            worst_float64 = max(worst_float64, float(np.max(np.abs(
+                np.expm1((table64[picks] - table[picks]).astype(float))))))
     add("weights_unit_sum", worst, 1e-12)
     add("binomial_recurrence_vs_direct", worst_direct, 1e-13,
         detail="relative weight error of the anchored recurrence, N up to 1e6")
+    add("float64_tables_vs_extended", worst_float64, 1e-13,
+        detail="relative weight error of the closed form's float64 tables, N up to 1e6")
 
     worst = 0.0
     for n in (10, 1000, 10**6):

@@ -7,6 +7,7 @@ import pytest
 from ccrlab import dynamics as dyn
 from ccrlab import entanglement as ent
 from ccrlab import fock
+from ccrlab import representations as reps
 from ccrlab.exceptions import ConfigError, DomainError, ValidationError
 from ccrlab.linalg import (
     StateVector,
@@ -657,6 +658,54 @@ class TestFloat64Exponentials:
         expected = np.einsum("ij,ri,rj->r", weights, f1.astype(np.longdouble), f2)
         got = joint_sector_sum(n, z1, z2, f1, f2)
         assert np.max(np.abs(got - expected)) <= 1e-14
+
+
+class TestFloat64Tables:
+    """rho_atoms_reducible on its float64 compensated tables against the same
+    closed form on extended-precision tables, each cast to float64 once."""
+
+    TIMES = np.array([0.3, 1.1, math.pi / 2])
+
+    @staticmethod
+    def extended_tables(monkeypatch):
+        ld = np.longdouble
+
+        def ratio_table(lam, p, lo, hi, anchor, offset):
+            lam, p = ld(lam[0]) + ld(lam[1]), ld(p)
+            table = reps._anchored_cumsum(
+                lambda j: np.log((lam - p * j) / ((1 - p) * j)), lo, hi, anchor)
+            return (table + offset).astype(float)
+
+        monkeypatch.setattr(reps, "_log_ratio_table", ratio_table)
+        monkeypatch.setattr(dyn, "_log_binomial_table", lambda n, z: log_binomial_weights(
+            n, binomial_support(n, z), z).astype(float))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 1000, 10**5, 10**6])
+    @pytest.mark.parametrize("z1, z2, z", [(0.2, 0.05, 0.2), (0.5, 0.5, 0.5)])
+    def test_matches_extended_precision_tables(self, monkeypatch, n, z1, z2, z):
+        got = dyn.rho_atoms_reducible(self.TIMES, n, z1, z2, z)
+        with monkeypatch.context() as patch:
+            self.extended_tables(patch)
+            expected = dyn.rho_atoms_reducible(self.TIMES, n, z1, z2, z)
+        assert np.max(np.abs(got - expected)) <= 1e-15
+        if n == 1:
+            assert np.all(got[:, dyn.IDX_PM, dyn.IDX_MP] == 0.0)
+
+    @pytest.mark.parametrize("z1, z2, z, cells", [
+        (0.5, 0.5, 0.5, 1),     # one table for both modes, read by the point mass
+        (0.2, 0.05, 0.2, 4)])   # two marginal anchors, two for the joint anchor
+    def test_extended_precision_only_in_the_anchor_cells(
+            self, monkeypatch, z1, z2, z, cells):
+        calls = []
+        original = reps.log_binomial_weights
+
+        def counted(n, s, z_k):
+            calls.append(np.size(s))
+            return original(n, s, z_k)
+
+        monkeypatch.setattr(reps, "log_binomial_weights", counted)
+        dyn.rho_atoms_reducible(self.TIMES, 10**5, z1, z2, z)
+        assert calls == [1] * cells
 
 
 class TestExplicitMeasure:

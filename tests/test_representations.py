@@ -701,6 +701,118 @@ class TestBinomialRecurrence:
                 assert abs(mpmath.expm1(mpmath.mpf(str(got[i])) - exact)) <= 1e-13
 
 
+def extended_ratio_table(lam, p, lo, hi, anchor, offset):
+    """Oracle of ``_log_ratio_table``: the same steps, summed in extended
+    precision and cast once (for p = 0, the former ``_log_power_table``)."""
+    ld = np.longdouble
+    lam, p = ld(lam[0]) + ld(lam[1]), ld(p)
+    table = representations._anchored_cumsum(
+        lambda j: np.log((lam - p * j) / ((1 - p) * j)), lo, hi, anchor)
+    return (table + offset).astype(float)
+
+
+def assert_table_close(got, expected):
+    """1e-13 relative in every weight above e^-200; in the deeper tail, whose
+    weights underflow or nearly, ten float64 roundings of ln w itself."""
+    expected = np.asarray(expected, dtype=float)
+    kept = expected >= -200.0
+    assert rel_weight_error(got[kept], expected[kept]) <= 1e-13
+    assert np.all(np.abs(got - expected)[~kept] <= 1.1e-15 * -expected[~kept])
+
+
+def power_pair(n, z1, z2=None):
+    """n z1 (or n (1 - z1 - z2)) as the exact float pair the closed form uses."""
+    two_sum, two_prod = representations._two_sum, representations._two_prod
+    if z2 is None:
+        return two_prod(n, z1)
+    rest, err1 = two_sum(1.0, -z1)
+    z0, err2 = two_sum(rest, -z2)
+    hi, lo = two_prod(n, z0)
+    return hi, lo + n * (err1 + err2)
+
+
+class TestFloat64Tables:
+    """The closed form's float64 log tables: one compensated log-ratio
+    recurrence, against the extended-precision tables and mpmath."""
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 24, 25, 49, 1000, 10**5, 10**6])
+    @pytest.mark.parametrize("z", [1e-3, 0.05, 0.2, 0.5, 0.95, 1 - 1e-3])
+    def test_binomial_window_matches_extended(self, n, z):
+        got = representations._log_binomial_table(n, z)
+        s = binomial_support(n, z)
+        assert got.dtype == np.float64 and got.shape == s.shape
+        assert rel_weight_error(got, log_binomial_weights(n, s, z)) <= 1e-13
+
+    @pytest.mark.parametrize("z", [1e-3, 0.2, 0.5, 0.95])
+    def test_binomial_matches_mpmath_at_edges_and_anchor(self, z):
+        mpmath = pytest.importorskip("mpmath")
+        n = 10**6
+        s = binomial_support(n, z)
+        got = representations._log_binomial_table(n, z)
+        with mpmath.workdps(40):
+            zm = mpmath.mpf(z)
+            for i in (0, math.floor(n * z) - s[0], s.size - 1):
+                k = int(s[i])
+                exact = (mpmath.log(mpmath.binomial(n, k)) + k * mpmath.log(zm)
+                         + (n - k) * mpmath.log(1 - zm))
+                assert abs(mpmath.expm1(mpmath.mpf(float(got[i])) - exact)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 10, 1000, 4000, 10**6])
+    @pytest.mark.parametrize("z1, z2", [(0.2, 0.05), (0.3, 0.3), (0.45, 0.55 - 1e-9)])
+    def test_power_tables_match_extended(self, n, z1, z2):
+        # the a, b and c windows of joint_sector_sum, anchored near the mean
+        s1, s2 = binomial_support(n, z1), binomial_support(n, z2)
+        k_lo, k_hi = s1[0] + s2[0], min(n, s1[-1] + s2[-1])
+        r0 = min(max(n - round(n * z1) - round(n * z2), n - k_hi), n - k_lo)
+        for lam, lo, hi, anchor in (
+                (power_pair(n, z1), s1[0], s1[-1], round(n * z1)),
+                (power_pair(n, z2), s2[0], s2[-1], round(n * z2)),
+                (power_pair(n, z1, z2), n - k_hi, n - k_lo, r0)):
+            got = representations._log_ratio_table(lam, 0.0, lo, hi, anchor, 0.0)
+            assert_table_close(
+                got, extended_ratio_table(lam, 0.0, lo, hi, anchor, 0.0))
+
+    @pytest.mark.parametrize("lam, p, lo, hi, anchor", [
+        ((1e-12, 0.0), 0.0, 0, 10**4, 0),                    # n z0 far below every cell
+        (power_pair(10**6 + 1, 0.5), 0.5, 10**6 - 30, 10**6, 10**6 - 30),  # binomial tail
+        (power_pair(11, 1e-3), 1e-3, 0, 10, 0)])
+    def test_far_from_bulk_windows_raise_no_floating_point_error(
+            self, lam, p, lo, hi, anchor):
+        with np.errstate(all="raise"):
+            got = representations._log_ratio_table(lam, p, lo, hi, anchor, 0.0)
+        assert_table_close(got, extended_ratio_table(lam, p, lo, hi, anchor, 0.0))
+
+    def test_binomial_sub_window_matches_extended(self):
+        # the log_binomial_weights anchor at the window edge, no bulk cell
+        n, z = 10**6, 0.5
+        s = np.arange(0, 31)
+        anchor_value = log_binomial_weights(n, s[-1:], z)[0]
+        with np.errstate(all="raise"):
+            got = representations._log_ratio_table(
+                power_pair(n + 1, z), z, 0, 30, 30, anchor_value)
+        assert_table_close(got, log_binomial_weights(n, s, z))
+
+    def test_point_masses_read_the_extended_table(self):
+        for z in (0.0, 1.0):
+            s = binomial_support(40, z)
+            assert np.array_equal(representations._log_binomial_table(40, z),
+                                  log_binomial_weights(40, s, z).astype(float))
+
+    def test_single_bulk_cell_is_the_array_formula_bit_for_bit(self):
+        cells = 0
+        for n in (49, 1000, 10**5, 10**6):
+            for z in (1e-3, 0.05, 0.2, 0.5, 0.95):
+                s = binomial_support(n, z)
+                s = s[(s > 24) & (s < n - 24)]
+                if s.size == 0:
+                    continue
+                whole = direct(n, s, z)
+                for i in np.unique(np.linspace(0, s.size - 1, 41).astype(int)):
+                    assert direct(n, s[i:i + 1], z)[0] == whole[i]
+                    cells += 1
+        assert cells > 500
+
+
 class TestBinomialSupport:
     def test_small_n_is_exact(self):
         assert np.array_equal(binomial_support(100, 0.5), np.arange(101))

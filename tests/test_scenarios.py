@@ -446,6 +446,17 @@ class TestValidate:
             "binomial_recurrence_vs_direct"]
         assert not check.passed
 
+    def test_float64_table_check_detects_a_shifted_table(self, monkeypatch):
+        check = {c.name: c for c in validate(seed=0).checks}[
+            "float64_tables_vs_extended"]
+        assert check.passed and check.measured <= 1e-13
+        original = reps._log_binomial_table
+        monkeypatch.setattr(reps, "_log_binomial_table",
+                            lambda n, z: original(n, z) + 1e-12)
+        check = {c.name: c for c in validate(seed=0).checks}[
+            "float64_tables_vs_extended"]
+        assert not check.passed
+
     def test_marginal_check_detects_a_wrong_joint_sum(self, monkeypatch):
         check = {c.name: c for c in validate(seed=0).checks}["joint_sum_marginals"]
         assert check.passed and check.measured <= 1e-15
