@@ -10,7 +10,6 @@ from .linalg import (
     expm_generator,
     hermitian_eig,
     kron,
-    matrix_function_psd,
 )
 from .fock import annihilation, number_operator
 from .representations import (

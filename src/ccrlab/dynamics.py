@@ -310,9 +310,9 @@ def rho_atoms_reducible(
     mu is the multinomial vacuum distribution of (s/N, s'/N): binomial
     marginals over :func:`~ccrlab.representations.binomial_support`, each
     weight the float64 exponential of a float64 compensated log-ratio
-    recurrence anchored on one extended-precision cell of
-    :func:`~ccrlab.representations.log_binomial_weights` (one table for
-    both modes when z1 = z2), and the joint sum
+    recurrence anchored on one cell of the extended-precision per-cell
+    formula :func:`~ccrlab.representations.log_binomial_weights` (one
+    table for both modes when z1 = z2), and the joint sum
     :func:`~ccrlab.representations.joint_sector_sum`, one FFT convolution
     for all times, whose point mass at z1 + z2 = 1 reads mode 1's table.
     The multinomial weight vanishes for s + s' > N, which kills the

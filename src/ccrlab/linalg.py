@@ -1,10 +1,10 @@
 """Dense complex linear algebra for operator and state manipulation.
 
 Everything here is deterministic and pure: Hermitian eigendecomposition,
-matrix functions of positive-semidefinite operators, Kronecker products,
-the spectral matrix exponential used as the dynamics oracle, the
-bookkeeping types that pin a vector to an explicit tensor factorization,
-and :func:`matricize`, the one regrouping of a tensor across a cut.
+Kronecker products, the spectral matrix exponential used as the dynamics
+oracle, the bookkeeping types that pin a vector to an explicit tensor
+factorization, and :func:`matricize`, the one regrouping of a tensor
+across a cut.
 
 All matrices are plain ``numpy.ndarray`` with ``complex128`` entries; the
 module stays dense on purpose. The reducible ensemble's field space is
@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,8 +33,6 @@ from .exceptions import ValidationError
 
 #: Hermiticity tolerance: max |M - M^dag| entry allowed before rejection.
 TOL_HERM = 1e-12
-#: Positivity tolerance: eigenvalues above -TOL_PSD are clamped to zero.
-TOL_PSD = 1e-10
 
 
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -168,24 +166,6 @@ def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
     arr = require_hermitian(m)
     w, v = np.linalg.eigh(arr)
     return w, v
-
-
-def matrix_function_psd(m, f: Callable[[float], float]) -> np.ndarray:
-    """Apply a scalar function to a positive-semidefinite Hermitian matrix.
-
-    Eigenvalues in ``[-TOL_PSD, 0)`` are roundoff from constructions such
-    as ``A @ A.conj().T`` and are clamped to zero before ``f`` is applied;
-    anything more negative raises.
-    """
-    w, v = hermitian_eig(m)
-    if w.size and w[0] < -TOL_PSD:
-        raise ValidationError(
-            f"matrix is not positive semidefinite: min eigenvalue "
-            f"{w[0]:.3e} < -{TOL_PSD:.1e}"
-        )
-    w = np.clip(w, 0.0, None)
-    fw = np.array([f(float(x)) for x in w], dtype=complex)
-    return (v * fw) @ v.conj().T
 
 
 def _kron_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:

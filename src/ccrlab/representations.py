@@ -577,15 +577,18 @@ def _log_binomial_bulk(n, s, z, q):
     return -(t1 + t2) + half + (corrections(n) - corrections(s) - corrections(r))
 
 
-def _log_binomial_direct(n: int, s: np.ndarray, z) -> np.ndarray:
+def log_binomial_weights(n: int, s: np.ndarray, z: float) -> np.ndarray:
     """ln C(n, s) z^s (1-z)^(n-s), cell by cell, in extended precision.
 
     A cancellation-free Stirling form in the bulk
     (:func:`_log_binomial_bulk`) and exact small-coefficient logs near the
-    edges. Each cell costs ~25 extended-precision operations, so it serves
-    single cells, the anchor of :func:`log_binomial_weights`, the point
-    masses z in {0, 1}, and the tests as the oracle. A single bulk cell,
-    which every anchor is at large n, runs as scalar arithmetic.
+    edges, so each cell stands alone: no cell depends on the others in
+    ``s``, whose order and gaps are free. Each cell costs ~25
+    extended-precision operations, so it serves single cells: the anchors
+    of the closed form's float64 tables (:func:`_log_binomial_table`,
+    :func:`joint_sector_sum`), the point masses z in {0, 1}, and, as their
+    oracle, the checks that compare those tables with it. A single bulk
+    cell, which every anchor is at large n, runs as scalar arithmetic.
     """
     s = np.asarray(s)
     n_ld = _LD(n)
@@ -602,8 +605,9 @@ def _log_binomial_direct(n: int, s: np.ndarray, z) -> np.ndarray:
 
     if lo.any() or hi.any():
         # ln C(n, k) for k = 0.._SMALL_SECTOR, by the exact product recurrence
-        table = _anchored_cumsum(lambda j: np.log(n_ld - j + 1) - np.log(j),
-                                 0, min(_SMALL_SECTOR, n), 0)
+        j = np.arange(1, min(_SMALL_SECTOR, n) + 1, dtype=_LD)
+        table = np.concatenate([np.zeros(1, dtype=_LD),
+                                np.cumsum(np.log(n_ld - j + 1) - np.log(j))])
         edge = lo | hi
         idx = np.where(lo, s, n - s)[edge]
         out[edge] = (
@@ -614,20 +618,6 @@ def _log_binomial_direct(n: int, s: np.ndarray, z) -> np.ndarray:
     if mid.any():
         out[mid] = _log_binomial_bulk(n_ld, s_ld[mid], z_ld, q_ld)
     return out
-
-
-def _anchored_cumsum(log_step, lo: int, hi: int, anchor: int) -> np.ndarray:
-    """f(j) - f(anchor) for j = lo..hi, given log_step(j) = f(j) - f(j - 1).
-
-    One extended-precision cumulative sum over the steps between
-    min(lo, anchor) and max(hi, anchor); ``log_step`` receives the
-    extended-precision j values. With the anchor near the bulk the steps
-    stay small there, so no large logs cancel.
-    """
-    start, stop = min(lo, anchor), max(hi, anchor)
-    steps = log_step(np.arange(start + 1, stop + 1, dtype=_LD))
-    cum = np.concatenate([np.zeros(1, dtype=_LD), np.cumsum(steps)])
-    return (cum - cum[anchor - start])[lo - start : hi - start + 1]
 
 
 def _two_sum(a, b):
@@ -670,14 +660,18 @@ def _log_ratio_table(lam: tuple[float, float], p: float, lo: int, hi: int,
     j = np.arange(start + 1, stop + 1, dtype=float)
     lam_hi, lam_lo = lam
     q = 1.0 - p
-    near = slice(*np.searchsorted(j, (lam_hi / (1 + q / 2), lam_hi / (1 - q / 2))))
+    # j < v for the first ceil(v) - start - 1 cells of j = start + 1..stop
+    near = slice(*(min(max(math.ceil(v) - start - 1, 0), j.size)
+                   for v in (lam_hi / (1 + q / 2), lam_hi / (1 - q / 2))))
     steps = np.empty_like(j)
     x = np.subtract(lam_hi, j[near], out=steps[near])
     x += lam_lo
     x /= q * j[near]
     np.log1p(x, out=x)
     p_hi, p_lo = _split(p)
-    for far in (slice(None, near.start), slice(near.stop, None)):
+    for far in (slice(0, near.start), slice(near.stop, j.size)):
+        if far.start == far.stop:
+            continue
         jf = j[far]
         steps[far] = np.log((((lam_hi - jf * p_hi) + lam_lo) - jf * p_lo) / (q * jf))
     total = np.concatenate(([0.0], np.cumsum(steps)))
@@ -697,9 +691,10 @@ def _log_binomial_table(n: int, z: float) -> np.ndarray:
     """ln Bin(n, s; z) over ``binomial_support(n, z)``, in float64.
 
     One :func:`_log_ratio_table` recurrence anchored at floor(n z), whose
-    value is the one extended-precision cell taken from
+    value is one cell of the extended-precision per-cell formula
     :func:`log_binomial_weights`; the point masses z in {0, 1} are read
-    from it whole. Within a few 1e-14 relative of it in every weight.
+    from that formula whole. Within a few 1e-14 relative of it in every
+    weight.
     """
     support = binomial_support(n, z)
     if not 0.0 < z < 1.0:
@@ -710,42 +705,19 @@ def _log_binomial_table(n: int, z: float) -> np.ndarray:
                             anchor, log_w)
 
 
-def log_binomial_weights(n: int, s: np.ndarray, z: float) -> np.ndarray:
-    """log of C(n, s) z^s (1-z)^(n-s), vectorized over s.
-
-    For 0 < z < 1 the window min(s)..max(s) is one extended-precision
-    cumulative sum of the step log-ratios ln((n - j + 1) / j) +
-    ln(z / (1 - z)), anchored at floor(n z) clipped to the window; the
-    anchor value comes from the direct per-cell Stirling/small-table
-    formula. Weight sums stay within 1e-12 of unity even at n = 10^6.
-    Single cells and the point masses z in {0, 1} use the direct formula.
-    The closed form's float64 tables (:func:`_log_binomial_table`,
-    :func:`joint_sector_sum`) take only their anchor cells from here, and
-    this extended-precision result is their oracle.
-    """
-    s = np.asarray(s)
-    if s.size < 2 or not 0 < z < 1:
-        return _log_binomial_direct(n, s, z)
-    lo, hi = int(s.min()), int(s.max())
-    anchor = min(max(math.floor(n * float(z)), lo), hi)
-    n1 = _LD(n) + 1
-    odds = np.log(_LD(z) / (_LD(1) - _LD(z)))
-    table = _anchored_cumsum(lambda j: np.log((n1 - j) / j) + odds, lo, hi, anchor)
-    return (table + _log_binomial_direct(n, np.array([anchor]), z)[0])[s - lo]
-
-
 def log_joint_weights(
     n: int, s: np.ndarray, s_prime: np.ndarray, z1: float, z2: float
 ) -> np.ndarray:
     """log multinomial weight matrix over the outer grid s (rows) x s' (cols).
 
     C(n; s, s') z1^s z2^s' (1-z1-z2)^(n-s-s') is evaluated as
-    Bin(n, s; z1) Bin(n - s, s'; z2 / (1 - z1)), both factors from
-    :func:`log_binomial_weights` in extended precision. Entries with
-    s + s' > n are -inf (the coefficient vanishes there). With z1 = 1 no
-    oscillator is left for mode 2, so only s' = 0 carries weight. Costs
-    one binomial evaluation per row: meant for a few cells, not for whole
-    sector grids (see :func:`joint_sector_sum`).
+    Bin(n, s; z1) Bin(n - s, s'; z2 / (1 - z1)), both factors from the
+    per-cell formula :func:`log_binomial_weights` in extended precision.
+    Entries with s + s' > n are -inf (the coefficient vanishes there). With
+    z1 = 1 no oscillator is left for mode 2, so only s' = 0 carries weight.
+    Costs one binomial evaluation per row and ~25 extended-precision
+    operations per cell: meant for a few cells, not for whole sector grids
+    (see :func:`joint_sector_sum`).
     """
     s = np.asarray(s)
     s_prime = np.asarray(s_prime)
@@ -785,8 +757,9 @@ def joint_sector_sum(
     The weight factors as w0 a(s) b(s') c(s + s') with a ~ (n z1)^s / s!,
     b ~ (n z2)^s' / s'! and c(k) ~ (n z0)^(n-k) / (n-k)!, all normalized
     at an anchor cell (s0, s0') near the mean. The anchor weight w0 comes
-    from :func:`log_joint_weights`, i.e. from the direct per-cell binomial
-    formula in extended precision; the log tables are float64 compensated
+    from :func:`log_joint_weights`, i.e. from the per-cell binomial
+    formula :func:`log_binomial_weights` in extended precision, which is
+    also the tables' oracle; the log tables are float64 compensated
     log-ratio recurrences (:func:`_log_ratio_table`, with n z0 an exact
     float pair from TwoSum and Dekker's product), exponentiated in
     float64. The double sum is then sum_k c(k) (x * y)(k) with x = a f1
@@ -854,8 +827,9 @@ def vacuum_weight(n: int, s: int, z1: float, s_prime: int, z2: float) -> float:
     The multinomial C(n; s, s') z1^s z2^s' (1-z1-z2)^(n-s-s'), exactly
     zero when s + s' exceeds n, evaluated as
     Bin(n, s; z1) Bin(n - s, s'; z2 / (1 - z1)) by
-    :func:`log_joint_weights`, in extended precision and stable up to
-    n = 10^6. A single mode's binomial weight C(n, s) z^s (1-z)^(n-s) is
+    :func:`log_joint_weights`, two cells of the per-cell formula in
+    extended precision, stable up to n = 10^6. A single mode's binomial
+    weight C(n, s) z^s (1-z)^(n-s) is
     ``exp(log_binomial_weights(n, np.array([s]), z))``.
     """
     n = int(n)

@@ -14,7 +14,6 @@ from ccrlab.linalg import (
     expm_generator,
     kron,
     matricize,
-    matrix_function_psd,
 )
 from ccrlab.representations import (
     VacuumProfile,
@@ -35,6 +34,14 @@ def coupling_hamiltonian(a):
     """Independent oracle: H = R^dag (x) A + R (x) A^dag assembled directly."""
     r = dyn.ATOM_LOWERING
     return np.kron(r.conj().T, a) + np.kron(r, a.conj().T)
+
+
+def psd_function(m, f):
+    """Independent oracle: f of a positive-semidefinite Hermitian matrix by
+    ``np.linalg.eigh``, roundoff-negative eigenvalues read as zero."""
+    w, v = np.linalg.eigh(m)
+    fw = np.array([f(max(float(x), 0.0)) for x in w])
+    return (v * fw) @ v.conj().T
 
 
 def coupling_pairs(modes):
@@ -108,10 +115,10 @@ class TestClosedFormEvolution:
                 return math.sin(u) / u if u else 1.0
 
             oracle = np.block([
-                [matrix_function_psd(aad, cos_of),
-                 -1j * t * (matrix_function_psd(aad, sinc_of) @ a)],
-                [-1j * t * (matrix_function_psd(ada, sinc_of) @ a.conj().T),
-                 matrix_function_psd(ada, cos_of)],
+                [psd_function(aad, cos_of),
+                 -1j * t * (psd_function(aad, sinc_of) @ a)],
+                [-1j * t * (psd_function(ada, sinc_of) @ a.conj().T),
+                 psd_function(ada, cos_of)],
             ])
             assert np.max(np.abs(dyn.closed_form_evolution(a, t) - oracle)) <= 1e-12
 
@@ -671,9 +678,13 @@ class TestFloat64Tables:
         ld = np.longdouble
 
         def ratio_table(lam, p, lo, hi, anchor, offset):
+            # the same steps, one extended-precision cumulative sum, cast once
             lam, p = ld(lam[0]) + ld(lam[1]), ld(p)
-            table = reps._anchored_cumsum(
-                lambda j: np.log((lam - p * j) / ((1 - p) * j)), lo, hi, anchor)
+            start, stop = min(lo, anchor), max(hi, anchor)
+            j = np.arange(start + 1, stop + 1, dtype=ld)
+            steps = np.log((lam - p * j) / ((1 - p) * j))
+            cum = np.concatenate([np.zeros(1, dtype=ld), np.cumsum(steps)])
+            table = (cum - cum[anchor - start])[lo - start:hi - start + 1]
             return (table + offset).astype(float)
 
         monkeypatch.setattr(reps, "_log_ratio_table", ratio_table)

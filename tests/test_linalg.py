@@ -11,7 +11,6 @@ from ccrlab.linalg import (
     hermitian_eig,
     kron,
     matricize,
-    matrix_function_psd,
 )
 
 
@@ -53,42 +52,6 @@ class TestHermitianEig:
     def test_rejects_nan(self):
         with pytest.raises(ValidationError, match="finite"):
             hermitian_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-
-class TestMatrixFunctionPsd:
-    def test_diagonal_evaluation(self):
-        out = matrix_function_psd(
-            np.diag([0.0, 4.0]), lambda x: math.cos(math.pi / 2 * math.sqrt(x))
-        )
-        assert np.allclose(out, np.diag([1.0, -1.0]), atol=1e-14)
-
-    def test_constant_function_gives_identity(self):
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=(4, 4))
-        out = matrix_function_psd(a @ a.T, lambda x: 1.0)
-        assert np.allclose(out, np.eye(4), atol=1e-12)
-
-    def test_identity_function_oracle(self):
-        rng = np.random.default_rng(7)
-        a = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
-        psd = a @ a.conj().T
-        assert np.max(np.abs(matrix_function_psd(psd, lambda x: x) - psd)) <= 1e-10
-
-    def test_composition_property(self):
-        rng = np.random.default_rng(11)
-        a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        psd = a @ a.conj().T
-        chained = matrix_function_psd(matrix_function_psd(psd, math.sqrt), math.cos)
-        direct = matrix_function_psd(psd, lambda x: math.cos(math.sqrt(x)))
-        assert np.max(np.abs(chained - direct)) <= 1e-9
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(ValidationError, match="positive semidefinite"):
-            matrix_function_psd(np.diag([1.0, -0.5]), math.sqrt)
-
-    def test_clamps_roundoff_negativity(self):
-        out = matrix_function_psd(np.diag([-1e-12, 1.0]), math.sqrt)
-        assert np.allclose(out, np.diag([0.0, 1.0]), atol=1e-12)
 
 
 class TestKron:

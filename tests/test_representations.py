@@ -620,28 +620,80 @@ class TestVacuumWeight:
         )
 
 
-def direct(n, s, z):
-    return representations._log_binomial_direct(n, np.asarray(s), z)
-
-
 def rel_weight_error(log_a, log_b) -> float:
     """max |w_a / w_b - 1| over two arrays of log weights."""
     diff = (np.asarray(log_a) - np.asarray(log_b)).astype(float)
     return float(np.max(np.abs(np.expm1(diff)), initial=0.0))
 
 
-class TestBinomialRecurrence:
-    """The anchored cumulative-log recurrence against the direct per-cell formula."""
+def mp_exact(mpmath, x):
+    """A float or extended-precision value as an exact mpmath number."""
+    num, den = np.longdouble(x).as_integer_ratio()
+    return mpmath.mpf(num) / den
+
+
+def mp_log_multinomial(mpmath, n, counts, probs):
+    """ln of n! / prod(k!) prod(p^k), the last count and probability being
+    the rest, in the working mpmath precision."""
+    rest = n - sum(counts)
+    probs = [mp_exact(mpmath, p) for p in probs]
+    total = mpmath.loggamma(n + 1) - mpmath.loggamma(rest + 1)
+    for k, p in zip(counts, probs):
+        total += k * mpmath.log(p) - mpmath.loggamma(k + 1)
+    return total + rest * mpmath.log(1 - mpmath.fsum(probs))
+
+
+def assert_log_weights_match_mpmath(mpmath, got, exact):
+    """1e-13 relative in every weight above e^-200; in the deeper tail, whose
+    weights underflow, ten extended-precision roundings of ln w itself."""
+    eps = mpmath.mpf(float(np.finfo(np.longdouble).eps))
+    for g, e in zip(got, exact):
+        diff = mp_exact(mpmath, g) - e
+        if e >= -200:
+            assert abs(mpmath.expm1(diff)) <= 1e-13
+        else:
+            assert abs(diff) <= 10 * eps * abs(e)
+
+
+ALL_Z = [1e-3, 0.05, 0.2, 0.5, 0.95, 1 - 1e-3]
+
+
+class TestPerCellBinomial:
+    """The extended-precision per-cell formula against exact combinatorics
+    and 40-digit mpmath."""
 
     @pytest.mark.parametrize("n", [1, 2, 10, 24, 25, 49, 1000, 10**5, 10**6])
-    @pytest.mark.parametrize("z", [1e-3, 0.05, 0.2, 0.5, 0.95, 1 - 1e-3])
-    def test_full_window_matches_direct(self, n, z):
+    @pytest.mark.parametrize("z", ALL_Z)
+    def test_window_dtype_shape_and_unit_sum(self, n, z):
         # every sector below 50, the sectors that matter above
         s = np.arange(n + 1) if n < 50 else binomial_support(n, z)
         got = log_binomial_weights(n, s, z)
         assert got.dtype == np.longdouble and got.shape == s.shape
-        assert rel_weight_error(got, direct(n, s, z)) <= 1e-13
         assert abs(float(np.exp(got.astype(float)).sum()) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 24, 25, 26, 49])
+    @pytest.mark.parametrize("z", ALL_Z)
+    def test_every_cell_below_50_matches_exact_comb(self, n, z):
+        got = np.exp(log_binomial_weights(n, np.arange(n + 1), z))
+        zf = Fraction(z)
+        for s in range(n + 1):
+            exact = math.comb(n, s) * zf**s * (1 - zf) ** (n - s)
+            assert abs(float(Fraction(*got[s].as_integer_ratio()) / exact - 1)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [50, 1000, 10**4, 10**5, 10**6])
+    @pytest.mark.parametrize("z", ALL_Z)
+    def test_sampled_cells_match_mpmath(self, n, z):
+        mpmath = pytest.importorskip("mpmath")
+        # window edges, the anchor floor(n z), both sides of the
+        # small-table / Stirling switch, and 40 interior cells
+        support = binomial_support(n, z)
+        cells = {support[0], support[-1], math.floor(n * z), 24, 25, n - 25, n - 24}
+        cells.update(np.linspace(support[0], support[-1], 40).round().astype(int))
+        s = np.array(sorted(int(c) for c in cells))
+        got = log_binomial_weights(n, s, z)
+        with mpmath.workdps(40):
+            exact = [mp_log_multinomial(mpmath, n, [int(k)], [z]) for k in s]
+            assert_log_weights_match_mpmath(mpmath, got, exact)
 
     def test_unsorted_input_reads_the_same_table(self):
         n, z = 10**5, 0.3
@@ -653,30 +705,50 @@ class TestBinomialRecurrence:
     @pytest.mark.parametrize("lo, hi", [(0, 30), (480_000, 490_000),
                                         (503_000, 503_100), (496_000, 504_000)])
     def test_sub_windows_on_either_side_of_the_mean(self, lo, hi):
+        # each cell stands alone: a sub-window reads a wider window's cells
         n, z = 10**6, 0.5
-        s = np.arange(lo, hi + 1)
-        assert rel_weight_error(log_binomial_weights(n, s, z), direct(n, s, z)) <= 1e-13
+        wide = np.arange(max(0, lo - 1000), hi + 1001)
+        assert np.array_equal(log_binomial_weights(n, np.arange(lo, hi + 1), z),
+                              log_binomial_weights(n, wide, z)[lo - wide[0]:hi - wide[0] + 1])
 
     @pytest.mark.parametrize("n, z1, z2", [(30, 0.3, 0.2), (1000, 0.45, 0.5),
                                            (4000, 0.2, 0.05)])
     def test_joint_rows_take_the_fitting_sub_window(self, n, z1, z2):
+        mpmath = pytest.importorskip("mpmath")
         # log_joint_weights passes s_prime[fits] with n - s and z2 / (1 - z1)
         s = binomial_support(n, z1)[::7]
         s_prime = binomial_support(n, z2)
         got = log_joint_weights(n, s, s_prime, z1, z2)
-        q = np.longdouble(z2) / (1 - np.longdouble(z1))
-        for i, s_i in enumerate(s):
-            fits = s_prime <= n - s_i
-            assert np.all(np.isneginf(got[i, ~fits]))
-            expected = direct(n, [s_i], z1)[0] + direct(n - s_i, s_prime[fits], q)
-            assert rel_weight_error(got[i, fits], expected) <= 1e-13
+        with mpmath.workdps(40):
+            for i, s_i in enumerate(s):
+                fits = s_prime <= n - s_i
+                assert np.all(np.isneginf(got[i, ~fits]))
+                exact = [mp_log_multinomial(mpmath, n, [int(s_i), int(sp)], [z1, z2])
+                         for sp in s_prime[fits][::5]]
+                assert_log_weights_match_mpmath(mpmath, got[i, fits][::5], exact)
 
     @pytest.mark.parametrize("n, s, z", [(1, 0, 0.3), (1, 1, 0.3), (49, 25, 0.95),
                                          (10**6, 0, 0.2), (10**6, 10**6, 0.2),
                                          (10**6, 200_123, 0.2)])
-    def test_single_cell_is_the_direct_formula(self, n, s, z):
-        assert log_binomial_weights(n, np.array([s]), z)[0] == direct(n, [s], z)[0]
-        assert binomial_cell(n, s, z) == float(np.exp(direct(n, [s], z)[0]))
+    def test_single_cell_is_its_cell_in_a_window(self, n, s, z):
+        window = np.arange(max(0, s - 30), min(n, s + 30) + 1)
+        cell = log_binomial_weights(n, np.array([s]), z)[0]
+        assert cell == log_binomial_weights(n, window, z)[s - window[0]]
+        assert binomial_cell(n, s, z) == float(np.exp(cell))
+
+    def test_single_bulk_cell_is_the_array_formula_bit_for_bit(self):
+        cells = 0
+        for n in (49, 1000, 10**5, 10**6):
+            for z in (1e-3, 0.05, 0.2, 0.5, 0.95):
+                s = binomial_support(n, z)
+                s = s[(s > 24) & (s < n - 24)]
+                if s.size == 0:
+                    continue
+                whole = log_binomial_weights(n, s, z)
+                for i in np.unique(np.linspace(0, s.size - 1, 41).astype(int)):
+                    assert log_binomial_weights(n, s[i:i + 1], z)[0] == whole[i]
+                    cells += 1
+        assert cells > 500
 
     @pytest.mark.parametrize("n", [1, 25, 10**6])
     def test_point_masses(self, n):
@@ -686,28 +758,17 @@ class TestBinomialRecurrence:
         assert at_zero[0] == 1.0 and np.all(at_zero[1:] == 0.0)
         assert at_one[-1] == 1.0 and np.all(at_one[:-1] == 0.0)
 
-    @pytest.mark.parametrize("z", [1e-3, 0.2, 0.5, 0.95])
-    def test_matches_mpmath_at_edges_and_anchor(self, z):
-        mpmath = pytest.importorskip("mpmath")
-        n = 10**6
-        s = binomial_support(n, z)
-        got = log_binomial_weights(n, s, z)
-        with mpmath.workdps(40):
-            zm = mpmath.mpf(z)
-            for i in (0, math.floor(n * z) - s[0], s.size - 1):
-                k = int(s[i])
-                exact = (mpmath.log(mpmath.binomial(n, k)) + k * mpmath.log(zm)
-                         + (n - k) * mpmath.log(1 - zm))
-                assert abs(mpmath.expm1(mpmath.mpf(str(got[i])) - exact)) <= 1e-13
-
 
 def extended_ratio_table(lam, p, lo, hi, anchor, offset):
     """Oracle of ``_log_ratio_table``: the same steps, summed in extended
     precision and cast once (for p = 0, the former ``_log_power_table``)."""
     ld = np.longdouble
     lam, p = ld(lam[0]) + ld(lam[1]), ld(p)
-    table = representations._anchored_cumsum(
-        lambda j: np.log((lam - p * j) / ((1 - p) * j)), lo, hi, anchor)
+    start, stop = min(lo, anchor), max(hi, anchor)
+    j = np.arange(start + 1, stop + 1, dtype=ld)
+    steps = np.log((lam - p * j) / ((1 - p) * j))
+    cum = np.concatenate([np.zeros(1, dtype=ld), np.cumsum(steps)])
+    table = (cum - cum[anchor - start])[lo - start:hi - start + 1]
     return (table + offset).astype(float)
 
 
@@ -733,7 +794,8 @@ def power_pair(n, z1, z2=None):
 
 class TestFloat64Tables:
     """The closed form's float64 log tables: one compensated log-ratio
-    recurrence, against the extended-precision tables and mpmath."""
+    recurrence, against the extended-precision per-cell formula, a
+    long-double recurrence and mpmath."""
 
     @pytest.mark.parametrize("n", [1, 2, 10, 24, 25, 49, 1000, 10**5, 10**6])
     @pytest.mark.parametrize("z", [1e-3, 0.05, 0.2, 0.5, 0.95, 1 - 1e-3])
@@ -783,7 +845,7 @@ class TestFloat64Tables:
         assert_table_close(got, extended_ratio_table(lam, p, lo, hi, anchor, 0.0))
 
     def test_binomial_sub_window_matches_extended(self):
-        # the log_binomial_weights anchor at the window edge, no bulk cell
+        # anchored at the window edge, no bulk cell
         n, z = 10**6, 0.5
         s = np.arange(0, 31)
         anchor_value = log_binomial_weights(n, s[-1:], z)[0]
@@ -797,20 +859,6 @@ class TestFloat64Tables:
             s = binomial_support(40, z)
             assert np.array_equal(representations._log_binomial_table(40, z),
                                   log_binomial_weights(40, s, z).astype(float))
-
-    def test_single_bulk_cell_is_the_array_formula_bit_for_bit(self):
-        cells = 0
-        for n in (49, 1000, 10**5, 10**6):
-            for z in (1e-3, 0.05, 0.2, 0.5, 0.95):
-                s = binomial_support(n, z)
-                s = s[(s > 24) & (s < n - 24)]
-                if s.size == 0:
-                    continue
-                whole = direct(n, s, z)
-                for i in np.unique(np.linspace(0, s.size - 1, 41).astype(int)):
-                    assert direct(n, s[i:i + 1], z)[0] == whole[i]
-                    cells += 1
-        assert cells > 500
 
 
 class TestBinomialSupport:

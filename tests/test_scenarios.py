@@ -434,18 +434,6 @@ class TestValidate:
         assert by_name["propagator_closed_form"].measured > 0.1
         assert not report.passed
 
-
-    def test_recurrence_check_detects_a_wrong_weight_table(self, monkeypatch):
-        check = {c.name: c for c in validate(seed=0).checks}[
-            "binomial_recurrence_vs_direct"]
-        assert check.passed and check.measured <= 1e-15
-        original = reps.log_binomial_weights
-        monkeypatch.setattr(reps, "log_binomial_weights",
-                            lambda n, s, z: original(n, s, z) + 1e-12)
-        check = {c.name: c for c in validate(seed=0).checks}[
-            "binomial_recurrence_vs_direct"]
-        assert not check.passed
-
     def test_float64_table_check_detects_a_shifted_table(self, monkeypatch):
         check = {c.name: c for c in validate(seed=0).checks}[
             "float64_tables_vs_extended"]
