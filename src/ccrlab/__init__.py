@@ -22,7 +22,6 @@ from .representations import (
     ccr_check,
     central_spectral_projectors,
     mode_excitation_state,
-    vacuum_weight,
 )
 from .dynamics import (
     closed_form_evolution,

@@ -8,9 +8,10 @@ assembles the two-atom Jaynes-Cummings-type Hamiltonian, evolves states
 by brute force, and gives the atomic density in closed form.
 
 The closed forms of the irreducible, finite-ensemble and large-ensemble
-cases share one body: a representation enters the atomic density only
-through mu, the joint vacuum distribution of the eigenvalues (r1, r2)
-of the central elements I_1 and I_2. With
+cases share one body, :func:`rho_atoms`: a representation enters the
+atomic density only through mu, the joint vacuum distribution of the
+eigenvalues (r1, r2) of the central elements I_1 and I_2, which
+:func:`central_measure` gives for a built representation. With
 theta_k = t sqrt(r_k / Z) (the generator is H / sqrt(Z)) and
 norm = 1 / E[r1 + r2], taken from mu's exact means:
 
@@ -18,8 +19,13 @@ norm = 1 / E[r1 + r2], taken from mu's exact means:
     |--><--| = norm E[r1 cos^2 theta1 + r2 cos^2 theta2],
     |+-><-+| = norm E[sqrt(r1 r2) sin theta1 sin theta2].
 
-Each closed form takes ``t`` as a scalar (a 4x4 result) or a 1-D array
-of T times (a (T, 4, 4) stack) and builds mu once for all times.
+mu is the point mass at (1, 1) with Z = 1 for the irreducible
+representations, the multinomial on (s/N, s'/N) for the N-oscillator
+ensemble and the point mass at (Z1, Z2) for its large-N limit;
+``rho_atoms_irreducible``, ``rho_atoms_reducible`` and
+``rho_atoms_limit`` evaluate these three from their parameters. Each
+closed form takes ``t`` as a scalar (a 4x4 result) or a 1-D array of T
+times (a (T, 4, 4) stack) and builds mu once for all times.
 
 Conventions: coupling constant and hbar are 1, time is a dimensionless
 phase. Atom basis index 0 is the excited state |+>, index 1 the ground
@@ -213,9 +219,9 @@ def evolve(
 ) -> StateVector | list[StateVector]:
     """Propagate ``psi0`` with exp(-i H_eff t), H the coupling of ``mode_atom_pairs``.
 
-    A representation with a vacuum profile (the reducible ensemble) runs
-    on H_eff = H / sqrt(Z), Z being the profile's largest vacuum
-    probability; the irreducible ones, which have no profile, on H itself.
+    H_eff = H / sqrt(Z), Z from :func:`_generator_scale`: the profile's
+    largest vacuum probability for the reducible ensemble, 1 for the
+    irreducible representations, which have no profile.
 
     H conserves the excitation number, so the evolution is exact on the
     sectors that ``psi0`` occupies (:func:`excitation_sector_mask`): H is
@@ -232,9 +238,7 @@ def evolve(
         )
     inside = excitation_sector_mask(rep, psi0.amplitudes)
     h = jc_hamiltonian(rep, mode_atom_pairs, sector=inside)
-    if rep.profile is not None:
-        h = h / math.sqrt(rep.profile.z_max)
-    u = expm_generator(h, t)
+    u = expm_generator(h / math.sqrt(_generator_scale(rep)), t)
     amps = np.zeros(u.shape[:-2] + (psi0.dim,), dtype=complex)
     amps[..., inside] = u @ psi0.amplitudes[inside]
     if amps.ndim == 1:
@@ -242,15 +246,23 @@ def evolve(
     return [StateVector(a, psi0.factorization) for a in amps]
 
 
-def _central_measure_density(t, z: float, marginals, joint) -> np.ndarray:
+def _generator_scale(rep: Representation) -> float:
+    """Z of the generator H / sqrt(Z): the profile's largest vacuum
+    probability for the reducible ensemble, 1 for the irreducible kinds."""
+    return rep.profile.z_max if rep.profile is not None else 1.0
+
+
+def rho_atoms(t, mu, z: float) -> np.ndarray:
     """The two-atom density of a central spectral measure mu (module docstring).
 
-    ``marginals`` holds (points, weights, exact mean) of r1 and of r2;
-    ``joint(g1, g2)`` is E[g1(r1) g2(r2)] for g1, g2 tabulated over the
-    points along their last axis. Each point takes one sine per time:
-    cos^2 = 1 - sin^2, so |--><--| is norm (E[r1] + E[r2] - E[r1 sin^2]
-    - E[r2 sin^2]), with the E[r_k] summed over the tabulated weights.
+    ``mu`` is (marginals, joint): ``marginals`` holds (points, weights,
+    exact mean) of r1 and of r2; ``joint(g1, g2)`` is E[g1(r1) g2(r2)]
+    for g1, g2 tabulated over the points along their last axis. Each
+    point takes one sine per time: cos^2 = 1 - sin^2, so |--><--| is
+    norm (E[r1] + E[r2] - E[r1 sin^2] - E[r2 sin^2]), with the E[r_k]
+    summed over the tabulated weights.
     """
+    marginals, joint = mu
     tt = time_grid(t)[..., None]
     norm = 1.0 / (marginals[0][2] + marginals[1][2])
     rho = np.zeros(tt.shape[:-1] + (4, 4), dtype=complex)
@@ -267,11 +279,46 @@ def _central_measure_density(t, z: float, marginals, joint) -> np.ndarray:
     return rho
 
 
-def _point_mass_density(t, z: float, r1: float, r2: float) -> np.ndarray:
-    """:func:`_central_measure_density` of the point mass at (r1, r2)."""
+def _point_measure(r1: float, r2: float) -> tuple:
+    """mu of the point mass at (r1, r2)."""
     marginals = [(np.array([r]), np.ones(1), r) for r in (r1, r2)]
-    return _central_measure_density(
-        t, z, marginals, lambda g1, g2: g1[..., 0] * g2[..., 0])
+    return marginals, lambda g1, g2: g1[..., 0] * g2[..., 0]
+
+
+def _multinomial_measure(n: int, z1: float, z2: float) -> tuple:
+    """mu of the N-oscillator vacuum: the multinomial on (s/N, s'/N).
+
+    Binomial marginals over :func:`~ccrlab.representations.binomial_support`,
+    each weight the float64 exponential of a float64 compensated
+    log-ratio recurrence anchored on one cell of the extended-precision
+    per-cell formula :func:`~ccrlab.representations.log_binomial_weights`
+    (one table for both modes when z1 = z2), and the joint sum
+    :func:`~ccrlab.representations.joint_sector_sum`, one FFT convolution
+    for all times, whose point mass at z1 + z2 = 1 reads mode 1's table.
+    """
+    def marginal(z_k):
+        return binomial_support(n, z_k) / n, np.exp(_log_binomial_table(n, z_k)), z_k
+
+    first = marginal(z1)
+    marginals = (first, first if z2 == z1 else marginal(z2))
+    return marginals, lambda g1, g2: _joint_sector_sum(n, z1, z2, g1, g2, first[1])
+
+
+def central_measure(rep: Representation, modes: tuple[str, str]) -> tuple:
+    """mu of ``rep``'s vacuum over the central elements of ``modes``.
+
+    A representation without a vacuum profile (the irreducible kinds,
+    whose central elements are the identity) gives the point mass at
+    (1, 1); the reducible ensemble the multinomial of its N oscillators
+    and the two modes' probabilities Z_k. ``rho_atoms(t, mu,
+    _generator_scale(rep))`` is then the closed form of ``rep``'s
+    atomic density.
+    """
+    if rep.profile is None:
+        return _point_measure(1.0, 1.0)
+    n, z1, z2, _ = _check_ensemble_params(
+        rep.n_oscillators, *map(rep.profile.probability, modes), rep.profile.z_max)
+    return _multinomial_measure(n, z1, z2)
 
 
 def rho_atoms_irreducible(t: float | np.ndarray) -> np.ndarray:
@@ -281,7 +328,7 @@ def rho_atoms_irreducible(t: float | np.ndarray) -> np.ndarray:
     a symmetric one-excitation block of weight sin^2(t), maximally
     entangled at t = pi/2.
     """
-    return _point_mass_density(t, 1.0, 1.0, 1.0)
+    return rho_atoms(t, _point_measure(1.0, 1.0), 1.0)
 
 
 def _check_ensemble_params(n: int, z1: float, z2: float, z: float) -> tuple:
@@ -307,26 +354,12 @@ def rho_atoms_reducible(
 ) -> np.ndarray:
     """Two-atom density matrix for the N-oscillator reducible representation.
 
-    mu is the multinomial vacuum distribution of (s/N, s'/N): binomial
-    marginals over :func:`~ccrlab.representations.binomial_support`, each
-    weight the float64 exponential of a float64 compensated log-ratio
-    recurrence anchored on one cell of the extended-precision per-cell
-    formula :func:`~ccrlab.representations.log_binomial_weights` (one
-    table for both modes when z1 = z2), and the joint sum
-    :func:`~ccrlab.representations.joint_sector_sum`, one FFT convolution
-    for all times, whose point mass at z1 + z2 = 1 reads mode 1's table.
-    The multinomial weight vanishes for s + s' > N, which kills the
-    coherence at N = 1.
+    mu is the multinomial vacuum distribution of (s/N, s'/N)
+    (:func:`_multinomial_measure`). The multinomial weight vanishes for
+    s + s' > N, which kills the coherence at N = 1.
     """
     n, z1, z2, z = _check_ensemble_params(n, z1, z2, z)
-
-    def marginal(z_k):
-        return binomial_support(n, z_k) / n, np.exp(_log_binomial_table(n, z_k)), z_k
-
-    first = marginal(z1)
-    marginals = (first, first if z2 == z1 else marginal(z2))
-    return _central_measure_density(
-        t, z, marginals, lambda g1, g2: _joint_sector_sum(n, z1, z2, g1, g2, first[1]))
+    return rho_atoms(t, _multinomial_measure(n, z1, z2), z)
 
 
 def rho_atoms_limit(t: float | np.ndarray, z1: float, z2: float, z: float) -> np.ndarray:
@@ -337,4 +370,4 @@ def rho_atoms_limit(t: float | np.ndarray, z1: float, z2: float, z: float) -> np
     :func:`rho_atoms_irreducible`.
     """
     _, z1, z2, z = _check_ensemble_params(1, z1, z2, z)
-    return _point_mass_density(t, z, z1, z2)
+    return rho_atoms(t, _point_measure(z1, z2), z)

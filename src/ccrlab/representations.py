@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .exceptions import ConfigError, DomainError, SizeLimitError, ValidationError
+from .exceptions import ConfigError, SizeLimitError, ValidationError
 from .linalg import (
     HilbertFactorization,
     StateVector,
@@ -524,20 +524,6 @@ def central_spectral_projectors(rep: Representation, mode: str) -> CentralSpectr
     return CentralSpectrum(mode=mode, eigenvalues=eigenvalues, projectors=projectors)
 
 
-def _check_probability(z: float, name: str) -> float:
-    z = float(z)
-    if not 0.0 <= z <= 1.0:
-        raise DomainError(f"{name} must lie in [0, 1], got {z}")
-    return z
-
-
-def _check_count(n: int, s: int, name: str) -> int:
-    s = int(s)
-    if not 0 <= s <= n:
-        raise DomainError(f"{name} must lie in 0..{n}, got {s}")
-    return s
-
-
 # Sector counts at or below this go through the exact small-coefficient
 # table; larger ones through the Stirling branch (series error < 1e-15
 # from 25 upward).
@@ -819,30 +805,6 @@ def _joint_sector_sum(n: int, z1: float, z2: float, f1: np.ndarray,
     size = 1 << (a.size + b.size - 2).bit_length()
     conv = np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(y, size), size)
     return (conv[:, : c.size] @ c).reshape(lead)
-
-
-def vacuum_weight(n: int, s: int, z1: float, s_prime: int, z2: float) -> float:
-    """Joint vacuum sector weight of two modes of the reducible representation.
-
-    The multinomial C(n; s, s') z1^s z2^s' (1-z1-z2)^(n-s-s'), exactly
-    zero when s + s' exceeds n, evaluated as
-    Bin(n, s; z1) Bin(n - s, s'; z2 / (1 - z1)) by
-    :func:`log_joint_weights`, two cells of the per-cell formula in
-    extended precision, stable up to n = 10^6. A single mode's binomial
-    weight C(n, s) z^s (1-z)^(n-s) is
-    ``exp(log_binomial_weights(n, np.array([s]), z))``.
-    """
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    s = _check_count(n, s, "s")
-    z1 = _check_probability(z1, "z1")
-    s_prime = _check_count(n, s_prime, "s_prime")
-    z2 = _check_probability(z2, "z2")
-    if z1 + z2 > 1.0 + TOL_PROFILE:
-        raise DomainError(f"z1 + z2 must be <= 1, got {z1 + z2}")
-    logw = log_joint_weights(n, np.array([s]), np.array([s_prime]), z1, z2)
-    return float(np.exp(logw)[0, 0])
 
 
 def mode_excitation_state(rep: Representation, mode: str, *more: str) -> StateVector:

@@ -410,6 +410,17 @@ def simulated_atomic_density(
     return rho if times.ndim else rho[0]
 
 
+def closed_form_atomic_density(rep: reps.Representation, t: float | np.ndarray,
+                               modes: tuple[str, str]) -> np.ndarray:
+    """Closed-form twin of :func:`simulated_atomic_density` for the same ``rep``.
+
+    :func:`~ccrlab.dynamics.rho_atoms` of the representation's central
+    measure over ``modes`` (:func:`~ccrlab.dynamics.central_measure`) at
+    the Z of the generator that :func:`~ccrlab.dynamics.evolve` runs on.
+    """
+    return dyn.rho_atoms(t, dyn.central_measure(rep, modes), dyn._generator_scale(rep))
+
+
 def _atom_densities(states, fact) -> np.ndarray:
     """(T, 4, 4) complex atom densities of a (T, 4 d) stack of coupled states."""
     atoms = ent.Bipartition(("atom1", "atom2"))
@@ -429,6 +440,10 @@ def _dense_mode_cut(rep: reps.Representation, mode: str,
 def _second(sv: np.ndarray) -> float:
     """The second of a nonincreasing coefficient list, 0 if there is none."""
     return float(sv[1]) if sv.size > 1 else 0.0
+
+
+#: Skip reason of the checks that need a time after the start.
+_NO_LATER_TIME = "no t > 0 in the time grid"
 
 
 def _half_pi_index(times, check: str, skipped: list[dict]) -> int | None:
@@ -481,7 +496,7 @@ def _scenario_infinity(cfg: ScenarioConfig) -> ScenarioReport:
         kron(u_local, u_local), (2, m, 2, m) * 2, (0, 2, 1, 3), (4, 6, 5, 7))))
         for u, u_local in zip(propagators, local_propagators)])
     atoms = _atom_densities(propagators @ psi0.amplitudes, psi0.factorization)
-    dist = ent.trace_distance(atoms, dyn.rho_atoms_irreducible(cfg.times))
+    dist = ent.trace_distance(atoms, closed_form_atomic_density(rep, cfg.times, modes))
     conc = ent.concurrence(atoms)
     records = [
         {"t": t, "locality_deviation": loc, "trace_distance_closed_form": d,
@@ -531,7 +546,8 @@ def _scenario_berezin(cfg: ScenarioConfig) -> ScenarioReport:
     states = propagators @ psi0.amplitudes
     atoms_b = _atom_densities(states, psi0.factorization)
     atoms_i = simulated_atomic_density(rep_i, cfg.times, ("mode1", "mode2"))
-    dist_closed = ent.trace_distance(atoms_b, dyn.rho_atoms_irreducible(cfg.times))
+    dist_closed = ent.trace_distance(
+        atoms_b, closed_form_atomic_density(rep_b, cfg.times, modes_b))
     dist_cross = ent.trace_distance(atoms_b, atoms_i)
     records = [
         {"t": t, "op_schmidt2_atom1": a, "op_schmidt2_atom1_field": af,
@@ -544,9 +560,12 @@ def _scenario_berezin(cfg: ScenarioConfig) -> ScenarioReport:
 
     later = np.array(cfg.times) > 0.0
     for keep, seconds in splits.items():
+        name = f"propagator_nonproduct_{'_'.join(keep)}"
+        if not later.any():
+            skipped.append({"check": name, "reason": _NO_LATER_TIME})
+            continue
         checks.append(_check(
-            f"propagator_nonproduct_{'_'.join(keep)}",
-            np.max(seconds[later], initial=0.0), cfg.tolerance("nonproduct_min"),
+            name, np.max(seconds[later]), cfg.tolerance("nonproduct_min"),
             comparison=">=",
             detail="operator Schmidt coefficient #2 must stay away from zero",
         ))
@@ -578,9 +597,6 @@ def _coherence(rho: np.ndarray) -> np.ndarray:
 
 def _scenario_reducible_brute(cfg: ScenarioConfig) -> ScenarioReport:
     profile, selected = profile_from_spec(cfg.profile)
-    z1 = profile.probability(selected[0])
-    z2 = profile.probability(selected[1])
-    z = profile.z_max
     checks: list[Check] = []
     skipped: list[dict] = []
     records: list[dict] = []
@@ -593,7 +609,7 @@ def _scenario_reducible_brute(cfg: ScenarioConfig) -> ScenarioReport:
         except SizeLimitError as exc:
             skipped.append({"check": f"brute_force_N{n}", "reason": str(exc)})
             continue
-        closed = dyn.rho_atoms_reducible(cfg.times, n, z1, z2, z)
+        closed = closed_form_atomic_density(rep, cfg.times, selected)
         brute = simulated_atomic_density(rep, cfg.times, selected)
         coh = _coherence(brute)
         conc = ent.concurrence(closed)
@@ -660,7 +676,12 @@ def convergence_sweep(cfg: ScenarioConfig) -> ScenarioReport:
         for t, d in zip(cfg.times, row)
     ]
 
-    if len(n_values) >= 2:
+    if len(n_values) < 2:
+        skipped.append({"check": "d_decreasing",
+                        "reason": "need at least two ensemble sizes"})
+    elif max(cfg.times) == 0.0:
+        skipped.append({"check": "d_decreasing", "reason": _NO_LATER_TIME})
+    else:
         n_lo, n_hi = n_values[0], n_values[-1]
         for t, d_lo, d_hi in zip(cfg.times, distance[0], distance[-1]):
             if t == 0.0:
@@ -672,9 +693,6 @@ def convergence_sweep(cfg: ScenarioConfig) -> ScenarioReport:
                 comparison="<",
                 detail=f"D(N={n_hi}) < D(N={n_lo})",
             ))
-    else:
-        skipped.append({"check": "d_decreasing",
-                        "reason": "need at least two ensemble sizes"})
     if 0.0 in cfg.times:
         checks.append(_check(
             "zero_time_distance",
@@ -847,15 +865,13 @@ def validate(seed: int = 0) -> ScenarioReport:
             float(np.max(np.abs(h * (n_exc - n_exc[:, None])))), 1e-12)
 
     times = DEFAULT_TIMES
-    closed_irr = dyn.rho_atoms_irreducible(times)
-    simulated = {
-        "infinity": simulated_atomic_density(built["infinity"], times,
-                                             ("mode1", "mode2")),
-        "berezin": simulated_atomic_density(built["berezin"], times, ("f1", "f2")),
-    }
-    for kind, atoms in simulated.items():
-        add(f"irreducible_reduction_{kind}",
-            np.max(ent.trace_distance(atoms, closed_irr)), 1e-10)
+    simulated = {}
+    for kind in ("infinity", "berezin"):
+        rep = built[kind]
+        simulated[kind] = simulated_atomic_density(rep, times, rep.mode_labels)
+        add(f"irreducible_reduction_{kind}", np.max(ent.trace_distance(
+            simulated[kind], closed_form_atomic_density(rep, times, rep.mode_labels))),
+            1e-10)
     add("irreducible_reps_agree",
         np.max(ent.trace_distance(simulated["infinity"], simulated["berezin"])), 1e-10)
 
@@ -865,7 +881,7 @@ def validate(seed: int = 0) -> ScenarioReport:
     for n in (1, 2, 3):
         rep = built["reducible"] if n == 2 else reps.build_reducible(n, profile, 1)
         cut_reps.append(rep)
-        closed_rhos.append(dyn.rho_atoms_reducible(times, n, 0.5, 0.5, 0.5))
+        closed_rhos.append(closed_form_atomic_density(rep, times, ("k1", "k2")))
         brute_rhos.append(simulated_atomic_density(rep, times, ("k1", "k2")))
         # evolve's generator H / sqrt(Z) has eigenvalues +-sqrt(s / (N Z)) on
         # the one-excitation sector: N Z lambda^2 = N eig(H)^2 is s in 0..N
@@ -932,13 +948,13 @@ def validate(seed: int = 0) -> ScenarioReport:
     spec1 = reps.central_spectral_projectors(rep3, "k1")
     spec2 = reps.central_spectral_projectors(rep3, "k2")
     vac = rep3.vacuum.amplitudes
-    worst = 0.0
-    for s in range(4):
-        for sp in range(4):
-            brute = float(np.vdot(
-                vac, spec1.projectors[s] * spec2.projectors[sp] * vac).real)
-            worst = max(worst, abs(
-                brute - reps.vacuum_weight(3, s, 0.25, sp, 0.25)))
+    # mu's joint weights W[s, s'], its joint sum over unit tables
+    _, joint = dyn.central_measure(rep3, ("k1", "k2"))
+    eye = np.eye(4)
+    weights = joint(eye[:, None], eye[None])
+    worst = max(abs(float(np.vdot(
+        vac, spec1.projectors[s] * spec2.projectors[sp] * vac).real) - weights[s, sp])
+        for s in range(4) for sp in range(4))
     add("joint_weights_vs_projectors", worst, 1e-12)
     add("central_spectrum_completeness",
         float(np.max(np.abs(sum(spec1.projectors) - 1.0))), 1e-12)
@@ -978,7 +994,8 @@ def validate(seed: int = 0) -> ScenarioReport:
     add("vacuum_expectations", worst, 1e-12)
 
     add("limit_matches_irreducible", np.max(ent.trace_distance(
-        dyn.rho_atoms_limit(times, 0.5, 0.5, 0.5), closed_irr)), 1e-12)
+        dyn.rho_atoms_limit(times, 0.5, 0.5, 0.5), dyn.rho_atoms_irreducible(times))),
+        1e-12)
 
     records = [asdict(c) for c in checks]
     return ScenarioReport(

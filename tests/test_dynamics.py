@@ -755,6 +755,36 @@ class TestExplicitMeasure:
         assert np.max(np.abs(got - expected)) <= 1e-14
 
 
+class TestCentralMeasure:
+    """central_measure's mu against the dense oracle: the vacuum weight of
+    each joint spectral projector E_1(s) E_2(s') of the built ensemble."""
+
+    @pytest.mark.parametrize("profile", [
+        reps.VacuumProfile.uniform(2), reps.VacuumProfile.uniform(3),
+        reps.VacuumProfile.uniform(4), reps.VacuumProfile.plateau(3, (0, 0), 0.7)],
+        ids=["uniform2", "uniform3", "uniform4", "plateau3"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_dense_projector_weights(self, profile, n):
+        # n_max = 0 keeps N = 4 at 4^4 basis states; mu ignores the ladder
+        rep = reps.build_reducible(n, profile, n_max=0, selected_modes=["k1"])
+        proj = [np.array(reps.central_spectral_projectors(rep, k).projectors)
+                for k in ("k1", "k2")]
+        dense = (proj[0] * np.abs(rep.vacuum.amplitudes) ** 2) @ proj[1].T
+        marginals, joint = dyn.central_measure(rep, ("k1", "k2"))
+        eye = np.eye(n + 1)
+        assert np.max(np.abs(joint(eye[:, None], eye[None]) - dense)) <= 1e-12
+        for (points, weights, mean), axis in zip(marginals, (1, 0)):
+            assert np.array_equal(points, np.arange(n + 1) / n)
+            assert np.max(np.abs(weights - dense.sum(axis=axis))) <= 1e-12
+            assert mean == pytest.approx(points @ weights, abs=1e-12)
+
+    def test_irreducible_is_the_point_mass_at_one(self):
+        marginals, joint = dyn.central_measure(reps.build_berezin(3, 1), ("f1", "f3"))
+        for points, weights, mean in marginals:
+            assert (points.tolist(), weights.tolist(), mean) == ([1.0], [1.0], 1.0)
+        assert joint(np.array([2.0]), np.array([3.0])) == 6.0
+
+
 class TestLimitDensity:
     @pytest.mark.parametrize("t", TIME_GRID)
     def test_plateau_case_equals_irreducible(self, t):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ccrlab import fock, representations
-from ccrlab.exceptions import ConfigError, DomainError, SizeLimitError, ValidationError
+from ccrlab.exceptions import ConfigError, SizeLimitError, ValidationError
 from ccrlab.entanglement import Bipartition, marginal_entropy
 from ccrlab.linalg import embed_operator, kron
 from ccrlab.representations import (
@@ -23,7 +23,6 @@ from ccrlab.representations import (
     log_joint_weights,
     mode_excitation_state,
     occupation_basis,
-    vacuum_weight,
 )
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -496,13 +495,13 @@ class TestCentralSpectrum:
         spec1 = central_spectral_projectors(rep, "k1")
         spec2 = central_spectral_projectors(rep, "k2")
         vac = rep.vacuum.amplitudes
+        closed = joint_weights(n_osc, 0.25, 0.25)
         for s in range(n_osc + 1):
             for sp in range(n_osc + 1):
                 brute = np.vdot(
                     vac, spec1.projectors[s] * spec2.projectors[sp] * vac
                 ).real
-                closed = vacuum_weight(n_osc, s, 0.25, s_prime=sp, z2=0.25)
-                assert brute == pytest.approx(closed, abs=1e-12)
+                assert brute == pytest.approx(closed[s, sp], abs=1e-12)
 
     def test_any_profile_label_without_its_operators(self):
         prof = VacuumProfile.uniform(4)
@@ -532,13 +531,19 @@ def binomial_cell(n, s, z):
     return float(np.exp(log_binomial_weights(n, np.array([s]), z))[0])
 
 
+def joint_weights(n, z1, z2):
+    """Multinomial vacuum weights W[s, s'], s, s' = 0..n, from :func:`log_joint_weights`."""
+    cells = np.arange(n + 1)
+    return np.exp(log_joint_weights(n, cells, cells, z1, z2)).astype(float)
+
+
 class TestVacuumWeight:
     def test_single_trial(self):
         assert binomial_cell(1, 1, 0.3) == pytest.approx(0.3, abs=1e-15)
         assert binomial_cell(1, 0, 0.3) == pytest.approx(0.7, abs=1e-15)
 
     def test_impossible_partition_is_exact_zero(self):
-        assert vacuum_weight(1, 1, 0.3, s_prime=1, z2=0.3) == 0.0
+        assert joint_weights(1, 0.3, 0.3)[1, 1] == 0.0
 
     def test_matches_exact_combinatorics(self):
         for n in (5, 30):
@@ -553,13 +558,7 @@ class TestVacuumWeight:
         assert abs(total - 1.0) <= 1e-12
 
     def test_joint_sums_to_one(self):
-        n = 6
-        total = sum(
-            vacuum_weight(n, s, 0.3, s_prime=sp, z2=0.2)
-            for s in range(n + 1)
-            for sp in range(n + 1)
-        )
-        assert total == pytest.approx(1.0, abs=1e-13)
+        assert joint_weights(6, 0.3, 0.2).sum() == pytest.approx(1.0, abs=1e-13)
 
     @pytest.mark.parametrize(
         "z1, z2", [(0.3, 0.2), (0.1, 0.05), (0.25, 0.75), (0.6, 0.4)])
@@ -567,9 +566,10 @@ class TestVacuumWeight:
         f1, f2 = Fraction(z1), Fraction(z2)
         f0 = 1 - f1 - f2
         for n in (5, 30):
+            weights = joint_weights(n, z1, z2)
             for s in range(n + 1):
                 for sp in range(n + 1):
-                    closed = vacuum_weight(n, s, z1, s_prime=sp, z2=z2)
+                    closed = weights[s, sp]
                     if s + sp > n:
                         assert closed == 0.0
                         continue
@@ -580,36 +580,30 @@ class TestVacuumWeight:
     @pytest.mark.parametrize("z1, z2", [(0.3, 0.2), (0.1, 0.05), (0.6, 0.4)])
     def test_joint_marginal_is_binomial(self, z1, z2):
         for n in (5, 30):
+            marginals = joint_weights(n, z1, z2).sum(axis=1)
             for s in range(n + 1):
-                marginal = sum(vacuum_weight(n, s, z1, sp, z2) for sp in range(n + 1))
-                assert marginal == pytest.approx(binomial_cell(n, s, z1), rel=1e-13)
+                assert marginals[s] == pytest.approx(binomial_cell(n, s, z1), rel=1e-13)
 
     def test_joint_with_empty_second_mode_is_binomial(self):
         for n in (1, 5, 30):
             for z in (0.2, 0.5, 0.9):
+                weights = joint_weights(n, z, 0.0)
                 for s in range(n + 1):
-                    assert vacuum_weight(n, s, z, 0, 0.0) == pytest.approx(
+                    assert weights[s, 0] == pytest.approx(
                         binomial_cell(n, s, z), rel=1e-13)
 
     def test_joint_is_symmetric_in_the_modes(self):
         for n in (5, 30):
+            weights, swapped = joint_weights(n, 0.3, 0.2), joint_weights(n, 0.2, 0.3)
             for s in range(n + 1):
                 for sp in range(n + 1 - s):
-                    assert vacuum_weight(n, s, 0.3, sp, 0.2) == pytest.approx(
-                        vacuum_weight(n, sp, 0.2, s, 0.3), rel=1e-13)
+                    assert weights[s, sp] == pytest.approx(swapped[sp, s], rel=1e-13)
 
     def test_joint_all_mass_in_first_mode(self):
-        assert vacuum_weight(4, 4, 1.0, s_prime=0, z2=0.0) == 1.0
-        assert vacuum_weight(4, 3, 1.0, s_prime=1, z2=0.0) == 0.0
-        assert vacuum_weight(4, 2, 1.0, s_prime=0, z2=0.0) == 0.0
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            vacuum_weight(3, 4, 0.5, s_prime=0, z2=0.2)
-        with pytest.raises(DomainError):
-            vacuum_weight(3, 1, 1.5, s_prime=1, z2=0.0)
-        with pytest.raises(DomainError):
-            vacuum_weight(3, 1, 0.7, s_prime=1, z2=0.5)
+        weights = joint_weights(4, 1.0, 0.0)
+        assert weights[4, 0] == 1.0
+        assert weights[3, 1] == 0.0
+        assert weights[2, 0] == 0.0
 
     def test_degenerate_probabilities(self):
         assert np.exp(log_binomial_weights(3, np.arange(4), 0.0)) == pytest.approx(
@@ -883,12 +877,9 @@ class TestJointSectorSum:
         f1 = rng.uniform(size=(2, s1.size))
         f2 = rng.uniform(size=(2, s2.size))
         total = joint_sector_sum(n, z1, z2, f1, f2)
+        weights = joint_weights(n, z1, z2)[np.ix_(s1, s2)]
         for row in range(2):
-            direct = sum(
-                vacuum_weight(n, s, z1, s_prime=sp, z2=z2) * f1[row, i] * f2[row, j]
-                for i, s in enumerate(s1)
-                for j, sp in enumerate(s2)
-            )
+            direct = f1[row] @ weights @ f2[row]
             assert total[row] == pytest.approx(direct, rel=1e-13)
 
     @pytest.mark.parametrize("n", [1, 10, 4000, 10**6])

@@ -17,9 +17,11 @@ from ccrlab import representations as reps
 from ccrlab.exceptions import ConfigError, SizeLimitError, ValidationError
 from ccrlab.linalg import expm_generator
 from ccrlab.scenarios import (
+    DEFAULT_TIMES,
     DEFAULT_TOLERANCES,
     SCENARIO_NAMES,
     ScenarioConfig,
+    closed_form_atomic_density,
     convergence_sweep,
     profile_from_spec,
     run_scenario,
@@ -153,6 +155,13 @@ class TestScenarioContent:
         assert by_name["agrees_with_infinity_rep"].measured <= 1e-10
         assert by_name["bell_times_unique_vacuum"].measured <= 1e-10
 
+    def test_berezin_skips_nonproduct_without_a_later_time(self):
+        report = run_scenario(ScenarioConfig(scenario="berezin", times=[0.0]))
+        assert report.passed
+        assert not any(c.name.startswith("propagator_nonproduct") for c in report.checks)
+        for name in ("propagator_nonproduct_atom1", "propagator_nonproduct_atom1_field"):
+            assert {"check": name, "reason": "no t > 0 in the time grid"} in report.skipped
+
     def test_reducible_brute_coherence_extinction(self):
         report = run_scenario(ScenarioConfig(scenario="reducible-brute"))
         by_name = {c.name: c for c in report.checks}
@@ -189,6 +198,14 @@ class TestScenarioContent:
         rows = {(r["n"], r["t"]): r["trace_distance"] for r in report.records}
         assert rows[(400, math.pi / 2)] < rows[(100, math.pi / 2)]
         assert rows[(100, 0.0)] == pytest.approx(0.0, abs=1e-12)
+
+    def test_sweep_skips_d_decreasing_without_a_later_time(self):
+        report = convergence_sweep(ScenarioConfig(
+            scenario="reducible-limit", n_values=(10, 100), times=[0.0]))
+        assert report.passed
+        assert not any(c.name.startswith("d_decreasing") for c in report.checks)
+        assert report.skipped == [
+            {"check": "d_decreasing", "reason": "no t > 0 in the time grid"}]
 
     def test_sweep_asymmetric_profile(self):
         cfg = ScenarioConfig(
@@ -260,6 +277,49 @@ class TestSimulatedDensity:
         brute = simulated_atomic_density(rep, 0.8, ("k1", "k2"))
         closed = dyn.rho_atoms_reducible(0.8, 3, 0.5, 0.5, 0.5)
         assert np.max(np.abs(brute - closed)) <= 1e-8
+
+
+#: Plateau over k1 only, so that Z1 != Z2 (and Z2 < Z_max).
+ASYMMETRIC_PLATEAU = {"kind": "plateau", "modes": 3, "window": [0, 0], "rate": 0.7}
+
+
+class TestClosedFormTwin:
+    """closed_form_atomic_density(rep) is the closed form that each
+    brute-force check compares with simulated_atomic_density(rep); it
+    equals the parameter-level closed forms bit for bit."""
+
+    TIMES = np.array(DEFAULT_TIMES)
+
+    @pytest.mark.parametrize("rep", [
+        reps.build_infinity_two_mode(1), reps.build_berezin(2, 2)],
+        ids=["infinity", "berezin"])
+    def test_irreducible_is_the_point_mass_form(self, rep):
+        got = closed_form_atomic_density(rep, self.TIMES, rep.mode_labels[:2])
+        assert np.array_equal(got, dyn.rho_atoms_irreducible(self.TIMES))
+
+    @pytest.mark.parametrize("spec", [{"kind": "uniform", "modes": 2}, ASYMMETRIC_PLATEAU],
+                             ids=["uniform2", "plateau3"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_reducible_is_the_multinomial_form(self, spec, n):
+        profile, modes = profile_from_spec(spec)
+        rep = reps.build_reducible(n, profile, 1, list(modes))
+        z1, z2 = (profile.probability(k) for k in modes)
+        assert np.array_equal(
+            closed_form_atomic_density(rep, self.TIMES, modes),
+            dyn.rho_atoms_reducible(self.TIMES, n, z1, z2, profile.z_max))
+
+    def test_swapped_modes_fail_the_brute_force_check(self, monkeypatch):
+        cfg = ScenarioConfig(scenario="reducible-brute", profile=ASYMMETRIC_PLATEAU)
+
+        def verdict():
+            return next(c.passed for c in run_scenario(cfg).checks
+                        if c.name == "brute_force_matches_closed_form")
+
+        assert verdict()
+        measure = dyn.central_measure
+        monkeypatch.setattr(dyn, "central_measure",
+                            lambda rep, modes: measure(rep, modes[::-1]))
+        assert not verdict()
 
 
 class TestSingleModeClosedForm:
