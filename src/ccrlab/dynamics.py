@@ -36,6 +36,7 @@ state |->. Two-atom density matrices use the product basis
 from __future__ import annotations
 
 import math
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -51,9 +52,9 @@ from .linalg import (
 )
 from .representations import (
     Representation,
-    _joint_sector_sum,
     _log_binomial_table,
     binomial_support,
+    joint_sector_sum,
     kron_vector,
     mode_excitation_state,
 )
@@ -301,7 +302,7 @@ def _multinomial_measure(n: int, z1: float, z2: float) -> tuple:
 
     first = marginal(z1)
     marginals = (first, first if z2 == z1 else marginal(z2))
-    return marginals, lambda g1, g2: _joint_sector_sum(n, z1, z2, g1, g2, first[1])
+    return marginals, lambda g1, g2: joint_sector_sum(n, z1, z2, g1, g2, first[1])
 
 
 def central_measure(rep: Representation, modes: tuple[str, str]) -> tuple:
@@ -338,8 +339,13 @@ def _check_ensemble_params(n: int, z1: float, z2: float, z: float) -> tuple:
     if n > MAX_ENSEMBLE:
         raise DomainError(f"ensemble size {n} exceeds the supported {MAX_ENSEMBLE}")
     z1, z2, z = float(z1), float(z2), float(z)
-    if z1 <= 0.0 or z2 <= 0.0:
-        raise DomainError(f"mode probabilities must be positive, got {z1}, {z2}")
+    # a subnormal z has lost precision, and the sector-weight recurrence's
+    # far steps round to 0 at the smallest ones
+    if min(z1, z2) < sys.float_info.min:
+        why = "must be positive" if min(z1, z2) < 0.0 else (
+            "underflows, for example because the plateau rate is too steep")
+        raise DomainError(f"a selected mode's vacuum probability {why}: got z1 = {z1}, "
+                          f"z2 = {z2}, smallest normal float {sys.float_info.min}")
     if z1 + z2 > 1.0 + 1e-12:
         raise DomainError(f"z1 + z2 must be <= 1, got {z1 + z2}")
     if z < max(z1, z2) - 1e-12:

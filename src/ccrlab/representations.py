@@ -731,7 +731,8 @@ def binomial_support(n: int, z: float) -> np.ndarray:
 
 
 def joint_sector_sum(
-    n: int, z1: float, z2: float, f1: np.ndarray, f2: np.ndarray
+    n: int, z1: float, z2: float, f1: np.ndarray, f2: np.ndarray,
+    w1: np.ndarray | None = None,
 ) -> np.ndarray:
     """Sum over s, s' of the multinomial vacuum weight times f1(s) f2(s').
 
@@ -756,16 +757,9 @@ def joint_sector_sum(
     unit-scale sums here, and the length-4 transform of the N = 1 tables
     is exact, so the N = 1 coherence stays exactly 0. For z0 = 0 the
     weight is the point mass s' = n - s, i.e. the float64 binomial table
-    Bin(n, s; z1).
+    Bin(n, s; z1): a caller that holds it over ``binomial_support(n, z1)``
+    passes it as ``w1``, else it is built when needed.
     """
-    return _joint_sector_sum(n, z1, z2, f1, f2, None)
-
-
-def _joint_sector_sum(n: int, z1: float, z2: float, f1: np.ndarray,
-                      f2: np.ndarray, w1: np.ndarray | None) -> np.ndarray:
-    """:func:`joint_sector_sum`, given mode 1's binomial weights ``w1`` over
-    ``binomial_support(n, z1)`` when the caller has them (None builds them
-    if the point mass z0 = 0 needs them)."""
     s1 = binomial_support(n, z1)
     s2 = binomial_support(n, z2)
     f1 = np.asarray(f1, dtype=float)

@@ -548,6 +548,17 @@ class TestReducibleDensity:
         with pytest.raises(DomainError):
             dyn.rho_atoms_reducible(1.0, 2, -0.1, 0.5, 0.5)
 
+    @pytest.mark.parametrize("z2", [0.0, 5e-324, 1e-310])
+    def test_underflowing_probability_is_refused(self, z2):
+        # a subnormal probability has lost precision, and at 5e-324 the far
+        # steps of the sector-weight recurrence round to 0 and its sums turn NaN
+        for closed_form in (lambda: dyn.rho_atoms_reducible(1.0, 2, 1.0 - z2, z2, 1.0),
+                            lambda: dyn.rho_atoms_limit(1.0, 1.0 - z2, z2, 1.0)):
+            with pytest.raises(DomainError, match="vacuum probability underflows"):
+                closed_form()
+        with pytest.raises(DomainError, match="vacuum probability must be positive"):
+            dyn.rho_atoms_reducible(1.0, 2, -1e-320, 0.5, 0.5)
+
 
 def coherence_oracle(times, n, z1, z2, z):
     """|+-><-+| entry by the direct multinomial double sum at 40 digits."""

@@ -893,6 +893,18 @@ class TestJointSectorSum:
         with pytest.raises(ValidationError):
             joint_sector_sum(10, 0.2, 0.3, np.ones(3), np.ones(11))
 
+    @pytest.mark.parametrize("n", [1, 10, 10**6])
+    def test_point_mass_reads_the_given_mode_1_table(self, n):
+        # z1 + z2 = 1: the caller's w1 is the table built without it
+        z1, z2 = 0.25, 0.75
+        rng = np.random.default_rng(5)
+        f1 = rng.uniform(size=binomial_support(n, z1).size)
+        f2 = rng.uniform(size=binomial_support(n, z2).size)
+        w1 = np.exp(representations._log_binomial_table(n, z1))
+        assert joint_sector_sum(n, z1, z2, f1, f2, w1) == joint_sector_sum(n, z1, z2, f1, f2)
+        assert joint_sector_sum(n, z1, z2, f1, f2, 2.0 * w1) == pytest.approx(
+            2.0 * joint_sector_sum(n, z1, z2, f1, f2), rel=1e-15)
+
 
 class TestCcrCheck:
     def test_infinity_exact_below_truncation(self):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -21,8 +22,10 @@ from ccrlab.scenarios import (
     DEFAULT_TOLERANCES,
     SCENARIO_NAMES,
     ScenarioConfig,
+    _check,
     closed_form_atomic_density,
     convergence_sweep,
+    invariants,
     profile_from_spec,
     run_scenario,
     simulated_atomic_density,
@@ -218,6 +221,35 @@ class TestScenarioContent:
         assert report.passed
         # asymmetric profile: no plateau-match check emitted
         assert not any("limit_matches" in c.name for c in report.checks)
+
+    @pytest.mark.parametrize("n_values, t", [((1, 3), 0.574), ((10, 30), 6.283)])
+    def test_sweep_skips_d_decreasing_once_the_ensemble_dephases(
+            self, tmp_path, n_values, t):
+        # D(N, t) rises with N at these points, so asserting the ordering
+        # there failed valid configs
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "scenario": "reducible-limit", "N": list(n_values), "times": [0.0, t],
+            "profile": {"kind": "uniform", "modes": 20}}))
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "reducible-limit.json").read_text())
+        d = {(r["n"], r["t"]): r["trace_distance"] for r in payload["records"]}
+        assert d[n_values[1], t] > d[n_values[0], t]
+        assert not any(c["name"].startswith("d_decreasing") for c in payload["checks"])
+        [skip] = payload["skipped"]
+        assert skip["check"] == f"d_decreasing_t_{t:.6f}"
+        assert "N_min z_min >= t^2 (1 - z_min)" in skip["reason"]
+
+    def test_sweep_asserts_d_decreasing_where_the_criterion_holds(self):
+        # uniform(2): N_min z_min = 5 covers t = pi/12 and pi/2 (t^2 / 2 <= 1.24)
+        # but not t = 2 pi (19.7)
+        times = (math.pi / 12, math.pi / 2, 2 * math.pi)
+        report = convergence_sweep(ScenarioConfig(
+            scenario="reducible-limit", n_values=(10, 100), times=times))
+        assert report.passed
+        assert [c.name for c in report.checks if c.name.startswith("d_")] == [
+            f"d_decreasing_t_{t:.6f}" for t in times[:2]]
+        assert [s["check"] for s in report.skipped] == [f"d_decreasing_t_{times[2]:.6f}"]
 
 
 def traced_atomic_density(rep, times, modes):
@@ -427,6 +459,29 @@ class TestSingleModeClosedForm:
         assert not check.passed
 
 
+class TestCheck:
+    def test_grid_is_judged_by_its_largest_value(self):
+        check = _check("c", {(1, 0.1): 1e-14, (2, 0.5): 3e-13}, 1e-12, detail="why")
+        assert check.passed and check.measured == 3e-13 and check.detail == "why"
+
+    def test_failing_grid_names_its_largest_argument(self):
+        grid = {(1, 0.1): 1e-14, (2, 0.5): 3e-12, (3, 0.5): 2e-12}
+        check = _check("c", grid, 1e-12, detail="why")
+        assert not check.passed and check.measured == 3e-12
+        assert check.detail == "why; largest at (2, 0.5)"
+        assert _check("c", {"k1": 1.0}, 0.5).detail == "largest at k1"
+        assert _check("c", {"k1": 1.0}, 2.0, ">=").detail == "largest at k1"
+
+    def test_failing_number_keeps_its_detail(self):
+        check = _check("c", 1.0, 0.5, detail="why")
+        assert not check.passed and check.detail == "why"
+
+    def test_nan_counts_as_the_largest_value(self):
+        check = _check("c", {1: 5.0, 2: float("nan"), 3: 1.0}, 10.0)
+        assert not check.passed and math.isnan(check.measured)
+        assert check.detail == "largest at 2"
+
+
 class TestReports:
     def test_write_outputs(self, tmp_path):
         report = run_scenario(ScenarioConfig(scenario="infinity"))
@@ -513,6 +568,25 @@ class TestValidate:
                             lambda *args: original(*args) + 1e-10)
         check = {c.name: c for c in validate(seed=0).checks}["joint_sum_marginals"]
         assert not check.passed
+
+    def test_failing_check_names_its_worst_argument(self, monkeypatch):
+        original = reps._log_binomial_table
+
+        def shifted(n, z):
+            # one cell of one table: the anchor cell at (N, z) = (1e6, 0.5)
+            table = original(n, z).copy()
+            if (n, z) == (10**6, 0.5):
+                table[math.floor(n * z) - reps.binomial_support(n, z)[0]] += 1e-12
+            return table
+
+        monkeypatch.setattr(reps, "_log_binomial_table", shifted)
+        failed = [c for c in validate(seed=0).checks if not c.passed]
+        assert [c.name for c in failed] == ["float64_tables_vs_extended"]
+        assert failed[0].detail.endswith("N up to 1e6; largest at (1000000, 0.5)")
+
+    def test_invariants_yield_the_checks_in_report_order(self):
+        names = [args[0] for args in invariants(random.Random(0))]
+        assert names == [c.name for c in validate(seed=0).checks]
 
     @pytest.mark.parametrize("seed", [-1, 2**64, True])
     def test_seed_out_of_range_is_config_error(self, seed):
@@ -783,6 +857,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: rolloff rate must be finite")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("scenario", ["reducible-brute", "reducible-limit"])
+    @pytest.mark.parametrize("modes, rate", [(3, 800), (2, 745), (2, 740)])
+    def test_underflowing_vacuum_probability_exits_2(
+            self, tmp_path, capsys, scenario, modes, rate):
+        # exp(-rate) is 0 at 800 and subnormal at 745 and 740
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "scenario": scenario,
+            "profile": {"kind": "plateau", "modes": modes, "window": [0, 0], "rate": rate},
+        }))
+        code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: a selected mode's vacuum probability underflows, "
+                              "for example because the plateau rate is too steep")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("config, skipped", [
