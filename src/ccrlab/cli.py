@@ -80,8 +80,10 @@ def _load_config(args, default_scenario: str | None = None) -> ScenarioConfig:
 def _emit(report: ScenarioReport, out_dir: str | None) -> int:
     for check in report.checks:
         verdict = "PASS" if check.passed else "FAIL"
+        # a failing check says where it failed, also when no report is written
+        detail = f"; {check.detail}" if check.detail and not check.passed else ""
         print(f"[{verdict}] {check.name}: measured {check.measured:.3e} "
-              f"{check.comparison} {check.tolerance:.3e}")
+              f"{check.comparison} {check.tolerance:.3e}{detail}")
     for row in report.skipped:
         print(f"[SKIP] {row['check']}: {row['reason']}")
     if out_dir:

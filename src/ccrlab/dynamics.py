@@ -291,8 +291,8 @@ def _multinomial_measure(n: int, z1: float, z2: float) -> tuple:
 
     Binomial marginals over :func:`~ccrlab.representations.binomial_support`,
     each weight the float64 exponential of a float64 compensated
-    log-ratio recurrence anchored on one cell of the extended-precision
-    per-cell formula :func:`~ccrlab.representations.log_binomial_weights`
+    log-ratio recurrence anchored on one cell of the float64 per-cell
+    formula :func:`~ccrlab.representations.log_binomial_weights`
     (one table for both modes when z1 = z2), and the joint sum
     :func:`~ccrlab.representations.joint_sector_sum`, one FFT convolution
     for all times, whose point mass at z1 + z2 = 1 reads mode 1's table.
@@ -339,6 +339,9 @@ def _check_ensemble_params(n: int, z1: float, z2: float, z: float) -> tuple:
     if n > MAX_ENSEMBLE:
         raise DomainError(f"ensemble size {n} exceeds the supported {MAX_ENSEMBLE}")
     z1, z2, z = float(z1), float(z2), float(z)
+    for name, value in (("z1", z1), ("z2", z2), ("z", z)):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
     # a subnormal z has lost precision, and the sector-weight recurrence's
     # far steps round to 0 at the smallest ones
     if min(z1, z2) < sys.float_info.min:

@@ -524,86 +524,88 @@ def central_spectral_projectors(rep: Representation, mode: str) -> CentralSpectr
     return CentralSpectrum(mode=mode, eigenvalues=eigenvalues, projectors=projectors)
 
 
-# Sector counts at or below this go through the exact small-coefficient
-# table; larger ones through the Stirling branch (series error < 1e-15
-# from 25 upward).
+# Sector counts at or below this take the exact coefficient math.comb;
+# larger ones Stirling's series (truncation error < 1e-15 from 25 upward).
 _SMALL_SECTOR = 24
-_LD = np.longdouble
 
 
-def _xlogy_ld(x: np.ndarray, y) -> np.ndarray:
-    """x * log(y) with the 0 * log(0) = 0 convention, in extended precision."""
-    x = np.asarray(x, dtype=_LD)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = x * np.log(np.asarray(y, dtype=_LD))
-    return np.where(x == 0, _LD(0), out)
+def _stirling_correction(k: int) -> float:
+    """ln k! - ((k + 1/2) ln k - k + ln sqrt(2 pi)), four terms of Stirling's series."""
+    inv2 = 1.0 / (k * k)
+    return (1 / 12 - inv2 * (1 / 360 - inv2 * (1 / 1260 - inv2 / 1680))) / k
 
 
-def _log_binomial_bulk(n, s, z, q):
-    """ln C(n, s) z^s q^(n-s) by Stirling's series, q = 1 - z.
+def _deviance(x: int, m: float, m_lo: float) -> float:
+    """Loader's bd0: x ln(x / m) + m - x, for m an exact float pair (m, m_lo).
 
-    A relative-entropy term, taken through log1p around the binomial mean
-    so that its large logs do not cancel, plus the half-log and the
-    series corrections. Accurate to ~1e-16 for min(s, n - s) >
-    _SMALL_SECTOR. Arguments are extended precision; ``s`` is a 0-d value
-    (one cell, in scalar arithmetic) or an array of cells.
+    With d = x - m and v = d / (x + m), ln(x / m) = 2 artanh v, so for
+    |v| < 1/2 it is d v + 2 x sum_j v^(2j+1) / (2j + 1), j >= 1: no
+    cancellation, and each term shrinks by at least v^2 <= 1/4. There d
+    and the leading term d v are carried as float pairs, so the result is
+    within about one rounding. Otherwise x / m is beyond 3 or 1/3, and the
+    direct form loses at most a few roundings.
     """
+    d, d_lo = _two_sum(x - m, -m_lo)  # x - m is exact for x <= 2 m, else one rounding
+    w, w_lo = _two_sum(x, m)
+    v = d / w
+    if abs(v) >= 0.5:
+        return x * math.log(x / m) - d
+    # d v = (d + d_lo)^2 / (w + w_lo + m_lo) to first order in the lows,
+    # with d - v w exact from Dekker's product
+    lead, lead_lo = _two_prod(d, v)
+    vw, vw_lo = _two_prod(v, w)
+    tail = lead_lo + v * (((d - vw) - vw_lo) + 2 * d_lo - v * (w_lo + m_lo))
+    term, v2, j = 2 * x * v * v * v, v * v, 3
+    while lead + (tail + term / j) != lead + tail:
+        tail += term / j
+        term *= v2
+        j += 2
+    return lead + tail
+
+
+def _log_binomial_cell(n: int, s: int, z: float, q: float, q_lo: float) -> float:
+    """ln C(n, s) z^s q^(n - s) in float64, for z + q = 1 up to rounding.
+
+    ``q`` is the exact float pair (q, q_lo); each probability needs only
+    its own relative accuracy, so a caller passes the complement it holds
+    best (see :func:`log_joint_weights`). n = 0, z = 0 or q = 0 is a point
+    mass. Within ``_SMALL_SECTOR`` of either edge the coefficient is
+    exact, C(n, k) / n^k times (n p)^k for the smaller count k and its
+    probability p, and the larger probability's log is log1p of the
+    smaller. Elsewhere it is Loader's saddle-point form: Stirling
+    corrections, the half-log and the deviances of s from n z and of
+    n - s from n q, whose deviations are exact from Dekker products (no
+    large logs cancel).
+    """
+    if n == 0 or z == 0.0 or q + q_lo <= 0.0:
+        return 0.0 if s == (0 if z == 0.0 else n) else -math.inf
     r = n - s
-
-    def corrections(x):
-        inv = 1.0 / x
-        inv2 = inv * inv
-        return inv / 12 - inv * inv2 / 360 + inv * inv2 * inv2 / 1260 - inv * inv2**3 / 1680
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # s ln(s/(nZ)) + (n-s) ln((n-s)/(n(1-Z))), the only large terms
-        t1 = s * np.log1p((s - n * z) / (n * z))
-        t2 = r * np.log1p((n * z - s) / (n * q))
-    half = 0.5 * np.log(n / (_LD(2 * np.pi) * s * r))
-    return -(t1 + t2) + half + (corrections(n) - corrections(s) - corrections(r))
+    if min(s, r) <= _SMALL_SECTOR:
+        k, rest, p, p_rest = (s, r, z, q) if s <= r else (r, s, q, z)
+        log_rest = math.log1p(-p) if p < p_rest else math.log(p_rest)
+        # ln w to about one rounding: exact products, one rounded sum
+        return math.fsum((math.log(math.comb(n, k) / n**k), *_two_prod(k, math.log(n * p)),
+                          *_two_prod(rest, log_rest)))
+    m, m_lo = _two_prod(n, q)
+    return (_stirling_correction(n) - _stirling_correction(s) - _stirling_correction(r)
+            - _deviance(s, *_two_prod(n, z)) - _deviance(r, m, m_lo + n * q_lo)
+            + 0.5 * math.log(n / (math.tau * s * r)))
 
 
 def log_binomial_weights(n: int, s: np.ndarray, z: float) -> np.ndarray:
-    """ln C(n, s) z^s (1-z)^(n-s), cell by cell, in extended precision.
+    """ln C(n, s) z^s (1-z)^(n-s), cell by cell, in float64.
 
-    A cancellation-free Stirling form in the bulk
-    (:func:`_log_binomial_bulk`) and exact small-coefficient logs near the
-    edges, so each cell stands alone: no cell depends on the others in
-    ``s``, whose order and gaps are free. Each cell costs ~25
-    extended-precision operations, so it serves single cells: the anchors
-    of the closed form's float64 tables (:func:`_log_binomial_table`,
-    :func:`joint_sector_sum`), the point masses z in {0, 1}, and, as their
-    oracle, the checks that compare those tables with it. A single bulk
-    cell, which every anchor is at large n, runs as scalar arithmetic.
+    Each cell is :func:`_log_binomial_cell` with 1 - z as a TwoSum pair,
+    a few microseconds of scalar arithmetic, so no cell depends on the
+    others in ``s``, whose order and gaps are free; it serves single cells:
+    the anchors of the closed form's float64 tables
+    (:func:`_log_binomial_table`, :func:`joint_sector_sum`), the point
+    masses z in {0, 1}, and, as their reference, the checks that compare
+    those tables with it.
     """
-    s = np.asarray(s)
-    n_ld = _LD(n)
-    z_ld = _LD(z)
-    q_ld = _LD(1) - z_ld
-    if s.size == 1 and _SMALL_SECTOR < s.flat[0] < n - _SMALL_SECTOR:
-        return np.full(s.shape, _log_binomial_bulk(n_ld, _LD(s.flat[0]), z_ld, q_ld))
-    s_ld = s.astype(_LD)
-    out = np.empty(s.shape, dtype=_LD)
-
-    lo = s <= _SMALL_SECTOR
-    hi = ~lo & (n - s <= _SMALL_SECTOR)
-    mid = ~(lo | hi)
-
-    if lo.any() or hi.any():
-        # ln C(n, k) for k = 0.._SMALL_SECTOR, by the exact product recurrence
-        j = np.arange(1, min(_SMALL_SECTOR, n) + 1, dtype=_LD)
-        table = np.concatenate([np.zeros(1, dtype=_LD),
-                                np.cumsum(np.log(n_ld - j + 1) - np.log(j))])
-        edge = lo | hi
-        idx = np.where(lo, s, n - s)[edge]
-        out[edge] = (
-            table[idx]
-            + _xlogy_ld(s_ld[edge], z_ld)
-            + _xlogy_ld(n_ld - s_ld[edge], q_ld)
-        )
-    if mid.any():
-        out[mid] = _log_binomial_bulk(n_ld, s_ld[mid], z_ld, q_ld)
-    return out
+    n, q = int(n), _two_sum(1.0, -z)
+    return np.array([_log_binomial_cell(n, k, z, *q) for k in np.ravel(s).tolist()],
+                    dtype=float).reshape(np.shape(s))
 
 
 def _two_sum(a, b):
@@ -627,8 +629,8 @@ def _two_prod(a: float, b: float) -> tuple[float, float]:
 
 
 def _log_ratio_table(lam: tuple[float, float], p: float, lo: int, hi: int,
-                     anchor: int, offset) -> np.ndarray:
-    """f(j) - f(anchor) + offset for j = lo..hi in float64, no extended precision.
+                     anchor: int, offset: float) -> np.ndarray:
+    """f(j) - f(anchor) + offset for j = lo..hi in float64.
 
     The steps are f(j) - f(j - 1) = ln((lam - p j) / (q j)), q = 1 - p,
     with lam an exact float pair (hi, lo): lam = (n + 1) z and p = z give
@@ -639,8 +641,7 @@ def _log_ratio_table(lam: tuple[float, float], p: float, lo: int, hi: int,
     so those cells are one run; outside it a step is the log of the ratio,
     whose numerator takes p j exactly from a split of p. The prefix sums
     carry the sum of their TwoSum errors (Ogita, Rump & Oishi's Sum2), so
-    their rounding does not grow with the window. ``offset``, an
-    extended-precision anchor value, enters as two floats.
+    their rounding does not grow with the window.
     """
     start, stop = min(lo, anchor), max(hi, anchor)
     j = np.arange(start + 1, stop + 1, dtype=float)
@@ -669,26 +670,23 @@ def _log_ratio_table(lam: tuple[float, float], p: float, lo: int, hi: int,
     err += steps
     errors = np.concatenate(([0.0], np.cumsum(err)))
     window, k = slice(lo - start, hi - start + 1), anchor - start
-    low = (errors[window] - errors[k]) + float(offset - _LD(float(offset)))
-    return (total[window] - total[k]) + low + float(offset)
+    return (total[window] - total[k]) + (errors[window] - errors[k]) + offset
 
 
 def _log_binomial_table(n: int, z: float) -> np.ndarray:
     """ln Bin(n, s; z) over ``binomial_support(n, z)``, in float64.
 
     One :func:`_log_ratio_table` recurrence anchored at floor(n z), whose
-    value is one cell of the extended-precision per-cell formula
-    :func:`log_binomial_weights`; the point masses z in {0, 1} are read
-    from that formula whole. Within a few 1e-14 relative of it in every
-    weight.
+    value is one cell of the per-cell formula :func:`log_binomial_weights`;
+    the point masses z in {0, 1} are read from that formula whole. Within
+    a few 1e-14 relative of it in every weight.
     """
     support = binomial_support(n, z)
     if not 0.0 < z < 1.0:
-        return log_binomial_weights(n, support, z).astype(float)
+        return log_binomial_weights(n, support, z)
     anchor = min(max(math.floor(n * z), support[0]), support[-1])
-    log_w = log_binomial_weights(n, np.array([anchor]), z)[0]
     return _log_ratio_table(_two_prod(n + 1.0, z), z, support[0], support[-1],
-                            anchor, log_w)
+                            anchor, float(log_binomial_weights(n, anchor, z)))
 
 
 def log_joint_weights(
@@ -698,23 +696,32 @@ def log_joint_weights(
 
     C(n; s, s') z1^s z2^s' (1-z1-z2)^(n-s-s') is evaluated as
     Bin(n, s; z1) Bin(n - s, s'; z2 / (1 - z1)), both factors from the
-    per-cell formula :func:`log_binomial_weights` in extended precision.
-    Entries with s + s' > n are -inf (the coefficient vanishes there). With
-    z1 = 1 no oscillator is left for mode 2, so only s' = 0 carries weight.
-    Costs one binomial evaluation per row and ~25 extended-precision
-    operations per cell: meant for a few cells, not for whole sector grids
-    (see :func:`joint_sector_sum`).
+    float64 per-cell formula (:func:`log_binomial_weights`). The second
+    factor takes its complement as z0 / (1 - z1), z0 from the exact pair
+    :func:`_rest_probability`, so that it keeps its digits when z1 + z2
+    is near 1. Entries with s + s' > n are -inf (the coefficient vanishes
+    there). With z1 = 1 no oscillator is left for mode 2, so only s' = 0
+    carries weight. Costs a few microseconds per cell: meant for a few
+    cells, not for whole sector grids (see :func:`joint_sector_sum`).
     """
     s = np.asarray(s)
     s_prime = np.asarray(s_prime)
-    # clip guards roundoff when z1 + z2 ~ 1
-    q = min(_LD(z2) / (_LD(1) - _LD(z1)), _LD(1)) if z1 < 1.0 else _LD(0)
+    p, p_rest = 0.0, 1.0
+    if z1 < 1.0:
+        p, p_rest = z2 / (1.0 - z1), sum(_rest_probability(z1, z2)) / (1.0 - z1)
     rows = log_binomial_weights(n, s, z1)
-    out = np.full((s.size, s_prime.size), -np.inf, dtype=_LD)
-    for i, s_i in enumerate(s):
-        fits = s_prime <= n - s_i
-        out[i, fits] = rows[i] + log_binomial_weights(n - s_i, s_prime[fits], q)
+    out = np.full((s.size, s_prime.size), -np.inf)
+    for i, left in enumerate((n - s).tolist()):
+        out[i, s_prime <= left] = [rows[i] + _log_binomial_cell(left, k, p, p_rest, 0.0)
+                                   for k in s_prime.tolist() if k <= left]
     return out
+
+
+def _rest_probability(z1: float, z2: float) -> tuple[float, float]:
+    """1 - z1 - z2 as an exact float pair (hi, lo), by two TwoSums."""
+    rest, err1 = _two_sum(1.0, -z1)
+    z0, err2 = _two_sum(rest, -z2)
+    return z0, err1 + err2
 
 
 def binomial_support(n: int, z: float) -> np.ndarray:
@@ -744,11 +751,11 @@ def joint_sector_sum(
     The weight factors as w0 a(s) b(s') c(s + s') with a ~ (n z1)^s / s!,
     b ~ (n z2)^s' / s'! and c(k) ~ (n z0)^(n-k) / (n-k)!, all normalized
     at an anchor cell (s0, s0') near the mean. The anchor weight w0 comes
-    from :func:`log_joint_weights`, i.e. from the per-cell binomial
-    formula :func:`log_binomial_weights` in extended precision, which is
-    also the tables' oracle; the log tables are float64 compensated
-    log-ratio recurrences (:func:`_log_ratio_table`, with n z0 an exact
-    float pair from TwoSum and Dekker's product), exponentiated in
+    from :func:`log_joint_weights`, i.e. from the float64 per-cell binomial
+    formula :func:`log_binomial_weights`, which is also the tables'
+    reference; the log tables are float64 compensated log-ratio
+    recurrences (:func:`_log_ratio_table`, with n z0 an exact float pair
+    from :func:`_rest_probability` and Dekker's product), exponentiated in
     float64. The double sum is then sum_k c(k) (x * y)(k) with x = a f1
     and y = b f2, one 1-D convolution per row, taken for the whole row
     stack by one zero-padded ``rfft``/``irfft``: O((|a| + |b|) log(|a| +
@@ -769,10 +776,8 @@ def joint_sector_sum(
             f"f1, f2 need {s1.size} and {s2.size} entries on their last axis, "
             f"got {f1.shape[-1]} and {f2.shape[-1]}"
         )
-    # 1 - z1 - z2 exactly, as z0 + err1 + err2
-    rest, err1 = _two_sum(1.0, -z1)
-    z0, err2 = _two_sum(rest, -z2)
-    if z0 + (err1 + err2) <= 0:
+    z0, z0_lo = _rest_probability(z1, z2)
+    if z0 + z0_lo <= 0:
         # point mass at s' = n - s; sectors outside the s' window carry
         # no mass worth keeping
         sp = n - s1
@@ -790,7 +795,7 @@ def joint_sector_sum(
     k_hi = min(n, s1[-1] + s2[-1])
     r0 = n - s0 - s0p
     lam_hi, lam_lo = _two_prod(n, z0)
-    c = np.exp(_log_ratio_table((lam_hi, lam_lo + n * (err1 + err2)), 0.0, n - k_hi,
+    c = np.exp(_log_ratio_table((lam_hi, lam_lo + n * z0_lo), 0.0, n - k_hi,
                                 n - k_lo, r0, log_w0)[::-1])
 
     lead = np.broadcast_shapes(f1.shape[:-1], f2.shape[:-1])

@@ -559,6 +559,17 @@ class TestReducibleDensity:
         with pytest.raises(DomainError, match="vacuum probability must be positive"):
             dyn.rho_atoms_reducible(1.0, 2, -1e-320, 0.5, 0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("arg", ["z1", "z2", "z"])
+    @pytest.mark.parametrize("closed_form", [
+        lambda z1, z2, z: dyn.rho_atoms_reducible(1.0, 2, z1, z2, z),
+        lambda z1, z2, z: dyn.rho_atoms_limit(1.0, z1, z2, z)], ids=["reducible", "limit"])
+    def test_non_finite_probability_is_refused(self, closed_form, arg, bad):
+        # every comparison with NaN is false, so no range check refuses it
+        params = {"z1": 0.5, "z2": 0.5, "z": 0.5, arg: bad}
+        with pytest.raises(DomainError, match=f"{arg} must be finite, got {bad}"):
+            closed_form(**params)
+
 
 def coherence_oracle(times, n, z1, z2, z):
     """|+-><-+| entry by the direct multinomial double sum at 40 digits."""
@@ -625,8 +636,8 @@ class TestReducibleCoherence:
 
 
 class TestFloat64Exponentials:
-    """Sector sums with float64 exponentials of the extended-precision logs
-    against the same sums with extended-precision exponentials."""
+    """Sector sums with float64 exponentials of the per-cell logs against
+    the same sums with extended-precision exponentials of those logs."""
 
     TIMES = np.array([0.3, 1.1, math.pi / 2])
 
@@ -635,7 +646,8 @@ class TestFloat64Exponentials:
         support = binomial_support(n, z_k)
         ratio = support.astype(np.longdouble) / n
         theta = cls.TIMES[:, None] * np.sqrt(support / n / z)
-        return ratio, np.exp(log_binomial_weights(n, support, z_k)), theta
+        weights = np.exp(log_binomial_weights(n, support, z_k).astype(np.longdouble))
+        return ratio, weights, theta
 
     @pytest.mark.parametrize("n", [10, 1000, 10**5, 10**6])
     @pytest.mark.parametrize("z1, z2, z", [(0.2, 0.05, 0.2), (0.5, 0.5, 0.5)])
@@ -660,7 +672,7 @@ class TestFloat64Exponentials:
         rng = np.random.default_rng(11)
         f1 = rng.uniform(size=(2, s1.size))
         f2 = rng.uniform(size=(2, s2.size))
-        weights = np.exp(log_joint_weights(n, s1, s2, z1, z2))
+        weights = np.exp(log_joint_weights(n, s1, s2, z1, z2).astype(np.longdouble))
         expected = np.einsum("ij,ri,rj->r", weights, f1.astype(np.longdouble), f2)
         got = joint_sector_sum(n, z1, z2, f1, f2)
         assert np.max(np.abs(got - expected)) <= 1e-14
@@ -672,7 +684,7 @@ class TestFloat64Exponentials:
         rng = np.random.default_rng(12)
         f1 = rng.uniform(-1.0, 1.0, size=(3, s1.size))
         f2 = rng.uniform(-1.0, 1.0, size=(3, s2.size))
-        weights = np.exp(log_joint_weights(n, s1, s2, z1, z2))
+        weights = np.exp(log_joint_weights(n, s1, s2, z1, z2).astype(np.longdouble))
         expected = np.einsum("ij,ri,rj->r", weights, f1.astype(np.longdouble), f2)
         got = joint_sector_sum(n, z1, z2, f1, f2)
         assert np.max(np.abs(got - expected)) <= 1e-14
@@ -715,8 +727,8 @@ class TestFloat64Tables:
 
     @pytest.mark.parametrize("z1, z2, z, cells", [
         (0.5, 0.5, 0.5, 1),     # one table for both modes, read by the point mass
-        (0.2, 0.05, 0.2, 4)])   # two marginal anchors, two for the joint anchor
-    def test_extended_precision_only_in_the_anchor_cells(
+        (0.2, 0.05, 0.2, 3)])   # two marginal anchors, the joint anchor's Bin(N, s0; z1)
+    def test_per_cell_formula_only_in_the_anchor_cells(
             self, monkeypatch, z1, z2, z, cells):
         calls = []
         original = reps.log_binomial_weights

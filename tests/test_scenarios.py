@@ -551,13 +551,13 @@ class TestValidate:
 
     def test_float64_table_check_detects_a_shifted_table(self, monkeypatch):
         check = {c.name: c for c in validate(seed=0).checks}[
-            "float64_tables_vs_extended"]
+            "float64_tables_vs_per_cell"]
         assert check.passed and check.measured <= 1e-13
         original = reps._log_binomial_table
         monkeypatch.setattr(reps, "_log_binomial_table",
                             lambda n, z: original(n, z) + 1e-12)
         check = {c.name: c for c in validate(seed=0).checks}[
-            "float64_tables_vs_extended"]
+            "float64_tables_vs_per_cell"]
         assert not check.passed
 
     def test_marginal_check_detects_a_wrong_joint_sum(self, monkeypatch):
@@ -569,7 +569,7 @@ class TestValidate:
         check = {c.name: c for c in validate(seed=0).checks}["joint_sum_marginals"]
         assert not check.passed
 
-    def test_failing_check_names_its_worst_argument(self, monkeypatch):
+    def test_failing_check_names_its_worst_argument(self, monkeypatch, capsys):
         original = reps._log_binomial_table
 
         def shifted(n, z):
@@ -581,8 +581,14 @@ class TestValidate:
 
         monkeypatch.setattr(reps, "_log_binomial_table", shifted)
         failed = [c for c in validate(seed=0).checks if not c.passed]
-        assert [c.name for c in failed] == ["float64_tables_vs_extended"]
+        assert [c.name for c in failed] == ["float64_tables_vs_per_cell"]
         assert failed[0].detail.endswith("N up to 1e6; largest at (1000000, 0.5)")
+        # the command line prints it too, without writing a report
+        assert cli.main(["validate"]) == cli.EXIT_ASSERTION
+        out = capsys.readouterr().out.splitlines()
+        (line,) = [x for x in out if x.startswith("[FAIL]")]
+        assert line.startswith("[FAIL] float64_tables_vs_per_cell: measured ")
+        assert line.endswith("largest at (1000000, 0.5)")
 
     def test_invariants_yield_the_checks_in_report_order(self):
         names = [args[0] for args in invariants(random.Random(0))]
