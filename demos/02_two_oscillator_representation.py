@@ -10,7 +10,6 @@ state at t = pi/2: the entanglement is exchanged locally.
 
 import math
 
-
 from ccrlab import (
     Bipartition,
     build_infinity_two_mode,
@@ -35,13 +34,15 @@ print()
 pairs = [("mode1", 0), ("mode2", 1)]
 psi0 = single_photon_initial_state(rep, ("mode1", "mode2"))
 
+# one evolution and one reduction for the whole time grid: a (T, 4, 4) stack
+fracs = (0.0, 0.125, 0.25, 0.375, 0.5)
+times = [frac * math.pi for frac in fracs]
+atoms = partial_trace(evolve(rep, pairs, psi0, times), Bipartition(("atom1", "atom2")))
+conc = concurrence(atoms)
+dist = trace_distance(atoms, rho_atoms_irreducible(times))
+
 print(" t/pi   concurrence   sin^2(t)   distance to closed form")
-for frac in (0.0, 0.125, 0.25, 0.375, 0.5):
-    t = frac * math.pi
-    psi = evolve(rep, pairs, psi0, t)
-    atoms = partial_trace(psi, Bipartition(("atom1", "atom2")))
-    c = concurrence(atoms.matrix)
-    d = trace_distance(atoms.matrix, rho_atoms_irreducible(t))
+for frac, t, c, d in zip(fracs, times, conc, dist):
     print(f" {frac:4.3f}   {c:11.9f}   {math.sin(t)**2:8.6f}   {d:.2e}")
 
 print()

@@ -34,7 +34,6 @@ from .dynamics import (
 )
 from .entanglement import (
     Bipartition,
-    DensityMatrix,
     concurrence,
     marginal_entropy,
     operator_schmidt_coefficients,

@@ -217,7 +217,7 @@ def evolve(
     mode_atom_pairs: Sequence[tuple[str, int]],
     psi0: StateVector,
     t: float | np.ndarray,
-) -> StateVector | list[StateVector]:
+) -> StateVector:
     """Propagate ``psi0`` with exp(-i H_eff t), H the coupling of ``mode_atom_pairs``.
 
     H_eff = H / sqrt(Z), Z from :func:`_generator_scale`: the profile's
@@ -228,10 +228,14 @@ def evolve(
     sectors that ``psi0`` occupies (:func:`excitation_sector_mask`): H is
     assembled on them only (:func:`jc_hamiltonian` with ``sector=``) and
     diagonalized once for all times, and amplitudes outside them stay
-    zero. ``psi0`` lives on atom1 (x) atom2 (x) field, dimension
-    4 ``rep.dim``. ``t`` is a scalar (returns one state) or a 1-D array of
-    times (returns one state per time).
+    zero. ``psi0`` is one state (a stack is a ValidationError) on
+    atom1 (x) atom2 (x) field, dimension 4 ``rep.dim``. ``t`` is a scalar
+    (returns one state) or a 1-D array of T times (returns one
+    :class:`~ccrlab.linalg.StateVector` holding the (T, dim) stack).
     """
+    if psi0.amplitudes.ndim != 1:
+        raise ValidationError(
+            f"psi0 must be one state, got a stack of shape {psi0.amplitudes.shape}")
     if psi0.dim != 4 * rep.dim:
         raise ValidationError(
             f"dimension mismatch: state is {psi0.dim}, the coupled space of "
@@ -242,9 +246,7 @@ def evolve(
     u = expm_generator(h / math.sqrt(_generator_scale(rep)), t)
     amps = np.zeros(u.shape[:-2] + (psi0.dim,), dtype=complex)
     amps[..., inside] = u @ psi0.amplitudes[inside]
-    if amps.ndim == 1:
-        return StateVector(amps, psi0.factorization)
-    return [StateVector(a, psi0.factorization) for a in amps]
+    return StateVector(amps, psi0.factorization)
 
 
 def _generator_scale(rep: Representation) -> float:

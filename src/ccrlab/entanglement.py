@@ -7,9 +7,11 @@ depending on which factorization one declares. Scalar measures
 one matrix gives a ``float``, a (..., n, n) stack, such as the (T, 4, 4)
 atom densities over a time grid, gives an array over its leading axes,
 entry by entry the bits of the one-matrix call.
-Reductions (partial traces, Schmidt cuts, marginal entropies) take pure
-states: a :class:`~ccrlab.linalg.StateVector` carrying its factorization,
-regrouped across the cut by :func:`~ccrlab.linalg.matricize`.
+Reductions (partial traces, Schmidt cuts, marginal entropies) take one
+pure state or a (T, dim) stack of them: a
+:class:`~ccrlab.linalg.StateVector` carrying its factorization, regrouped
+across the cut by :func:`~ccrlab.linalg.matricize`. A stack is reduced
+in one batched call, each member's result the bits of the one-state call.
 """
 
 from __future__ import annotations
@@ -57,60 +59,40 @@ class Bipartition:
         return keep_axes, drop_axes
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """Hermitian unit-trace matrix with its declared factorization.
-
-    Only Hermiticity and unit trace are checked on construction; positivity
-    is checked where a spectrum is taken (:func:`von_neumann_entropy`,
-    :func:`concurrence`).
-    """
-
-    matrix: np.ndarray
-    factorization: HilbertFactorization
-
-    def __post_init__(self) -> None:
-        m = require_square(self.matrix, "density matrix")
-        if m.shape[0] != self.factorization.dim:
-            raise ValidationError(
-                f"density matrix dimension {m.shape[0]} does not match "
-                f"factorization dimension {self.factorization.dim}"
-            )
-        herm = float(np.max(np.abs(m - m.conj().T)))
-        if herm > 1e-10:
-            raise ValidationError(
-                f"density matrix not Hermitian: max |rho - rho^dag| = {herm:.3e}"
-            )
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > 1e-10:
-            raise ValidationError(f"density matrix trace is {tr!r}, expected 1")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
 def _cut_matrix(psi: StateVector, bipartition: Bipartition) -> np.ndarray:
-    """The amplitudes as a (kept x discarded) matrix, each side in factor order."""
+    """The amplitudes as a (kept x discarded) matrix, each side in factor order.
+
+    A (T, dim) stack gives a (T, kept, discarded) stack: its time axis
+    leads the rows of the one :func:`~ccrlab.linalg.matricize` call.
+    """
     fact = psi.factorization
     keep_axes, drop_axes = bipartition.axes(fact)
-    return matricize(psi.amplitudes, fact.dims, keep_axes, drop_axes)
+    stack = psi.amplitudes.shape[:-1]
+    lead = len(stack)
+    m = matricize(psi.amplitudes, stack + fact.dims,
+                  tuple(range(lead)) + tuple(lead + i for i in keep_axes),
+                  tuple(lead + i for i in drop_axes))
+    return m.reshape(stack + (fact.dim // m.shape[1], m.shape[1]))
 
 
-def partial_trace(psi: StateVector, bipartition: Bipartition) -> DensityMatrix:
+def partial_trace(psi: StateVector, bipartition: Bipartition) -> np.ndarray:
     """Density of the kept factors of a pure state, in the factorization's order.
 
     With M the normalized state as a (kept x discarded) matrix, the
-    reduced density is M M^dag; no joint density matrix is formed.
+    reduced density is M M^dag; no joint density matrix is formed. One
+    state gives one complex matrix, a (T, dim) stack a (T, kept, kept)
+    stack from one batched product.
     """
     m = _cut_matrix(psi.normalized(), bipartition)
-    return DensityMatrix(m @ m.conj().T, psi.factorization.subset(bipartition.keep))
+    return m @ m.conj().swapaxes(-1, -2)
 
 
 def schmidt_coefficients(psi: StateVector, bipartition: Bipartition) -> np.ndarray:
     """Singular values of the state reshaped across the bipartition.
 
     Nonincreasing; their squares sum to one for a normalized state. A
-    single nonzero coefficient means a product state across the cut.
+    single nonzero coefficient means a product state across the cut. A
+    (T, dim) stack gives one row of coefficients per state.
     """
     return np.linalg.svd(_cut_matrix(psi, bipartition), compute_uv=False)
 
@@ -146,8 +128,6 @@ def operator_schmidt_coefficients(
 
 def _density_array(rho) -> np.ndarray:
     """One matrix, or a (..., n, n) stack of them, as a finite complex array."""
-    if isinstance(rho, DensityMatrix):
-        return rho.matrix
     arr = np.asarray(rho, dtype=complex)
     if arr.ndim <= 2:
         return require_square(arr, "density matrix")
@@ -248,6 +228,9 @@ def trace_distance(rho, sigma) -> float | np.ndarray:
 
 def marginal_entropy(
     psi: StateVector, bipartition: Bipartition
-) -> float:
-    """Entropy of the kept marginal of a pure state, from its Schmidt spectrum."""
+) -> float | np.ndarray:
+    """Entropy of the kept marginal of a pure state, from its Schmidt spectrum.
+
+    One state gives a ``float``, a (T, dim) stack an array of T entropies.
+    """
     return _entropy(schmidt_coefficients(psi, bipartition) ** 2)

@@ -2,9 +2,9 @@
 
 Everything here is deterministic and pure: Hermitian eigendecomposition,
 Kronecker products, the spectral matrix exponential used as the dynamics
-oracle, the bookkeeping types that pin a vector to an explicit tensor
-factorization, and :func:`matricize`, the one regrouping of a tensor
-across a cut.
+oracle, the bookkeeping types that pin a state, or a time grid's stack of
+states, to an explicit tensor factorization, and :func:`matricize`, the
+one regrouping of a tensor across a cut.
 
 All matrices are plain ``numpy.ndarray`` with ``complex128`` entries; the
 module stays dense on purpose. The reducible ensemble's field space is
@@ -106,37 +106,33 @@ class HilbertFactorization:
                 f"unknown factor label {label!r}; have {self.labels}"
             ) from None
 
-    def subset(self, labels: Sequence[str]) -> "HilbertFactorization":
-        """Sub-factorization of ``labels`` in the original order."""
-        wanted = set(labels)
-        for lab in labels:
-            self.index(lab)
-        return HilbertFactorization(
-            tuple(f for f in self.factors if f[0] in wanted)
-        )
-
     def joined_with(self, other: "HilbertFactorization") -> "HilbertFactorization":
         return HilbertFactorization(self.factors + other.factors)
 
 
 @dataclass(frozen=True)
 class StateVector:
-    """A complex vector together with its declared tensor factorization.
+    """One state, or a stack of states over a time grid, with their factorization.
 
-    The amplitudes array is copied and marked read-only on construction,
-    so instances are safe to share across threads.
+    ``amplitudes`` is one state of shape (dim,) or a (T, dim) stack whose
+    row i is the state at t_i; ``dim`` is the factorization's either way.
+    The array is copied and marked read-only on construction, so
+    instances are safe to share across threads.
     """
 
     amplitudes: np.ndarray
     factorization: HilbertFactorization
 
     def __post_init__(self) -> None:
-        amp = np.array(self.amplitudes, dtype=complex).reshape(-1)
+        amp = np.array(self.amplitudes, dtype=complex)
+        if amp.ndim not in (1, 2):
+            raise ValidationError(
+                f"state amplitudes must have shape (dim,) or (T, dim), got {amp.shape}")
         if not np.all(np.isfinite(amp)):
             raise ValidationError("state amplitudes contain non-finite entries")
-        if amp.size != self.factorization.dim:
+        if amp.shape[-1] != self.factorization.dim:
             raise ValidationError(
-                f"state has {amp.size} amplitudes but factorization dimension "
+                f"state has {amp.shape[-1]} amplitudes but factorization dimension "
                 f"is {self.factorization.dim}"
             )
         amp.setflags(write=False)
@@ -144,17 +140,22 @@ class StateVector:
 
     @property
     def dim(self) -> int:
-        return self.amplitudes.size
+        return self.factorization.dim
 
     @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+    def norm(self) -> float | np.ndarray:
+        """The state's norm, or a stack's (T,) norms, each by its own ``np.linalg.norm``."""
+        if self.amplitudes.ndim == 1:
+            return float(np.linalg.norm(self.amplitudes))
+        return np.array([np.linalg.norm(a) for a in self.amplitudes])
 
     def normalized(self) -> "StateVector":
-        n = self.norm
-        if n == 0.0:
+        """Each state divided by its norm; a zero state, alone or in a stack, raises."""
+        n = np.asarray(self.norm)
+        if np.any(n == 0.0):
             raise ValidationError("cannot normalize the zero vector")
-        return StateVector(self.amplitudes / n, self.factorization)
+        return StateVector(self.amplitudes / n[..., None], self.factorization)
+
 
 def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
@@ -234,4 +235,5 @@ def matricize(array, dims: Sequence[int], rows: Sequence[int],
     if sorted(axes) != list(range(len(dims))):
         raise ValidationError(f"axes {axes} are not a permutation of {len(dims)} axes")
     n_rows = math.prod(int(dims[i]) for i in rows)
-    return np.asarray(array).reshape(dims).transpose(axes).reshape(n_rows, -1)
+    n_cols = math.prod(int(dims[i]) for i in cols)
+    return np.asarray(array).reshape(dims).transpose(axes).reshape(n_rows, n_cols)

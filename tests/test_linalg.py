@@ -176,16 +176,14 @@ class TestFactorization:
         with pytest.raises(ValidationError):
             HilbertFactorization((("a", 0),))
 
-    def test_subset_preserves_order(self):
-        fact = HilbertFactorization((("a", 2), ("b", 3), ("c", 4)))
-        assert fact.subset(["c", "a"]).labels == ("a", "c")
-
 
 class TestStateVector:
     def test_dimension_must_match(self):
         fact = HilbertFactorization((("a", 2), ("b", 2)))
         with pytest.raises(ValidationError, match="factorization dimension"):
             StateVector(np.ones(3), fact)
+        with pytest.raises(ValidationError, match="factorization dimension"):
+            StateVector(np.ones((4, 3)), fact)
 
     def test_normalized(self):
         fact = HilbertFactorization((("a", 4),))
@@ -197,6 +195,37 @@ class TestStateVector:
         psi = StateVector(np.array([1.0, 0.0]), fact)
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 5.0
+
+    @pytest.mark.parametrize("shape", [(), (2, 3, 4)])
+    def test_rejects_zero_and_three_dimensional_amplitudes(self, shape):
+        fact = HilbertFactorization((("a", 4),))
+        with pytest.raises(ValidationError, match=r"\(dim,\) or \(T, dim\)"):
+            StateVector(np.ones(shape), fact)
+
+    def test_stack_norms_are_per_state(self):
+        rng = np.random.default_rng(35)
+        fact = HilbertFactorization((("a", 2), ("b", 3)))
+        amps = rng.normal(size=(5, 6)) + 1j * rng.normal(size=(5, 6))
+        psi = StateVector(amps, fact)
+        assert psi.dim == 6
+        assert np.array_equal(psi.norm, [np.linalg.norm(a) for a in amps])
+        unit = psi.normalized()
+        assert unit.amplitudes.shape == (5, 6)
+        for a, u in zip(amps, unit.amplitudes):
+            assert np.array_equal(u, StateVector(a, fact).normalized().amplitudes)
+
+    def test_normalizing_a_stack_with_a_zero_member_raises(self):
+        fact = HilbertFactorization((("a", 2),))
+        psi = StateVector(np.array([[1.0, 0.0], [0.0, 0.0]]), fact)
+        assert np.array_equal(psi.norm, [1.0, 0.0])
+        with pytest.raises(ValidationError, match="zero vector"):
+            psi.normalized()
+
+    def test_empty_stack(self):
+        fact = HilbertFactorization((("a", 3),))
+        psi = StateVector(np.zeros((0, 3)), fact)
+        assert psi.norm.shape == (0,)
+        assert psi.normalized().amplitudes.shape == (0, 3)
 
 
 class TestMatricize:

@@ -20,6 +20,7 @@ from ccrlab.linalg import expm_generator
 from ccrlab.scenarios import (
     DEFAULT_TIMES,
     DEFAULT_TOLERANCES,
+    MAX_PROFILE_MODES,
     SCENARIO_NAMES,
     ScenarioConfig,
     _check,
@@ -955,6 +956,29 @@ class TestCli:
         assert time.perf_counter() - start < 0.05
         assert code == 3
         assert "exceeds the brute-force ceiling" in capsys.readouterr().err
+
+    def test_single_mode_skips_its_infinity_analogue_above_the_ceiling(self, tmp_path):
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps({"scenario": "single-mode", "n_max": 16}))
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "single-mode.json").read_text())
+        assert [r["n"] for r in report["records"]] == [1, 2, 3, 4]
+        assert all(r["kind"] == "reducible" for r in report["records"])
+        skipped = {s["check"]: s["reason"] for s in report["skipped"]}
+        assert "exceeds the brute-force ceiling" in skipped["infinity_analogue_product"]
+
+    @pytest.mark.parametrize("scenario", ["reducible-brute", "reducible-limit", "single-mode"])
+    def test_profile_modes_above_the_ceiling_exit_2_fast(self, tmp_path, capsys, scenario):
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps({"scenario": scenario,
+                                   "profile": {"kind": "uniform", "modes": 10**12}}))
+        start = time.perf_counter()
+        code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert time.perf_counter() - start < 0.05
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'profile.modes'" in err and str(MAX_PROFILE_MODES) in err
+        assert not (tmp_path / "out").exists()
 
     def test_berezin_forty_modes_runs_fast(self, tmp_path):
         start = time.perf_counter()
