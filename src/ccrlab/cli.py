@@ -7,11 +7,12 @@ Three subcommands::
     ccrlab validate [--seed <u64>] [--out <dir>]
 
 Config files are JSON objects with the keys scenario, n_max, d, cutoff,
-N (scalar or list), profile {kind: uniform | plateau, ...}, times,
-tolerances, out; ``sweep`` takes only the reducible-limit scenario.
-``run`` and ``sweep`` write their reports to ``--out``, else to the
-config's ``out``, else to ``results``; ``validate`` writes only when
-given ``--out``. Exit codes: 0 all assertions pass,
+N (scalar or list), profile {kind: uniform | plateau, ...} and times;
+``sweep`` takes only the reducible-limit scenario. A config states only
+the physics: the acceptance bounds are fixed in ``scenarios.TOLERANCES``,
+and a report's bytes do not depend on where it is written. ``run`` and
+``sweep`` write their reports to ``--out``, else to ``results``;
+``validate`` writes only when given ``--out``. Exit codes: 0 all assertions pass,
 1 assertion failure, 2 configuration or domain error (an unwritable output
 directory included), 3 brute-force size ceiling exceeded.
 """
@@ -36,7 +37,7 @@ EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_CONFIG = 2
 EXIT_SIZE = 3
-OUT_HELP = "output directory (default: the config's out, else results)"
+OUT_HELP = "output directory (default: results)"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -105,11 +106,11 @@ def main(argv=None) -> int:
         if args.command == "run":
             cfg = _load_config(args)
             report = run_scenario(cfg)
-            return _emit(report, args.out or cfg.out_dir or "results")
+            return _emit(report, args.out or "results")
         if args.command == "sweep":
             cfg = _load_config(args, default_scenario="reducible-limit")
             report = convergence_sweep(cfg)
-            return _emit(report, args.out or cfg.out_dir or "results")
+            return _emit(report, args.out or "results")
         if args.command == "validate":
             report = validate(seed=args.seed)
             return _emit(report, args.out)

@@ -19,7 +19,6 @@ from ccrlab.exceptions import ConfigError, SizeLimitError, ValidationError
 from ccrlab.linalg import expm_generator
 from ccrlab.scenarios import (
     DEFAULT_TIMES,
-    DEFAULT_TOLERANCES,
     MAX_PROFILE_MODES,
     SCENARIO_NAMES,
     ScenarioConfig,
@@ -56,7 +55,7 @@ class TestConfig:
     def test_defaults(self):
         cfg = ScenarioConfig(scenario="infinity")
         assert cfg.times[-1] == pytest.approx(math.pi / 2)
-        assert cfg.tolerance("rho_match") == 1e-10
+        assert cfg.resolved_n_values() == (1, 2, 3)
 
     def test_from_dict_scalar_n(self):
         cfg = ScenarioConfig.from_dict({"scenario": "reducible-brute", "N": 2})
@@ -69,14 +68,6 @@ class TestConfig:
     def test_times_domain(self):
         with pytest.raises(ConfigError, match="0, 2"):
             ScenarioConfig(scenario="infinity", times=(7.0,))
-
-    def test_nonpositive_tolerance_rejected(self):
-        with pytest.raises(ConfigError, match="positive"):
-            ScenarioConfig(scenario="infinity", tolerances={"rho_match": 0.0})
-
-    def test_tolerance_override(self):
-        cfg = ScenarioConfig(scenario="infinity", tolerances={"rho_match": 1e-6})
-        assert cfg.tolerance("rho_match") == 1e-6
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -166,6 +157,33 @@ class TestScenarioContent:
         for name in ("propagator_nonproduct_atom1", "propagator_nonproduct_atom1_field"):
             assert {"check": name, "reason": "no t > 0 in the time grid"} in report.skipped
 
+    NONPRODUCT = ("propagator_nonproduct_atom1", "propagator_nonproduct_atom1_field")
+
+    def test_berezin_skips_nonproduct_on_short_grids(self, tmp_path):
+        # at (d, cutoff) = (2, 1) coefficient #2 is ~kappa t, kappa = 1/sqrt(6):
+        # 8.2e-3 at t = 0.02, so on these valid grids it is below nonproduct_min
+        for t in (0.02, 0.01):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"scenario": "berezin", "times": [0.0, t]}))
+            assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+            payload = json.loads((tmp_path / "berezin.json").read_text())
+            skipped = {s["check"]: s["reason"] for s in payload["skipped"]}
+            assert not any(c["name"] in self.NONPRODUCT for c in payload["checks"])
+            for name in self.NONPRODUCT:
+                assert "below 1.1 nonproduct_min" in skipped[name]
+
+    @pytest.mark.parametrize("d, t, judged", [
+        (2, 0.026, False), (2, 0.027, True), (20, 0.071, False), (20, 0.072, True)])
+    def test_berezin_judges_nonproduct_from_kappa_t_onset(self, d, t, judged):
+        # kappa t = 1.1e-2 at t = 0.02694 for d = 2 and t = 0.07129 for d = 20
+        report = run_scenario(ScenarioConfig(scenario="berezin", d=d, times=(0.0, t)))
+        assert report.passed
+        checks = {c.name: c for c in report.checks}
+        skipped = {s["check"] for s in report.skipped}
+        for name in self.NONPRODUCT:
+            assert (name in checks, name in skipped) == (judged, not judged)
+            assert not judged or checks[name].measured >= 1e-2
+
     def test_reducible_brute_coherence_extinction(self):
         report = run_scenario(ScenarioConfig(scenario="reducible-brute"))
         by_name = {c.name: c for c in report.checks}
@@ -240,6 +258,21 @@ class TestScenarioContent:
         [skip] = payload["skipped"]
         assert skip["check"] == f"d_decreasing_t_{t:.6f}"
         assert "N_min z_min >= t^2 (1 - z_min)" in skip["reason"]
+
+    def test_plateau_sweep_up_to_a_million(self):
+        # the asymmetric plateau sweep that CI writes under two hash seeds
+        report = convergence_sweep(ScenarioConfig.from_dict({
+            "scenario": "reducible-limit", "N": [10, 1000, 10000, 100000, 1000000],
+            "profile": {"kind": "plateau", "modes": 8, "window": [0, 3], "rate": 0.7,
+                        "selected": [0, 5]}}))
+        assert report.passed, [c for c in report.checks if not c.passed]
+        checked = {c.name for c in report.checks}
+        skipped = {s["check"]: s["reason"] for s in report.skipped}
+        assert "zero_time_distance" in checked
+        for t in DEFAULT_TIMES[1:]:
+            name = f"d_decreasing_t_{t:.6f}"
+            assert (name in checked) != (name in skipped)
+            assert name in checked or skipped[name]
 
     def test_sweep_asserts_d_decreasing_where_the_criterion_holds(self):
         # uniform(2): N_min z_min = 5 covers t = pi/12 and pi/2 (t^2 / 2 <= 1.24)
@@ -691,14 +724,13 @@ class TestCli:
 
     def test_scenario_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(
-            {"scenario": "infinity", "tolerances": {"rho_match": 1e-9}}))
+        cfg.write_text(json.dumps({"scenario": "infinity", "times": [0.0, 0.5]}))
         code = cli.main(["run", "--scenario", "berezin", "--config", str(cfg),
                          "--out", str(tmp_path)])
         assert code == 0
         assert (tmp_path / "berezin.json").exists()
-        payload = json.loads((tmp_path / "berezin.json").read_text())
-        assert payload["provenance"]["config"]["tolerances"] == {"rho_match": 1e-9}
+        config = json.loads((tmp_path / "berezin.json").read_text())["provenance"]["config"]
+        assert config["scenario"] == "berezin" and config["times"] == [0.0, 0.5]
 
     def test_seed_is_not_a_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -712,17 +744,14 @@ class TestCli:
         ("run", {"scenario": "single-mode", "N": [1, 2]}),
         ("sweep", {"scenario": "reducible-limit", "N": [10]}),
     ])
-    @pytest.mark.parametrize("flag, in_config, expected", [
-        ("from_flag", "from_config", "from_flag"),
-        (None, "from_config", "from_config"),
-        (None, None, "results"),
+    @pytest.mark.parametrize("flag, expected", [
+        ("from_flag", "from_flag"),
+        (None, "results"),
     ])
-    def test_out_precedence(self, tmp_path, monkeypatch, command, config,
-                            flag, in_config, expected):
+    def test_out_precedence(self, tmp_path, monkeypatch, command, config, flag, expected):
         monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(
-            dict(config, **({"out": in_config} if in_config else {}))))
+        cfg.write_text(json.dumps(config))
         argv = [command, "--config", str(cfg)] + (["--out", flag] if flag else [])
         assert cli.main(argv) == 0
         written = sorted(p.parent.name for p in tmp_path.glob("*/*.json"))
@@ -747,7 +776,7 @@ class TestCli:
         {"times": ["x"]},
         {"n_max": "two"},
         {"profile": {"kind": "plateau", "modes": "many"}},
-        {"tolerances": {"entropy": "tiny"}},
+        {"cutoff": [1, 2]},
     ])
     def test_malformed_value_is_config_error(self, tmp_path, capsys, bad):
         cfg = tmp_path / "bad.json"
@@ -904,27 +933,40 @@ class TestCli:
                 assert entropy == pytest.approx(binary_entropy(n), rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("config", [
-        {"scenario": "infinity", "tolerances": {"entropy": float("nan")}},
+        {"scenario": "infinity", "times": [0.0, float("nan")]},
         {"scenario": "reducible-brute",
          "profile": {"kind": "uniform", "modes": 4, "selected": [-1, 0]}},
     ])
-    def test_nan_tolerance_and_negative_index_are_config_errors(
+    def test_nan_time_and_negative_index_are_config_errors(
             self, tmp_path, capsys, config):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(config))
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_misspelled_tolerance_is_config_error(self, tmp_path, capsys):
-        cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps(
-            {"scenario": "infinity", "tolerances": {"locallity": 1e-30}}))
-        code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    @pytest.mark.parametrize("command, scenario", [
+        ("run", "single-mode"), ("run", "berezin"), ("sweep", "reducible-limit")])
+    @pytest.mark.parametrize("key, value, replacement", [
+        # bounds that passed every single-mode check when a config could set them
+        ("tolerances", {"entangled_min": 1e-300, "entropy": 1e300}, "scenarios.TOLERANCES"),
+        ("out", "somewhere", "--out"),
+    ])
+    def test_removed_key_exits_2_and_writes_nothing(
+            self, tmp_path, monkeypatch, capsys, command, scenario, key, value, replacement):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"scenario": scenario, key: value}))
+        assert cli.main([command, "--config", "cfg.json"]) == 2
         err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("error: unknown tolerance 'locallity'")
-        assert all(repr(name) in err for name in DEFAULT_TOLERANCES)
-        assert not (tmp_path / "out").exists()
+        assert err.startswith(f"error: unknown config key {key!r}; ")
+        assert replacement in err and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    @pytest.mark.parametrize("scenario", SCENARIO_NAMES)
+    def test_report_config_holds_only_the_physics(self, tmp_path, scenario):
+        assert cli.main(["run", "--scenario", scenario, "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / f"{scenario}.json").read_text())
+        assert sorted(payload["provenance"]["config"]) == [
+            "cutoff", "d", "n_max", "n_values", "profile", "scenario", "times"]
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_validate_seed_out_of_range_exits_2(self, tmp_path, capsys, seed):
