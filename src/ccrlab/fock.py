@@ -22,11 +22,11 @@ def _check_n_max(n_max: int) -> int:
 def annihilation(n_max: int) -> np.ndarray:
     """Lowering operator on occupations 0..n_max: a[n-1, n] = sqrt(n)."""
     n = _check_n_max(n_max)
-    return np.diag(np.sqrt(np.arange(1, n + 1)), k=1).astype(complex)
+    return np.diag(np.sqrt(np.arange(1, n + 1)), k=1)
 
 
 def number_operator(n_max: int) -> np.ndarray:
     """Occupation-number operator diag(0, 1, ..., n_max); exact in truncation."""
     n = _check_n_max(n_max)
-    return np.diag(np.arange(n + 1, dtype=float)).astype(complex)
+    return np.diag(np.arange(n + 1, dtype=float))
 

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra for operator and state manipulation.
+"""Dense linear algebra for operator and state manipulation.
 
 Everything here is deterministic and pure: Hermitian eigendecomposition,
 Kronecker products, the spectral matrix exponential used as the dynamics
@@ -6,16 +6,19 @@ oracle, the bookkeeping types that pin a state, or a time grid's stack of
 states, to an explicit tensor factorization, and :func:`matricize`, the
 one regrouping of a tensor across a cut.
 
-All matrices are plain ``numpy.ndarray`` with ``complex128`` entries; the
-module stays dense on purpose. The reducible ensemble's field space is
-capped at dimension 4096; the irreducible representations cap their
-coupled space at 1024, so their field dimension is at most 256, because
-their scenarios form whole coupled-space Hamiltonians and propagators. The
-brute-force route assembles the coupling Hamiltonian directly on the
-excitation sectors of its initial state (see
+All matrices are plain ``numpy.ndarray``: ``float64`` where every entry is
+real (the field operators a_k, I_k and N of every representation) and
+``complex128`` otherwise (states, Hamiltonians, propagators, densities).
+:func:`as_matrix`, :func:`kron` and :func:`embed_operator` keep real input
+real. The module stays dense on purpose. The reducible ensemble's field
+space is capped at dimension 4096; the irreducible representations cap
+their coupled space at 1024, so their field dimension is at most 256,
+because their scenarios form whole coupled-space Hamiltonians and
+propagators. The brute-force route assembles the coupling Hamiltonian
+directly on the excitation sectors of its initial state (see
 :func:`ccrlab.dynamics.jc_hamiltonian`), so its largest matrices are the
-field operators, and its largest diagonalization is that sector block
-(see :func:`ccrlab.dynamics.evolve`), not the whole coupled space. The
+field operators, and its largest diagonalization is that sector block (see
+:func:`ccrlab.dynamics.evolve`), not the whole coupled space. The
 closed-form propagator takes no matrix function: it is one SVD of the
 coupling (see :func:`ccrlab.dynamics.closed_form_evolution`).
 """
@@ -35,9 +38,13 @@ from .exceptions import ValidationError
 TOL_HERM = 1e-12
 
 
-def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite 2-D complex array, rejecting NaN/Inf entries."""
-    arr = np.asarray(m, dtype=complex)
+def as_matrix(m, name: str = "matrix") -> np.ndarray:
+    """Coerce to a finite 2-D array, rejecting NaN/Inf entries.
+
+    Complex input becomes ``complex128`` and everything else (bool, int,
+    real) ``float64``, so a real matrix is never widened to complex.
+    """
+    arr = np.asarray(m, dtype=complex if np.iscomplexobj(m) else float)
     if arr.ndim != 2:
         raise ValidationError(f"{name} must be 2-D, got ndim={arr.ndim}")
     if not np.all(np.isfinite(arr)):
@@ -46,7 +53,7 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
 
 
 def require_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    arr = as_complex_matrix(m, name)
+    arr = as_matrix(m, name)
     rows, cols = arr.shape
     if rows != cols:
         raise ValidationError(f"{name} must be square, got shape {rows}x{cols}")
@@ -176,15 +183,21 @@ def _kron_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def kron(*factors) -> np.ndarray:
-    """Kronecker product of one or more matrices, grouped left to right."""
+    """Kronecker product of one or more matrices, grouped left to right.
+
+    The result is ``float64`` if every factor is real, else ``complex128``.
+    """
     if not factors:
         raise ValidationError("kron requires at least one factor")
-    mats = [as_complex_matrix(f, f"kron factor {i}") for i, f in enumerate(factors)]
+    mats = [as_matrix(f, f"kron factor {i}") for i, f in enumerate(factors)]
     return reduce(_kron_pair, mats)
 
 
 def embed_operator(op, dims: Sequence[int], slot: int) -> np.ndarray:
-    """Place ``op`` at position ``slot`` of a tensor product, identity elsewhere."""
+    """Place ``op`` at position ``slot`` of a tensor product, identity elsewhere.
+
+    The identities are real, so the result has the dtype of ``op``.
+    """
     arr = require_square(op, "embedded operator")
     if not 0 <= slot < len(dims):
         raise ValidationError(f"slot {slot} out of range for {len(dims)} factors")
@@ -193,7 +206,7 @@ def embed_operator(op, dims: Sequence[int], slot: int) -> np.ndarray:
             f"operator dimension {arr.shape[0]} does not match factor "
             f"dimension {dims[slot]} at slot {slot}"
         )
-    parts = [np.eye(d, dtype=complex) for d in dims]
+    parts = [np.eye(d) for d in dims]
     parts[slot] = arr
     return kron(*parts)
 

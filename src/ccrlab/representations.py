@@ -142,7 +142,9 @@ class Representation:
 
     ``lowering[k]`` and ``central[k]`` act on the full field space whose
     tensor structure is ``factorization``; ``number_op`` is the total
-    photon-number operator used for excitation bookkeeping, and
+    photon-number operator used for excitation bookkeeping. The builders
+    store these three as ``float64``, since all their matrix elements are
+    real in every basis here; the ``vacuum`` is ``complex128``.
     ``below_cutoff_mask`` flags the basis states with one quantum of
     headroom everywhere (the subspace on which the commutation relations
     hold exactly despite truncation).
@@ -255,13 +257,13 @@ def _occupation_representation(
     dim = len(basis)
     lowering = {}
     for label, slot in modes.items():
-        a = np.zeros((dim, dim), dtype=complex)
+        a = np.zeros((dim, dim))
         for tup, col in index.items():
             if tup[slot]:
                 lowered = tup[:slot] + (tup[slot] - 1,) + tup[slot + 1:]
                 a[index[lowered], col] = math.sqrt(tup[slot])
         lowering[label] = a
-    identity = np.eye(dim, dtype=complex)
+    identity = np.eye(dim)
     vac = np.zeros(dim, dtype=complex)
     vac[index[(0,) * len(basis[0])]] = 1.0
     mask = np.array([all(tup[:k] + (n + 1,) + tup[k + 1:] in index
@@ -273,7 +275,7 @@ def _occupation_representation(
         central={label: identity for label in modes},
         vacuum=StateVector(vac, fact),
         factorization=fact,
-        number_op=np.diag([float(sum(tup)) for tup in basis]).astype(complex),
+        number_op=np.diag([float(sum(tup)) for tup in basis]),
         below_cutoff_mask=mask,
         n_max=n_max,
     )
@@ -367,16 +369,16 @@ def _single_oscillator_mode_ops(
     m = len(profile.labels)
     ladder_dim = n_max + 1
     a = fock.annihilation(n_max)
-    eye_ladder = np.eye(ladder_dim, dtype=complex)
+    eye_ladder = np.eye(ladder_dim)
     lowering = {}
     projectors = {}
     for i, label in enumerate(profile.labels):
-        pk = np.zeros((m, m), dtype=complex)
+        pk = np.zeros((m, m))
         pk[i, i] = 1.0
         lowering[label] = kron(pk, a)
         projectors[label] = kron(pk, eye_ladder)
     vac = kron_vector(profile.amplitudes, _ground_state(ladder_dim))
-    number = kron(np.eye(m, dtype=complex), fock.number_operator(n_max))
+    number = kron(np.eye(m), fock.number_operator(n_max))
     return lowering, projectors, vac, number
 
 
@@ -450,10 +452,10 @@ def build_reducible(
     one_lowering, one_proj, one_vac, one_number = _single_oscillator_mode_ops(
         profile, n_max
     )
-    eye_factor = np.eye(factor_dim, dtype=complex)
+    eye_factor = np.eye(factor_dim)
 
     def collective(op: np.ndarray) -> np.ndarray:
-        total = np.zeros((1, 1), dtype=complex)
+        total = np.zeros((1, 1))
         for level in range(n_osc):
             total = kron(total, eye_factor)
             total += embed_operator(op, (factor_dim**level, factor_dim), 1)
@@ -803,18 +805,23 @@ def joint_sector_sum(
     y = np.broadcast_to(b * f2, lead + b.shape).reshape(-1, b.size)
     size = 1 << (a.size + b.size - 2).bit_length()
     conv = np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(y, size), size)
-    return (conv[:, : c.size] @ c).reshape(lead)
+    # numpy's own sum, not a BLAS product: a BLAS reduction may split its
+    # sum by thread, and the bits would depend on the thread count
+    return np.sum(conv[:, : c.size] * c, axis=-1).reshape(lead)
 
 
 def mode_excitation_state(rep: Representation, mode: str, *more: str) -> StateVector:
     """Normalized single-quantum state (sum_k a_k^dag) |vacuum> over the given modes.
 
-    Each a_k^dag |vacuum> is taken as (vacuum^dag a_k)^dag, one
-    vector-matrix product, so no conjugate-transposed operator is formed.
+    Each a_k^dag |vacuum> is taken as a_k^dag applied to the real and the
+    imaginary part of the vacuum separately. For a real a_k, a_k^dag is a
+    transposed view, while a real operator times a complex vector would
+    make numpy cast the whole operator to complex; so no field-sized copy
+    is formed.
     """
     modes = (mode, *more)
     vac = rep.vacuum.amplitudes
-    raised = sum((vac.conj() @ rep.lowering_of(mode)).conj() for mode in modes)
+    raised = sum(ad @ vac.real + 1j * (ad @ vac.imag) for ad in map(rep.raising, modes))
     state = StateVector(raised, rep.factorization)
     if state.norm < 1e-15:
         raise ValidationError(f"modes {modes} create nothing from the vacuum")

@@ -9,7 +9,9 @@ the argument of that value in its detail. :func:`validate` runs the
 invariant suite that :func:`invariants` yields, one check at a time.
 Reports serialize to JSON and CSV deterministically: identical
 configuration and seed give byte-identical files (numbers are written
-with round-trip-safe precision and no timestamps are recorded).
+with round-trip-safe precision and no timestamps are recorded), with one
+BLAS thread or two, since no reported value is a BLAS reduction whose
+summation order depends on the thread count.
 
 Sweep points are independent pure evaluations; they are executed here in
 deterministic key order, which is also the required merge order for any

@@ -475,9 +475,9 @@ class TestSectorHamiltonian:
 
     def test_initial_state_peak_below_one_field_matrix(self):
         # At the N = 3 plateau the field has 216 states; raising the vacuum
-        # must not copy a field operator.
+        # must not copy a field operator, nor cast it to complex.
         rep, modes, _, _ = coupled_setup("reducible", 3, "plateau")
-        field_bytes = np.dtype(complex).itemsize * rep.dim**2
+        field_bytes = rep.lowering_of(modes[0]).nbytes
         dyn.single_photon_initial_state(rep, modes)
         tracemalloc.start()
         try:

@@ -7,6 +7,7 @@ from ccrlab.exceptions import ValidationError
 from ccrlab.linalg import (
     HilbertFactorization,
     StateVector,
+    embed_operator,
     expm_generator,
     hermitian_eig,
     kron,
@@ -104,13 +105,22 @@ class TestKron:
             "one_by_one": [np.array([[2.5 - 1.0j]]), cplx(3, 3), np.zeros((1, 1))],
             "rectangular": [cplx(2, 5), rng.normal(size=(3, 1)), cplx(1, 4)],
         }[kind]
-        expected = np.asarray(factors[0], dtype=complex)
+        expected = factors[0]
         for f in factors[1:]:
-            expected = np.kron(expected, np.asarray(f, dtype=complex))
+            expected = np.kron(expected, f)
         out = kron(*factors)
-        assert out.dtype == np.complex128 and out.shape == expected.shape
+        assert out.dtype == (np.float64 if kind == "real" else np.complex128)
+        assert out.dtype == expected.dtype and out.shape == expected.shape
         assert np.array_equal(out, expected)
         assert out.tobytes() == expected.tobytes()
+
+    def test_result_has_the_common_dtype_of_the_factors(self):
+        real, cplx = np.arange(4.0).reshape(2, 2), np.eye(2) * (1 + 2j)
+        assert kron(real, real).dtype == np.float64
+        assert kron(real, np.eye(3, dtype=int), np.ones((1, 1), dtype=bool)).dtype == np.float64
+        assert kron(real, cplx).dtype == kron(cplx, real).dtype == np.complex128
+        assert embed_operator(real, (3, 2, 4), 1).dtype == np.float64
+        assert embed_operator(cplx, (3, 2, 4), 1).dtype == np.complex128
 
     def test_validates_factors(self):
         with pytest.raises(ValidationError, match="kron factor 1 must be 2-D"):

@@ -180,7 +180,7 @@ class TestBerezinRepresentation:
 def kron_infinity_fields(n_max):
     """Two-mode fields assembled from kron products of one-oscillator matrices."""
     a = fock.annihilation(n_max)
-    eye = np.eye(n_max + 1, dtype=complex)
+    eye = np.eye(n_max + 1)
     number = fock.number_operator(n_max)
     occ = np.indices((n_max + 1, n_max + 1)).reshape(2, -1)
     vac = np.zeros((n_max + 1) ** 2, dtype=complex)
@@ -202,19 +202,19 @@ def raised_berezin_fields(d, cutoff, selected):
     index = {tup: i for i, tup in enumerate(basis)}
     lowering = []
     for n in selected:
-        raising = np.zeros((len(basis),) * 2, dtype=complex)
+        raising = np.zeros((len(basis),) * 2)
         for tup, col in index.items():
             if sum(tup) < cutoff:
                 bumped = tup[:n - 1] + (tup[n - 1] + 1,) + tup[n:]
                 raising[index[bumped], col] = math.sqrt(tup[n - 1] + 1)
-        lowering.append(raising.conj().T)
+        lowering.append(raising.T)
     totals = np.array([sum(tup) for tup in basis])
     vac = np.zeros(len(basis), dtype=complex)
     vac[index[(0,) * d]] = 1.0
     return {
         "labels": tuple(f"f{n}" for n in selected),
         "lowering": lowering,
-        "number": np.diag(totals.astype(float)).astype(complex),
+        "number": np.diag(totals.astype(float)),
         "vacuum": vac,
         "mask": totals <= cutoff - 1,
         "factors": (("field", len(basis)),),
@@ -260,6 +260,7 @@ class TestOneOccupationConstruction:
 def assert_fields_equal(rep, want):
     assert rep.mode_labels == want["labels"]
     for label, a in zip(want["labels"], want["lowering"]):
+        assert rep.lowering[label].dtype == a.dtype
         assert np.array_equal(rep.lowering[label], a)
         assert np.array_equal(rep.central[label], np.eye(rep.dim))
     assert rep.number_op.dtype == want["number"].dtype
@@ -267,6 +268,24 @@ def assert_fields_equal(rep, want):
     assert np.array_equal(rep.vacuum.amplitudes, want["vacuum"])
     assert np.array_equal(rep.below_cutoff_mask, want["mask"])
     assert rep.factorization.factors == want["factors"]
+
+
+class TestRealFieldOperators:
+    """a_k, I_k and N have real matrix elements in every builder's basis, so
+    they are stored as float64; the vacuum stays complex128."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_infinity_two_mode(3),
+        lambda: build_berezin(3, 2, [3, 1]),
+        lambda: build_reducible(2, VacuumProfile.plateau(3, (0, 0), 0.7), n_max=2),
+    ], ids=["infinity", "berezin", "reducible"])
+    def test_builders_return_float64_operators(self, build):
+        rep = build()
+        for label in rep.mode_labels:
+            assert rep.lowering[label].dtype == np.float64
+            assert rep.central[label].dtype == np.float64
+        assert rep.number_op.dtype == np.float64
+        assert rep.vacuum.amplitudes.dtype == np.complex128
 
 
 class TestReducibleRepresentation:
