@@ -55,7 +55,6 @@ from .representations import (
     _log_binomial_table,
     binomial_support,
     joint_sector_sum,
-    kron_vector,
     mode_excitation_state,
 )
 
@@ -178,11 +177,10 @@ def jc_hamiltonian(
 def excitation_numbers(rep: Representation) -> np.ndarray:
     """Total excitation number of each atom1 (x) atom2 (x) field basis state.
 
-    Excited atoms plus photons; the photon count is the diagonal of
-    ``rep.number_op``, which is diagonal in every representation's basis.
+    Excited atoms plus photons; the photon counts are ``rep.number_op``,
+    the diagonal of the photon-number operator.
     """
-    photons = np.diag(rep.number_op).real
-    return np.add.outer(ATOM_EXCITATIONS, photons).reshape(-1)
+    return np.add.outer(ATOM_EXCITATIONS, rep.number_op).reshape(-1)
 
 
 def excitation_sector_mask(rep: Representation, amplitudes: np.ndarray) -> np.ndarray:
@@ -208,7 +206,7 @@ def single_photon_initial_state(
     for the ensemble vacuum the raw norm is sqrt(Z_1 + Z_2)).
     """
     field = mode_excitation_state(rep, *modes)
-    full = kron_vector(KET_GROUND, KET_GROUND, field.amplitudes)
+    full = kron(KET_GROUND, KET_GROUND, field.amplitudes)
     return StateVector(full, coupled_factorization(rep))
 
 

@@ -1,5 +1,8 @@
 """Truncated single-oscillator Fock space: ladder and number operators.
 
+The lowering operator is a dense matrix; the number operator, diagonal in
+the occupation basis, is returned as its diagonal.
+
 A truncation keeping occupations 0..n_max realizes the ladder algebra
 exactly on every state with no amplitude at the top level; the commutator
 picks up a defect -(n_max + 1) in the (n_max, n_max) corner.
@@ -26,7 +29,9 @@ def annihilation(n_max: int) -> np.ndarray:
 
 
 def number_operator(n_max: int) -> np.ndarray:
-    """Occupation-number operator diag(0, 1, ..., n_max); exact in truncation."""
-    n = _check_n_max(n_max)
-    return np.diag(np.arange(n + 1, dtype=float))
+    """The occupations 0, 1, ..., n_max as ``float64``: the number operator's diagonal.
+
+    Exact in truncation.
+    """
+    return np.arange(_check_n_max(n_max) + 1, dtype=float)
 

@@ -6,16 +6,19 @@ oracle, the bookkeeping types that pin a state, or a time grid's stack of
 states, to an explicit tensor factorization, and :func:`matricize`, the
 one regrouping of a tensor across a cut.
 
-All matrices are plain ``numpy.ndarray``: ``float64`` where every entry is
+All arrays are plain ``numpy.ndarray``: ``float64`` where every entry is
 real (the field operators a_k, I_k and N of every representation) and
 ``complex128`` otherwise (states, Hamiltonians, propagators, densities).
-:func:`as_matrix`, :func:`kron` and :func:`embed_operator` keep real input
-real. The module stays dense on purpose. The reducible ensemble's field
-space is capped at dimension 4096; the irreducible representations cap
-their coupled space at 1024, so their field dimension is at most 256,
-because their scenarios form whole coupled-space Hamiltonians and
-propagators. The brute-force route assembles the coupling Hamiltonian
-directly on the excitation sectors of its initial state (see
+:func:`require_square`, :func:`kron` and :func:`embed_operator` keep real
+input real. A diagonal operator (I_k, N) is stored as its diagonal, a
+vector: :func:`kron` of vectors is the diagonal of the Kronecker product
+of their diagonal matrices, and :func:`embed_operator` places a diagonal
+between vectors of ones. The module stays dense on purpose. The
+reducible ensemble's field space is capped at dimension 4096; the
+irreducible representations cap their coupled space at 1024, so their
+field dimension is at most 256, because their scenarios form whole
+coupled-space Hamiltonians and propagators. The brute-force route
+assembles the coupling Hamiltonian directly on the excitation sectors of its initial state (see
 :func:`ccrlab.dynamics.jc_hamiltonian`), so its largest matrices are the
 field operators, and its largest diagonalization is that sector block (see
 :func:`ccrlab.dynamics.evolve`), not the whole coupled space. The
@@ -38,22 +41,22 @@ from .exceptions import ValidationError
 TOL_HERM = 1e-12
 
 
-def as_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite 2-D array, rejecting NaN/Inf entries.
+def _as_array(m, name: str, ndim: int) -> np.ndarray:
+    """Coerce to a finite ``ndim``-D array, rejecting NaN/Inf entries.
 
     Complex input becomes ``complex128`` and everything else (bool, int,
-    real) ``float64``, so a real matrix is never widened to complex.
+    real) ``float64``, so a real array is never widened to complex.
     """
     arr = np.asarray(m, dtype=complex if np.iscomplexobj(m) else float)
-    if arr.ndim != 2:
-        raise ValidationError(f"{name} must be 2-D, got ndim={arr.ndim}")
+    if arr.ndim != ndim:
+        raise ValidationError(f"{name} must be {ndim}-D, got ndim={arr.ndim}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} contains non-finite entries")
     return arr
 
 
 def require_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    arr = as_matrix(m, name)
+    arr = _as_array(m, name, 2)
     rows, cols = arr.shape
     if rows != cols:
         raise ValidationError(f"{name} must be square, got shape {rows}x{cols}")
@@ -177,28 +180,44 @@ def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _kron_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron`` of two matrices as one broadcast multiply (same bits, less overhead)."""
+    """``np.kron`` of two matrices, or of two vectors, as one broadcast multiply.
+
+    Same bits as ``np.kron``, less overhead.
+    """
+    if a.ndim == 1:
+        return (a[:, None] * b).reshape(-1)
     product = a[:, None, :, None] * b[None, :, None, :]
     return product.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def kron(*factors) -> np.ndarray:
-    """Kronecker product of one or more matrices, grouped left to right.
+    """Kronecker product of one or more matrices, or of vectors, grouped left to right.
 
-    The result is ``float64`` if every factor is real, else ``complex128``.
+    Vectors are states or the diagonals of diagonal operators; the product
+    of diagonals is the diagonal of the product. The first factor's
+    number of axes sets the others', so a vector mixed with a matrix is a
+    :class:`ValidationError`. The result is ``float64`` if every factor
+    is real, else ``complex128``.
     """
     if not factors:
         raise ValidationError("kron requires at least one factor")
-    mats = [as_matrix(f, f"kron factor {i}") for i, f in enumerate(factors)]
-    return reduce(_kron_pair, mats)
+    ndim = 1 if np.ndim(factors[0]) == 1 else 2
+    arrs = [_as_array(f, f"kron factor {i}", ndim) for i, f in enumerate(factors)]
+    return reduce(_kron_pair, arrs)
 
 
 def embed_operator(op, dims: Sequence[int], slot: int) -> np.ndarray:
     """Place ``op`` at position ``slot`` of a tensor product, identity elsewhere.
 
-    The identities are real, so the result has the dtype of ``op``.
+    ``op`` is a square matrix, or the diagonal of a diagonal operator as a
+    vector; the identities are then ``np.ones(d)`` and the result is the
+    diagonal of the embedding. The identities are real, so the result has
+    the dtype of ``op``.
     """
-    arr = require_square(op, "embedded operator")
+    if np.ndim(op) == 1:
+        arr, identity = _as_array(op, "embedded operator", 1), np.ones
+    else:
+        arr, identity = require_square(op, "embedded operator"), np.eye
     if not 0 <= slot < len(dims):
         raise ValidationError(f"slot {slot} out of range for {len(dims)} factors")
     if arr.shape[0] != dims[slot]:
@@ -206,7 +225,7 @@ def embed_operator(op, dims: Sequence[int], slot: int) -> np.ndarray:
             f"operator dimension {arr.shape[0]} does not match factor "
             f"dimension {dims[slot]} at slot {slot}"
         )
-    parts = [np.eye(d) for d in dims]
+    parts = [identity(d) for d in dims]
     parts[slot] = arr
     return kron(*parts)
 

@@ -28,12 +28,13 @@ ensembles of 10^6 oscillators.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fock
-from .exceptions import ConfigError, SizeLimitError, ValidationError
+from .exceptions import ConfigError, DomainError, SizeLimitError, ValidationError
 from .linalg import (
     HilbertFactorization,
     StateVector,
@@ -144,7 +145,10 @@ class Representation:
     tensor structure is ``factorization``; ``number_op`` is the total
     photon-number operator used for excitation bookkeeping. The builders
     store these three as ``float64``, since all their matrix elements are
-    real in every basis here; the ``vacuum`` is ``complex128``.
+    real in every basis here; the ``vacuum`` is ``complex128``. a_k is a
+    dense ``dim`` x ``dim`` matrix. ``central[k]`` and ``number_op`` are
+    diagonal in every builder's basis and are stored as their diagonals,
+    vectors of length ``dim``.
     ``below_cutoff_mask`` flags the basis states with one quantum of
     headroom everywhere (the subspace on which the commutation relations
     hold exactly despite truncation).
@@ -248,9 +252,10 @@ def _occupation_representation(
     ``basis`` lists occupation tuples in the order of ``fact``'s basis;
     ``modes`` maps each built mode label to its slot in the tuples. a_k
     lowers slot k by one with matrix element sqrt(n_k), the vacuum is the
-    all-zero tuple, ``number_op`` is diagonal in the tuple totals, the
-    central elements are the identity, and a basis state is below the
-    cutoff when adding one quantum to any slot stays in the basis. Only
+    all-zero tuple, ``number_op`` is the diagonal of tuple totals, the
+    central elements are the identity (a diagonal of ones), and a basis
+    state is below the cutoff when adding one quantum to any slot stays in
+    the basis. Only
     ``fact`` tells the representations apart; ``n_max`` is only recorded.
     """
     index = {tup: i for i, tup in enumerate(basis)}
@@ -263,7 +268,7 @@ def _occupation_representation(
                 lowered = tup[:slot] + (tup[slot] - 1,) + tup[slot + 1:]
                 a[index[lowered], col] = math.sqrt(tup[slot])
         lowering[label] = a
-    identity = np.eye(dim)
+    identity = np.ones(dim)
     vac = np.zeros(dim, dtype=complex)
     vac[index[(0,) * len(basis[0])]] = 1.0
     mask = np.array([all(tup[:k] + (n + 1,) + tup[k + 1:] in index
@@ -275,7 +280,7 @@ def _occupation_representation(
         central={label: identity for label in modes},
         vacuum=StateVector(vac, fact),
         factorization=fact,
-        number_op=np.diag([float(sum(tup)) for tup in basis]),
+        number_op=np.array([float(sum(tup)) for tup in basis]),
         below_cutoff_mask=mask,
         n_max=n_max,
     )
@@ -365,20 +370,23 @@ def build_berezin(
 def _single_oscillator_mode_ops(
     profile: VacuumProfile, n_max: int
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], np.ndarray, np.ndarray]:
-    """One-oscillator building blocks on the |k, n> basis (k-major order)."""
+    """One-oscillator building blocks on the |k, n> basis (k-major order).
+
+    The lowering operators are matrices; the mode projectors and the
+    photon number are diagonals.
+    """
     m = len(profile.labels)
     ladder_dim = n_max + 1
     a = fock.annihilation(n_max)
-    eye_ladder = np.eye(ladder_dim)
     lowering = {}
     projectors = {}
     for i, label in enumerate(profile.labels):
-        pk = np.zeros((m, m))
-        pk[i, i] = 1.0
-        lowering[label] = kron(pk, a)
-        projectors[label] = kron(pk, eye_ladder)
-    vac = kron_vector(profile.amplitudes, _ground_state(ladder_dim))
-    number = kron(np.eye(m), fock.number_operator(n_max))
+        pk = np.zeros(m)
+        pk[i] = 1.0
+        lowering[label] = kron(np.diag(pk), a)
+        projectors[label] = kron(pk, np.ones(ladder_dim))
+    vac = kron(profile.amplitudes, _ground_state(ladder_dim))
+    number = kron(np.ones(m), fock.number_operator(n_max))
     return lowering, projectors, vac, number
 
 
@@ -386,14 +394,6 @@ def _ground_state(dim: int) -> np.ndarray:
     e0 = np.zeros(dim, dtype=complex)
     e0[0] = 1.0
     return e0
-
-
-def kron_vector(*vectors) -> np.ndarray:
-    """Kronecker product of one or more vectors."""
-    out = np.asarray(vectors[0], dtype=complex).reshape(-1)
-    for v in vectors[1:]:
-        out = np.kron(out, np.asarray(v, dtype=complex).reshape(-1))
-    return out
 
 
 def fits_brute_force(n_oscillators: int, profile: VacuumProfile, n_max: int) -> bool:
@@ -421,11 +421,13 @@ def build_reducible(
     :data:`BRUTE_FORCE_CEILING` raises :class:`SizeLimitError`, decided
     without expanding the power.
 
-    Each collective sum ``S_N = sum_n op^(n)`` (lowering, central and
-    photon-number operators) is built by the Kronecker-sum recurrence
-    ``S_n = S_(n-1) (x) 1_f + 1_(f^(n-1)) (x) op`` from a 1x1 zero, so
-    level n works at dimension f^n and the full-size matrix is written
-    about twice instead of once per oscillator.
+    Each collective sum ``S_N = sum_n op^(n)`` is built by the
+    Kronecker-sum recurrence ``S_n = S_(n-1) (x) 1_f + 1_(f^(n-1)) (x) op``
+    from a zero of size one, so level n works at dimension f^n and the
+    full-size result is written about twice instead of once per
+    oscillator. The same recurrence runs on matrices (lowering operators,
+    identities ``np.eye``) and on diagonals (central and photon-number
+    operators, identities ``np.ones``), so only a_k is a dense matrix.
     """
     n_osc = int(n_oscillators)
     if n_osc < 1:
@@ -452,12 +454,12 @@ def build_reducible(
     one_lowering, one_proj, one_vac, one_number = _single_oscillator_mode_ops(
         profile, n_max
     )
-    eye_factor = np.eye(factor_dim)
 
     def collective(op: np.ndarray) -> np.ndarray:
-        total = np.zeros((1, 1))
+        identity = np.eye(factor_dim) if op.ndim == 2 else np.ones(factor_dim)
+        total = np.zeros((1,) * op.ndim)
         for level in range(n_osc):
-            total = kron(total, eye_factor)
+            total = kron(total, identity)
             total += embed_operator(op, (factor_dim**level, factor_dim), 1)
         return total
 
@@ -469,7 +471,7 @@ def build_reducible(
         central[label] = collective(one_proj[label])
         central[label] /= n_osc
 
-    vac = kron_vector(*[one_vac] * n_osc)
+    vac = kron(*[one_vac] * n_osc)
     number = collective(one_number)
 
     fact = HilbertFactorization(
@@ -502,7 +504,7 @@ def central_spectral_projectors(rep: Representation, mode: str) -> CentralSpectr
     oscillators carry mode k; the corresponding eigenvalue of I_k is s/N.
     Each factor index divided by ``n_max + 1`` is that oscillator's mode
     label, so the projectors are diagonal and are returned as 0/1 vectors
-    over the field basis (``np.diag`` gives the matrix).
+    over the field basis, like the diagonal ``rep.central[mode]`` itself.
 
     They depend only on the basis labels, so ``mode`` may be any label of
     ``rep.profile``, whether or not its operators were built; a label
@@ -817,13 +819,15 @@ def mode_excitation_state(rep: Representation, mode: str, *more: str) -> StateVe
     imaginary part of the vacuum separately. For a real a_k, a_k^dag is a
     transposed view, while a real operator times a complex vector would
     make numpy cast the whole operator to complex; so no field-sized copy
-    is formed.
+    is formed. Only a raised state of norm 0 (at ``n_max = 0``, or where
+    the modes' vacuum amplitudes are 0) is refused: however small a
+    nonzero norm is, normalizing keeps the state's digits.
     """
     modes = (mode, *more)
     vac = rep.vacuum.amplitudes
     raised = sum(ad @ vac.real + 1j * (ad @ vac.imag) for ad in map(rep.raising, modes))
     state = StateVector(raised, rep.factorization)
-    if state.norm < 1e-15:
+    if state.norm == 0.0:
         raise ValidationError(f"modes {modes} create nothing from the vacuum")
     return state.normalized()
 
@@ -836,14 +840,23 @@ def single_mode_cut(
     Normalized, a_k^dag |vacuum> is the W-type state N^(-1/2) sum_n
     |O .. (k, 1)_n .. O>, so for any profile and n_max >= 1 the 1|(N-1) cut
     has the Schmidt pair (sqrt(1 - 1/N), sqrt(1/N)) and the entropy h(1/N)
-    in nats. Returns ``(entropy, schmidt_1, schmidt_2)``. Fails like
-    ``mode_excitation_state(build_reducible(...), mode)``, with no size ceiling.
+    in nats. Returns ``(entropy, schmidt_1, schmidt_2)``. It has no size
+    ceiling. At ``n_max = 0`` it fails like ``mode_excitation_state(
+    build_reducible(...), mode)``; like the closed-form density matrix, it
+    accepts every normal Z_k and refuses a zero or subnormal one with a
+    :class:`DomainError`.
     """
     if n_oscillators < 1 or n_max < 0 or mode not in profile.labels:
         raise ConfigError(f"need N >= 1, n_max >= 0 and a profile mode, got "
                           f"N={n_oscillators}, n_max={n_max}, mode={mode!r}")
-    if n_max == 0 or math.sqrt(profile.probability(mode)) < 1e-15:
+    if n_max == 0:
         raise ValidationError(f"mode {mode!r} creates nothing from the vacuum")
+    z = profile.probability(mode)
+    if z < sys.float_info.min:
+        raise DomainError(
+            f"the vacuum probability of mode {mode!r}, {z}, is zero or subnormal, below "
+            f"the smallest normal float {sys.float_info.min}: it underflows, for "
+            "example because the plateau rate in config key 'profile' is too steep")
     if n_oscillators == 1:
         return 0.0, 1.0, 0.0
     p = 1.0 / n_oscillators
@@ -869,18 +882,16 @@ def ccr_check(rep: Representation) -> CcrReport:
             ad_n = rep.raising(n_lab)
             comm = a_m @ ad_n - ad_n @ a_m
             if m_lab == n_lab:
-                comm = comm - rep.central[m_lab]
+                comm[np.diag_indices(rep.dim)] -= rep.central[m_lab]
             commutator[(m_lab, n_lab)] = float(
                 np.max(np.abs(comm[:, rep.below_cutoff_mask]), initial=0.0)
             )
         i_m = rep.central[m_lab]
         for n_lab in rep.mode_labels:
-            a_n = rep.lowering[n_lab]
-            dev_a = float(np.max(np.abs(i_m @ a_n - a_n @ i_m)))
-            dev_ad = float(
-                np.max(np.abs(i_m @ a_n.conj().T - a_n.conj().T @ i_m))
-            )
-            centrality[(m_lab, n_lab)] = max(dev_a, dev_ad)
+            # [I_m, x] has entries (d_i - d_j) x_ij for I_m = diag(d)
+            centrality[(m_lab, n_lab)] = max(
+                float(np.max(np.abs(i_m[:, None] * x - x * i_m)))
+                for x in (rep.lowering[n_lab], rep.raising(n_lab)))
     return CcrReport(
         commutator=commutator,
         centrality=centrality,

@@ -26,10 +26,11 @@ def test_commutator_defect_at_top_level():
 
 
 def test_number_operator_exact():
-    assert np.array_equal(number_operator(3), np.diag([0.0, 1.0, 2.0, 3.0]))
+    assert number_operator(3).dtype == np.float64
+    assert np.array_equal(number_operator(3), [0.0, 1.0, 2.0, 3.0])
     a = annihilation(3)
     product = a.conj().T @ a
-    assert np.max(np.abs(product - number_operator(3))) <= 1e-15
+    assert np.max(np.abs(product - np.diag(number_operator(3)))) <= 1e-15
     # superdiagonal structure is exact: the product is strictly diagonal
     assert np.count_nonzero(product - np.diag(np.diag(product))) == 0
 

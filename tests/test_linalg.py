@@ -91,7 +91,8 @@ class TestKron:
         assert np.max(np.abs(u @ u.conj().T - np.eye(12))) <= 1e-10
 
     @pytest.mark.parametrize("kind", [
-        "complex", "real", "identity", "one_by_one", "rectangular"])
+        "complex", "real", "identity", "one_by_one", "rectangular",
+        "vectors", "real_vectors", "mixed_vectors"])
     def test_bitwise_equal_to_np_kron(self, kind):
         rng = np.random.default_rng(19)
 
@@ -104,12 +105,15 @@ class TestKron:
             "identity": [np.eye(4), cplx(3, 3), np.eye(2)],
             "one_by_one": [np.array([[2.5 - 1.0j]]), cplx(3, 3), np.zeros((1, 1))],
             "rectangular": [cplx(2, 5), rng.normal(size=(3, 1)), cplx(1, 4)],
+            "vectors": [cplx(3), cplx(2), cplx(4)],
+            "real_vectors": [rng.normal(size=3), np.ones(2), rng.normal(size=1)],
+            "mixed_vectors": [rng.normal(size=2), cplx(3), np.arange(4.0)],
         }[kind]
         expected = factors[0]
         for f in factors[1:]:
             expected = np.kron(expected, f)
         out = kron(*factors)
-        assert out.dtype == (np.float64 if kind == "real" else np.complex128)
+        assert out.dtype == (np.float64 if kind.startswith("real") else np.complex128)
         assert out.dtype == expected.dtype and out.shape == expected.shape
         assert np.array_equal(out, expected)
         assert out.tobytes() == expected.tobytes()
@@ -122,9 +126,33 @@ class TestKron:
         assert embed_operator(real, (3, 2, 4), 1).dtype == np.float64
         assert embed_operator(cplx, (3, 2, 4), 1).dtype == np.complex128
 
+    @pytest.mark.parametrize("dims, slot", [((3, 2, 4), 1), ((5,), 0), ((2, 3), 0), ((1, 4), 1)])
+    def test_embedded_diagonal_is_the_diagonal_of_the_dense_embedding(self, dims, slot):
+        rng = np.random.default_rng(23)
+        diag = rng.normal(size=dims[slot])
+        out = embed_operator(diag, dims, slot)
+        assert out.dtype == np.float64 and out.shape == (int(np.prod(dims)),)
+        dense = np.diagonal(embed_operator(np.diag(diag), dims, slot))
+        assert out.tobytes() == dense.tobytes()
+        assert embed_operator(diag * 1j, dims, slot).dtype == np.complex128
+
+    def test_embed_operator_validates_a_diagonal(self):
+        with pytest.raises(ValidationError, match="does not match factor dimension 2"):
+            embed_operator(np.ones(3), (3, 2), 1)
+        with pytest.raises(ValidationError, match="embedded operator contains non-finite"):
+            embed_operator(np.array([1.0, np.nan]), (2, 2), 0)
+
     def test_validates_factors(self):
-        with pytest.raises(ValidationError, match="kron factor 1 must be 2-D"):
+        # the first factor's number of axes sets the others': a vector and a
+        # matrix do not mix
+        with pytest.raises(ValidationError, match="kron factor 1 must be 2-D, got ndim=1"):
             kron(np.eye(2), np.ones(3))
+        with pytest.raises(ValidationError, match="kron factor 1 must be 1-D, got ndim=2"):
+            kron(np.ones(3), np.eye(2))
+        with pytest.raises(ValidationError, match="kron factor 2 must be 2-D, got ndim=1"):
+            kron(np.eye(2), np.eye(3), np.ones(2))
+        with pytest.raises(ValidationError, match="kron factor 0 must be 2-D, got ndim=3"):
+            kron(np.ones((2, 2, 2)), np.eye(2))
         with pytest.raises(ValidationError, match="kron factor 0 contains non-finite"):
             kron(np.array([[np.inf]]), np.eye(2))
         with pytest.raises(ValidationError, match="at least one factor"):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -88,7 +89,7 @@ class TestInfinityRepresentation:
 
     def test_central_elements_are_identities(self):
         rep = build_infinity_two_mode(1)
-        assert np.array_equal(rep.central["mode1"], np.eye(4))
+        assert np.array_equal(rep.central["mode1"], np.ones(4))
 
     def test_needs_at_least_one_quantum(self):
         with pytest.raises(ConfigError):
@@ -181,7 +182,7 @@ def kron_infinity_fields(n_max):
     """Two-mode fields assembled from kron products of one-oscillator matrices."""
     a = fock.annihilation(n_max)
     eye = np.eye(n_max + 1)
-    number = fock.number_operator(n_max)
+    number = np.diag(fock.number_operator(n_max))
     occ = np.indices((n_max + 1, n_max + 1)).reshape(2, -1)
     vac = np.zeros((n_max + 1) ** 2, dtype=complex)
     vac[0] = 1.0
@@ -232,7 +233,7 @@ class TestOneOccupationConstruction:
         cut = np.ix_(keep, keep)
         for mode, field in (("mode1", "f1"), ("mode2", "f2")):
             assert np.array_equal(inf.lowering[mode][cut], ber.lowering[field])
-        assert np.array_equal(inf.number_op[cut], ber.number_op)
+        assert np.array_equal(inf.number_op[keep], ber.number_op)
         assert np.array_equal(inf.vacuum.amplitudes[keep], ber.vacuum.amplitudes)
 
     def test_shared_photon_entangled_only_across_declared_mode_factors(self):
@@ -262,9 +263,9 @@ def assert_fields_equal(rep, want):
     for label, a in zip(want["labels"], want["lowering"]):
         assert rep.lowering[label].dtype == a.dtype
         assert np.array_equal(rep.lowering[label], a)
-        assert np.array_equal(rep.central[label], np.eye(rep.dim))
+        assert np.array_equal(rep.central[label], np.ones(rep.dim))
     assert rep.number_op.dtype == want["number"].dtype
-    assert np.array_equal(rep.number_op, want["number"])
+    assert np.array_equal(rep.number_op, np.diagonal(want["number"]))
     assert np.array_equal(rep.vacuum.amplitudes, want["vacuum"])
     assert np.array_equal(rep.below_cutoff_mask, want["mask"])
     assert rep.factorization.factors == want["factors"]
@@ -287,13 +288,40 @@ class TestRealFieldOperators:
         assert rep.number_op.dtype == np.float64
         assert rep.vacuum.amplitudes.dtype == np.complex128
 
+    @pytest.mark.parametrize("build", [
+        lambda: build_infinity_two_mode(3),
+        lambda: build_berezin(3, 2, [3, 1]),
+        lambda: build_reducible(2, VacuumProfile.plateau(3, (0, 0), 0.7), n_max=2),
+        lambda: build_reducible(3, VacuumProfile.uniform(4), 1, ["k1"]),
+    ], ids=["infinity", "berezin", "reducible", "reducible-lean"])
+    def test_diagonal_operators_are_stored_as_vectors(self, build):
+        rep = build()
+        for op in (*(rep.central[label] for label in rep.mode_labels), rep.number_op):
+            assert op.dtype == np.float64 and op.shape == (rep.dim,)
+        for label in rep.mode_labels:
+            assert rep.lowering[label].shape == (rep.dim, rep.dim)
+
+    def test_lean_build_peak_holds_one_dense_operator(self):
+        # field 512: 2.1 MB per dense float64 operator. The bound allows the
+        # one dense a_k1, one dense temporary of the recurrence and the
+        # vectors; dense I_k1 and N would take about four operators.
+        prof = VacuumProfile.uniform(4)
+        build_reducible(3, prof, 1, ["k1"])
+        tracemalloc.start()
+        try:
+            build_reducible(3, prof, 1, ["k1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 512**2 * 8
+
 
 class TestReducibleRepresentation:
     def test_vacuum_central_expectation(self):
         prof = VacuumProfile.uniform(2)
         rep = build_reducible(1, prof, n_max=1)
         vac = rep.vacuum.amplitudes
-        value = np.vdot(vac, rep.central["k1"] @ vac).real
+        value = np.vdot(vac, rep.central["k1"] * vac).real
         assert value == pytest.approx(0.5, abs=1e-12)
 
     def test_collective_cross_commutator_vanishes(self):
@@ -306,8 +334,7 @@ class TestReducibleRepresentation:
     def test_central_element_spectrum(self):
         prof = VacuumProfile.uniform(2)
         rep = build_reducible(2, prof, n_max=1)
-        eigs = np.linalg.eigvalsh(rep.central["k1"])
-        assert np.allclose(np.unique(np.round(eigs, 12)), [0.0, 0.5, 1.0])
+        assert np.array_equal(np.unique(rep.central["k1"]), [0.0, 0.5, 1.0])
 
     def test_vacuum_mode_norm_equals_probability(self):
         prof = VacuumProfile.from_probabilities(("k1", "k2"), (0.3, 0.7))
@@ -413,14 +440,14 @@ class TestReducibleRecurrence:
         m = len(prof.labels)
         eye_ladder = np.eye(n_max + 1)
         number = per_slot_sum(
-            np.kron(np.eye(m), fock.number_operator(n_max)), n_osc)
-        assert np.array_equal(rep.number_op, number)
+            np.kron(np.eye(m), np.diag(fock.number_operator(n_max))), n_osc)
+        assert np.array_equal(rep.number_op, np.diagonal(number))
         for mode in rep.mode_labels:
             pk = np.diag(np.array(prof.labels) == mode).astype(complex)
             a = per_slot_sum(np.kron(pk, fock.annihilation(n_max)), n_osc)
             i = per_slot_sum(np.kron(pk, eye_ladder), n_osc)
             assert np.array_equal(rep.lowering[mode], a / math.sqrt(n_osc))
-            assert np.array_equal(rep.central[mode], i / n_osc)
+            assert np.array_equal(rep.central[mode], np.diagonal(i) / n_osc)
 
     @pytest.mark.parametrize("n_osc", [10**4, 10**6])
     def test_huge_ensemble_refused_fast(self, n_osc):
@@ -479,8 +506,8 @@ class TestCentralSpectrum:
         rep = build_reducible(1, prof, n_max=1)
         spec = central_spectral_projectors(rep, "k1")
         p1 = rep.central["k1"]
-        assert np.allclose(np.diag(spec.projectors[1]), p1)
-        assert np.allclose(np.diag(spec.projectors[0]), np.eye(rep.dim) - p1)
+        assert np.array_equal(spec.projectors[1], p1)
+        assert np.array_equal(spec.projectors[0], 1.0 - p1)
 
     def test_vacuum_expectation_matches_binomial(self):
         prof = VacuumProfile.uniform(4)
@@ -505,7 +532,7 @@ class TestCentralSpectrum:
         rep = build_reducible(3, prof, n_max=1)
         spec = central_spectral_projectors(rep, "k2")
         recon = sum(float(e) * p for e, p in zip(spec.eigenvalues, spec.projectors))
-        assert np.max(np.abs(np.diag(recon) - rep.central["k2"])) <= 1e-10
+        assert np.max(np.abs(recon - rep.central["k2"])) <= 1e-10
 
     @pytest.mark.parametrize("n_osc", [1, 2, 3])
     def test_joint_vacuum_weights_match_brute_force(self, n_osc):

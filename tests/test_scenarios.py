@@ -15,7 +15,7 @@ from ccrlab import cli
 from ccrlab import dynamics as dyn
 from ccrlab import entanglement as ent
 from ccrlab import representations as reps
-from ccrlab.exceptions import ConfigError, SizeLimitError, ValidationError
+from ccrlab.exceptions import ConfigError, DomainError, SizeLimitError, ValidationError
 from ccrlab.linalg import expm_generator
 from ccrlab.scenarios import (
     DEFAULT_TIMES,
@@ -431,9 +431,6 @@ class TestSingleModeClosedForm:
         ({"N": [0]}, ConfigError),
         ({"N": [2], "n_max": -1}, ConfigError),
         ({"N": [2], "n_max": 0}, ValidationError),
-        ({"N": [2], "profile": {"kind": "plateau", "modes": 2, "window": [0, 0],
-                                "rate": 100.0, "selected": [1, 0]}},
-         ValidationError),
     ]
 
     @pytest.mark.parametrize("config, error", FAILURES)
@@ -452,6 +449,38 @@ class TestSingleModeClosedForm:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"scenario": "single-mode", **config}))
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+
+    # z_k2 = exp(-75) / (1 + exp(-75)), about 2.7e-33: tiny but normal
+    TINY_K2 = {"kind": "plateau", "modes": 2, "window": [0, 0], "rate": 75,
+               "selected": [1, 0]}
+
+    def test_tiny_normal_probability_runs_and_matches_dense_route(self, tmp_path):
+        profile, _ = profile_from_spec(self.TINY_K2)
+        assert 0.0 < profile.probability("k2") < 1e-30
+        rep = reps.build_reducible(2, profile, 1, ["k2"])
+        deviation = np.subtract(reps.single_mode_cut(2, profile, "k2"),
+                                self.dense_cut(rep, "k2"))
+        assert np.max(np.abs(deviation)) <= 1e-12
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(
+            {"scenario": "single-mode", "N": [1, 2], "profile": self.TINY_K2}))
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "single-mode.json").read_text())
+        assert payload["checks"] and all(c["passed"] for c in payload["checks"])
+
+    # exp(-rate) is subnormal at 720 and 0 at 800
+    @pytest.mark.parametrize("rate", [720, 800])
+    def test_underflowing_probability_is_a_domain_error(self, tmp_path, capsys, rate):
+        spec = {**self.TINY_K2, "rate": rate}
+        profile, _ = profile_from_spec(spec)
+        with pytest.raises(DomainError, match=(
+                r"'k2'.* smallest normal float 2\.2250738585072014e-308.*'profile'")):
+            reps.single_mode_cut(2, profile, "k2")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenario": "single-mode", "N": [2], "profile": spec}))
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "smallest normal float" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_entangled_check_only_where_dense_build_is_admitted(self):
         # uniform(2) with n_max = 1 has factor dimension 4: 4^6 = 4096 is
@@ -672,11 +701,12 @@ class TestValidate:
         assert sorted(calls) == [(1, ("k1", "k2")), (2, ("k1", "k2")),
                                  (3, ("k1", "k2")), (3, ("k1", "k2", "k3", "k4"))]
 
-    def test_peak_memory_below_11_mb(self):
+    def test_peak_memory_below_6_mb(self):
         # The N = 3 uniform(4) ensemble has a 512-dimensional field, 2.1 MB
         # per dense real operator: validate may build only the operators its
-        # checks read, and no dense temporaries beside them (a complex copy
-        # of one of them, 4.2 MB, breaks the bound).
+        # checks read (a_k1 is the one dense one; I_k1 and N are diagonals),
+        # and no dense temporaries beside the build's one (a complex copy
+        # of a_k1, 4.2 MB, breaks the bound).
         validate(seed=0)
         tracemalloc.start()
         try:
@@ -684,7 +714,7 @@ class TestValidate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 11e6
+        assert peak < 6e6
 
     def test_report_bytes_independent_of_blas_threads(self, tmp_path):
         # A BLAS reduction may split its sum by thread, so validate's report
@@ -912,6 +942,17 @@ class TestCli:
         assert code == 2
         assert err.startswith("error: rolloff rate must be finite")
         assert not (tmp_path / "out").exists()
+
+    def test_both_selected_probabilities_tiny_but_normal_runs(self, tmp_path):
+        # z_k2 ~ 2.7e-33 and z_k3 ~ 7.2e-66 share the photon: the raised
+        # vacuum has norm ~5e-17 and normalizes exactly
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": "reducible-brute", "N": [1, 2], "profile": {
+            "kind": "plateau", "modes": 3, "window": [0, 0], "rate": 75,
+            "selected": [1, 2]}}))
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "reducible-brute.json").read_text())
+        assert payload["checks"] and all(c["passed"] for c in payload["checks"])
 
     @pytest.mark.parametrize("scenario", ["reducible-brute", "reducible-limit"])
     @pytest.mark.parametrize("modes, rate", [(3, 800), (2, 745), (2, 740)])
