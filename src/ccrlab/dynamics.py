@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -67,6 +67,9 @@ KET_GROUND = np.array([0.0, 1.0], dtype=complex)
 IDX_PP, IDX_PM, IDX_MP, IDX_MM = 0, 1, 2, 3
 #: Number of excited atoms in each two-atom basis state.
 ATOM_EXCITATIONS = np.array([2.0, 1.0, 1.0, 0.0])
+#: The (lower, upper) two-atom basis pairs that raising each atom slot links.
+_ATOM_RAISES = {0: ((IDX_MP, IDX_PP), (IDX_MM, IDX_PM)),
+                1: ((IDX_PM, IDX_PP), (IDX_MM, IDX_MP))}
 
 #: Maximum ensemble size accepted by the closed-form density matrix.
 MAX_ENSEMBLE = 10**6
@@ -104,19 +107,10 @@ def coupled_factorization(rep: Representation) -> HilbertFactorization:
     return atoms.joined_with(rep.factorization)
 
 
-def _atom_operator(op: np.ndarray, slot: int) -> np.ndarray:
-    eye = np.eye(2, dtype=complex)
-    if slot == 0:
-        return kron(op, eye)
-    if slot == 1:
-        return kron(eye, op)
-    raise ConfigError(f"atom slot must be 0 or 1, got {slot}")
-
-
 def jc_hamiltonian(
     rep: Representation,
     mode_atom_pairs: Sequence[tuple[str, int]],
-    sector: np.ndarray | None = None,
+    excitations: Collection[int] | None = None,
 ) -> np.ndarray:
     """Excitation-conserving coupling H = sum_k (R_k^dag (x) i a_k - h.c.).
 
@@ -125,52 +119,39 @@ def jc_hamiltonian(
     a Hermitian matrix on atom1 (x) atom2 (x) field that commutes with
     the total excitation number.
 
-    ``sector`` is an optional boolean mask over the coupled basis, such as
-    :func:`excitation_sector_mask` returns. With it the result is exactly
-    ``H[np.ix_(sector, sector)]``, and no matrix on the full coupled space
-    is formed. A kept state that H couples to a dropped one raises
-    :class:`ValidationError`. Without it every state is kept.
+    ``excitations`` names the total excitation numbers
+    (:func:`excitation_numbers`) whose sectors are kept, all of them when
+    None. The result is exactly H restricted to the coupled basis states
+    of those sectors, in basis order, and no matrix on the full coupled
+    space is formed. H conserves the number, so whole sectors are closed
+    under it.
 
-    H is assembled block by block on its atom-block view: each nonzero
-    r_ij of the 4x4 two-atom operator R puts r_ij (-i a_k^dag) into block
-    (i, j) and conj(r_ij) (i a_k) into block (j, i). Block (i, j) keeps
-    the field rows ``sector.reshape(4, d)[i]`` and columns ``[j]``, so
-    only field-sized slices of a_k are ever taken.
+    H is assembled block by block on its atom-block view: raising atom
+    slot s takes two-atom state ``lower`` to ``upper``
+    (:data:`_ATOM_RAISES`), which puts i a_k into block (upper, lower)
+    and -i a_k^dag into block (lower, upper). Each block keeps the field
+    rows and columns of its atom states' kept basis states, so only
+    field-sized slices of a_k are ever taken.
     """
-    dim_f = rep.dim
-    if sector is None:
-        sector = np.ones(4 * dim_f, dtype=bool)
-    sector = np.asarray(sector)
-    if sector.dtype != bool or sector.shape != (4 * dim_f,):
-        raise ValidationError(
-            f"sector must be a boolean mask of length {4 * dim_f}, got "
-            f"{sector.dtype} of shape {sector.shape}"
-        )
-    keep = sector.reshape(4, dim_f)
+    keep = excitation_sector_mask(rep, excitations).reshape(4, rep.dim)
     kept = [row.nonzero()[0][:, None] for row in keep]
-    dropped = [(~row).nonzero()[0][:, None] for row in keep]
     offsets = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
+    blocks = [slice(lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:])]
     h = np.zeros((offsets[-1], offsets[-1]), dtype=complex)
     seen_atoms: set[int] = set()
     for mode, atom in mode_atom_pairs:
+        if atom not in _ATOM_RAISES:
+            raise ConfigError(f"atom slot must be 0 or 1, got {atom}")
         if atom in seen_atoms:
             raise ConfigError(f"atom slot {atom} assigned to more than one mode")
         seen_atoms.add(atom)
         a_k = rep.lowering_of(mode)
-        r = _atom_operator(ATOM_LOWERING, atom)
-        for i, j in zip(*np.nonzero(r)):
-            # Block (j, i) holds i a_k: a_k[p, q] couples field row p of
-            # atom state j to field column q of atom state i.
-            if a_k[kept[j], dropped[i].T].any() or a_k[dropped[j], kept[i].T].any():
-                raise ValidationError(
-                    "sector mask splits the excitation sectors: a kept state "
-                    "couples to a dropped one"
-                )
-            a_kept = a_k[kept[j], kept[i].T]
-            rows_i = slice(offsets[i], offsets[i + 1])
-            rows_j = slice(offsets[j], offsets[j + 1])
-            h[rows_i, rows_j] += r[i, j] * (-1j * a_kept.conj().T)
-            h[rows_j, rows_i] += np.conj(r[i, j]) * (1j * a_kept)
+        for lower, upper in _ATOM_RAISES[atom]:
+            # a_k[p, q] couples field row p of the upper atom state to
+            # field column q of the lower one
+            a_kept = a_k[kept[upper], kept[lower].T]
+            h[blocks[lower], blocks[upper]] += -1j * a_kept.conj().T
+            h[blocks[upper], blocks[lower]] += 1j * a_kept
     return h
 
 
@@ -183,17 +164,19 @@ def excitation_numbers(rep: Representation) -> np.ndarray:
     return np.add.outer(ATOM_EXCITATIONS, rep.number_op).reshape(-1)
 
 
-def excitation_sector_mask(rep: Representation, amplitudes: np.ndarray) -> np.ndarray:
-    """Which coupled basis states share an excitation number with ``amplitudes``' support.
+def excitation_sector_mask(rep: Representation,
+                           excitations: Collection[int] | None = None) -> np.ndarray:
+    """Which coupled basis states have a total excitation number in ``excitations``.
 
-    The excitation numbers are integers, so a boolean table indexed by
-    them marks the occupied sectors with numpy-core operations only
-    (``np.isin`` would sort through ``np.unique`` and load ``numpy.ma``).
+    Every state when ``excitations`` is None; a number that no state has
+    marks nothing. The excitation numbers are integers, so a boolean
+    table indexed by them marks the kept sectors with numpy-core
+    operations only (``np.isin`` would sort through ``np.unique`` and
+    load ``numpy.ma``).
     """
     exc = excitation_numbers(rep).astype(int)
-    occupied = np.zeros(exc.max() + 1, dtype=bool)
-    occupied[exc[amplitudes != 0]] = True
-    return occupied[exc]
+    kept = np.array([excitations is None or e in excitations for e in range(exc.max() + 1)])
+    return kept[exc]
 
 
 def single_photon_initial_state(
@@ -223,13 +206,14 @@ def evolve(
     irreducible representations, which have no profile.
 
     H conserves the excitation number, so the evolution is exact on the
-    sectors that ``psi0`` occupies (:func:`excitation_sector_mask`): H is
-    assembled on them only (:func:`jc_hamiltonian` with ``sector=``) and
-    diagonalized once for all times, and amplitudes outside them stay
-    zero. ``psi0`` is one state (a stack is a ValidationError) on
-    atom1 (x) atom2 (x) field, dimension 4 ``rep.dim``. ``t`` is a scalar
-    (returns one state) or a 1-D array of T times (returns one
-    :class:`~ccrlab.linalg.StateVector` holding the (T, dim) stack).
+    sectors that ``psi0`` occupies: H is assembled on them only
+    (:func:`jc_hamiltonian` with their ``excitations``) and diagonalized
+    once for all times, and amplitudes outside them
+    (:func:`excitation_sector_mask`) stay zero. ``psi0`` is one state (a
+    stack is a ValidationError) on atom1 (x) atom2 (x) field, dimension
+    4 ``rep.dim``. ``t`` is a scalar (returns one state) or a 1-D array
+    of T times (returns one :class:`~ccrlab.linalg.StateVector` holding
+    the (T, dim) stack).
     """
     if psi0.amplitudes.ndim != 1:
         raise ValidationError(
@@ -239,8 +223,9 @@ def evolve(
             f"dimension mismatch: state is {psi0.dim}, the coupled space of "
             f"the representation is {4 * rep.dim}"
         )
-    inside = excitation_sector_mask(rep, psi0.amplitudes)
-    h = jc_hamiltonian(rep, mode_atom_pairs, sector=inside)
+    excitations = set(excitation_numbers(rep)[psi0.amplitudes != 0])
+    inside = excitation_sector_mask(rep, excitations)
+    h = jc_hamiltonian(rep, mode_atom_pairs, excitations)
     u = expm_generator(h / math.sqrt(_generator_scale(rep)), t)
     amps = np.zeros(u.shape[:-2] + (psi0.dim,), dtype=complex)
     amps[..., inside] = u @ psi0.amplitudes[inside]

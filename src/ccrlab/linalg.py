@@ -18,10 +18,12 @@ reducible ensemble's field space is capped at dimension 4096; the
 irreducible representations cap their coupled space at 1024, so their
 field dimension is at most 256, because their scenarios form whole
 coupled-space Hamiltonians and propagators. The brute-force route
-assembles the coupling Hamiltonian directly on the excitation sectors of its initial state (see
-:func:`ccrlab.dynamics.jc_hamiltonian`), so its largest matrices are the
-field operators, and its largest diagonalization is that sector block (see
-:func:`ccrlab.dynamics.evolve`), not the whole coupled space. The
+assembles the coupling Hamiltonian directly on the excitation sectors
+that its initial state occupies, named by their total excitation
+numbers (see :func:`ccrlab.dynamics.jc_hamiltonian`), so its largest
+matrices are the field operators, and its largest diagonalization is
+that sector block (see :func:`ccrlab.dynamics.evolve`), not the whole
+coupled space. The
 closed-form propagator takes no matrix function: it is one SVD of the
 coupling (see :func:`ccrlab.dynamics.closed_form_evolution`).
 """

@@ -20,10 +20,11 @@ parallel driver.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -130,9 +131,12 @@ class ScenarioConfig:
     optional ``window``/``rate`` for the plateau shape, and ``selected``
     (two 0-based label indices, default the first two). Values are
     coerced to their field types on construction; one that cannot be, an
-    empty ``N`` or ``times`` list, one with a repeated entry, a JSON
-    boolean, or a non-integral float for an integer key is a
-    :class:`ConfigError` naming its config key.
+    empty ``N`` or ``times`` list, one with a repeated entry, an ``N``
+    below 1, a JSON boolean, or a non-integral float for an integer key
+    is a :class:`ConfigError` naming its config key. The profile is
+    parsed on construction too, whichever scenario is named, into
+    ``parsed_profile`` (:func:`profile_from_spec`'s profile and labels),
+    which is neither written by :meth:`to_dict` nor compared.
     """
 
     scenario: str
@@ -142,6 +146,7 @@ class ScenarioConfig:
     n_values: tuple[int, ...] | None = None
     profile: dict = field(default_factory=lambda: {"kind": "uniform", "modes": 2})
     times: tuple[float, ...] = DEFAULT_TIMES
+    parsed_profile: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.scenario, str):
@@ -161,9 +166,13 @@ class ScenarioConfig:
         for key, values in (("N", self.n_values or ()), ("times", self.times)):
             if len(set(values)) != len(values):
                 raise ConfigError(f"config key {key!r} repeats an entry: {list(values)}")
+        if min(self.n_values or (1,)) < 1:
+            raise ConfigError(f"config key 'N' takes ensemble sizes >= 1, "
+                              f"got {list(self.n_values)}")
         for t in self.times:
             if not 0.0 <= t <= 2 * math.pi + 1e-12:
                 raise ConfigError(f"times must lie in [0, 2*pi], got {t}")
+        object.__setattr__(self, "parsed_profile", profile_from_spec(self.profile))
 
     _KEY_MAP = {
         "scenario": "scenario",
@@ -207,7 +216,7 @@ class ScenarioConfig:
         return cls.from_dict(data)
 
     def to_dict(self) -> dict:
-        out = asdict(self)
+        out = {f.name: copy.deepcopy(getattr(self, f.name)) for f in fields(self) if f.init}
         out["times"] = list(self.times)
         if self.n_values is not None:
             out["n_values"] = list(self.n_values)
@@ -619,7 +628,7 @@ def _coherence(rho: np.ndarray) -> np.ndarray:
 
 
 def _scenario_reducible_brute(cfg: ScenarioConfig) -> ScenarioReport:
-    profile, selected = profile_from_spec(cfg.profile)
+    profile, selected = cfg.parsed_profile
     checks: list[Check] = []
     skipped: list[dict] = []
     records: list[dict] = []
@@ -685,7 +694,7 @@ def convergence_sweep(cfg: ScenarioConfig) -> ScenarioReport:
     if cfg.scenario != "reducible-limit":
         raise ConfigError("the convergence sweep runs only 'reducible-limit', "
                           f"got {cfg.scenario!r}")
-    profile, selected = profile_from_spec(cfg.profile)
+    profile, selected = cfg.parsed_profile
     z1 = profile.probability(selected[0])
     z2 = profile.probability(selected[1])
     z = profile.z_max
@@ -744,7 +753,7 @@ def convergence_sweep(cfg: ScenarioConfig) -> ScenarioReport:
 
 
 def _scenario_single_mode(cfg: ScenarioConfig) -> ScenarioReport:
-    profile, selected = profile_from_spec(cfg.profile)
+    profile, selected = cfg.parsed_profile
     checks: list[Check] = []
     skipped: list[dict] = []
     records: list[dict] = []
@@ -771,10 +780,13 @@ def _scenario_single_mode(cfg: ScenarioConfig) -> ScenarioReport:
                        "entanglement are measure-dependent",
             ))
         else:
+            factor_dim = len(profile.labels) * (cfg.n_max + 1)
             skipped.append({"check": f"entangled_with_vacuum_N{n}", "reason": (
                 f"h(1/N) = {entropy:.4e} nats falls like ln N / N; the fixed "
                 "entangled_min threshold is checked only where the dense "
-                "route is admitted (brute-force ceiling)")})
+                "route is admitted (brute-force ceiling): here the factor "
+                f"dimension {factor_dim} to the power N = {n} exceeds the "
+                f"ceiling {reps.BRUTE_FORCE_CEILING}")})
 
     try:
         rep_i = reps.build_infinity_two_mode(cfg.n_max)
@@ -928,8 +940,7 @@ def invariants(rng: random.Random):
             closed_form_atomic_density(rep, times, ("k1", "k2")))))
         # evolve's generator H / sqrt(Z) has eigenvalues +-sqrt(s / (N Z)) on
         # the one-excitation sector: N Z lambda^2 = N eig(H)^2 is s in 0..N
-        h = dyn.jc_hamiltonian(rep, [("k1", 0), ("k2", 1)],
-                               sector=dyn.excitation_numbers(rep) == 1)
+        h = dyn.jc_hamiltonian(rep, [("k1", 0), ("k2", 1)], excitations=(1,))
         x = n * np.linalg.eigvalsh(h) ** 2
         spectrum[n] = np.max(np.abs(x - np.clip(np.round(x), 0, n)))
     yield "ensemble_reduction_brute_force", reduction, 1e-8

@@ -209,6 +209,12 @@ class TestJcHamiltonian:
         with pytest.raises(ConfigError, match="no mode"):
             dyn.jc_hamiltonian(rep, [("nope", 0)])
 
+    @pytest.mark.parametrize("slot", [2, -1])
+    def test_atom_slot_outside_the_two_atoms_rejected(self, slot):
+        rep = build_infinity_two_mode(1)
+        with pytest.raises(ConfigError, match=f"atom slot must be 0 or 1, got {slot}"):
+            dyn.jc_hamiltonian(rep, [("mode1", slot)])
+
 
 def kron_jc_hamiltonian(rep, pairs):
     """sum over pairs of kron(R^dag, i a_k) + kron(R, -i a_k^dag) on the full space."""
@@ -391,15 +397,16 @@ class TestSectorEvolve:
 
     @pytest.mark.parametrize("kind", ["infinity", "berezin", "reducible"])
     def test_sector_mask_matches_isin(self, kind):
-        rep, _, _, psi0 = coupled_setup(kind)
+        rep = coupled_setup(kind)[0]
         exc = dyn.excitation_numbers(rep)
-        rng = np.random.default_rng(5)
-        supports = [psi0.amplitudes, np.eye(exc.size)[0], np.eye(exc.size)[-1]]
-        supports += [rng.random(exc.size) < 0.1 for _ in range(5)]
-        for amps in supports:
-            mask = dyn.excitation_sector_mask(rep, amps)
+        top = int(exc.max())
+        for excitations in ((0,), (1,), (0, 2), (top,), (1, top + 3), (-1, 2), (),
+                            range(top + 1)):
+            mask = dyn.excitation_sector_mask(rep, excitations)
             assert mask.dtype == bool
-            assert np.array_equal(mask, np.isin(exc, exc[amps != 0]))
+            assert np.array_equal(mask, np.isin(exc, excitations))
+        assert dyn.excitation_sector_mask(rep).all()
+        assert dyn.excitation_sector_mask(rep).shape == exc.shape
 
     @pytest.mark.parametrize("kind", ["infinity", "berezin", "reducible"])
     def test_excitation_numbers_match_operator(self, kind):
@@ -422,33 +429,16 @@ SECTOR_CASES = [("infinity", 2, "uniform"), ("berezin", 2, "uniform")] + [
 class TestSectorHamiltonian:
     @pytest.mark.parametrize("kind,n,profile", SECTOR_CASES)
     def test_sector_block_equals_restricted_full_hamiltonian(self, kind, n, profile):
-        rep, modes, h, psi0 = coupled_setup(kind, n, profile)
+        rep, modes, _, psi0 = coupled_setup(kind, n, profile)
         pairs = coupling_pairs(modes)
+        full = kron_jc_hamiltonian(rep, pairs)
         exc = dyn.excitation_numbers(rep)
-        for mask in (dyn.excitation_sector_mask(rep, psi0.amplitudes), exc <= 1,
-                     np.ones(exc.size, dtype=bool)):
-            block = dyn.jc_hamiltonian(rep, pairs, sector=mask)
+        for excitations in (np.unique(exc[psi0.amplitudes != 0]), (0, 1), None):
+            block = dyn.jc_hamiltonian(rep, pairs, excitations)
+            kept = np.ones(exc.size, dtype=bool) if excitations is None else np.isin(
+                exc, excitations)
             assert block.dtype == np.complex128
-            assert np.array_equal(block, h[np.ix_(mask, mask)])
-
-    @pytest.mark.parametrize("kind", ["infinity", "berezin", "reducible"])
-    def test_mask_splitting_a_sector_raises(self, kind):
-        rep, modes, _, psi0 = coupled_setup(kind)
-        mask = dyn.excitation_sector_mask(rep, psi0.amplitudes)
-        photons = rep.number_op
-        # Drop |--> (x) one one-photon field state from the kept sector.
-        dropped = dyn.IDX_MM * rep.dim + int(np.flatnonzero(photons == 1)[0])
-        assert mask[dropped]
-        mask[dropped] = False
-        with pytest.raises(ValidationError, match="excitation sectors"):
-            dyn.jc_hamiltonian(rep, coupling_pairs(modes), sector=mask)
-
-    def test_rejects_malformed_mask(self):
-        rep, modes, _, _ = coupled_setup("infinity")
-        pairs = coupling_pairs(modes)
-        for bad in (np.ones(4 * rep.dim - 1, dtype=bool), np.ones(4 * rep.dim)):
-            with pytest.raises(ValidationError, match="boolean mask"):
-                dyn.jc_hamiltonian(rep, pairs, sector=bad)
+            assert np.array_equal(block, full[np.ix_(kept, kept)])
 
     @pytest.mark.parametrize("kind,n,profile", SECTOR_CASES)
     def test_evolve_on_sector_block_matches_full_hamiltonian(self, kind, n, profile):

@@ -69,6 +69,23 @@ class TestConfig:
         with pytest.raises(ConfigError, match="0, 2"):
             ScenarioConfig(scenario="infinity", times=(7.0,))
 
+    def test_profile_parsed_once_and_neither_written_nor_compared(self, monkeypatch):
+        spec = {"kind": "uniform", "modes": 3}
+        configs = [ScenarioConfig(scenario=name, n_values=(1, 100), profile=spec)
+                   for name in ("reducible-brute", "reducible-limit", "single-mode")]
+        profile, selected = configs[0].parsed_profile
+        assert len(profile.labels) == 3 and selected == ("k1", "k2")
+        assert "parsed_profile" not in configs[0].to_dict()
+        assert configs[0] == ScenarioConfig(
+            scenario="reducible-brute", n_values=(1, 100), profile=dict(spec))
+
+        def refuse(spec):
+            raise AssertionError("the profile was parsed again")
+
+        monkeypatch.setattr("ccrlab.scenarios.profile_from_spec", refuse)
+        for cfg in configs:
+            run_scenario(cfg)
+
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({
@@ -435,17 +452,17 @@ class TestSingleModeClosedForm:
 
     @pytest.mark.parametrize("config, error", FAILURES)
     def test_failure_modes_match_dense_route(self, tmp_path, config, error):
-        cfg = ScenarioConfig.from_dict({"scenario": "single-mode", **config})
-        profile, selected = profile_from_spec(cfg.profile)
-        n = cfg.n_values[0]
+        profile, selected = profile_from_spec({"kind": "uniform", "modes": 2})
+        n, n_max = config["N"][0], config.get("n_max", 1)
         with pytest.raises(error):
             reps.mode_excitation_state(
-                reps.build_reducible(n, profile, cfg.n_max, list(selected)),
+                reps.build_reducible(n, profile, n_max, list(selected)),
                 selected[0])
         with pytest.raises(error):
-            reps.single_mode_cut(n, profile, selected[0], cfg.n_max)
+            reps.single_mode_cut(n, profile, selected[0], n_max)
         with pytest.raises(error):
-            run_scenario(cfg)
+            # N = 0 is refused when the config is constructed
+            run_scenario(ScenarioConfig.from_dict({"scenario": "single-mode", **config}))
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"scenario": "single-mode", **config}))
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
@@ -495,6 +512,15 @@ class TestSingleModeClosedForm:
             "entangled_with_vacuum_N7", "entangled_with_vacuum_N8"]
         assert "ln N / N" in report.skipped[0]["reason"]
         assert [r["n"] for r in report.records] == [*range(1, 9), None]
+
+    def test_skip_reason_names_the_ceiling_it_applied(self):
+        # h(1/2) = ln 2 is far above entangled_min; (2 * 41)^2 = 6724 > 4096
+        report = run_scenario(ScenarioConfig(scenario="single-mode", n_values=(2,),
+                                             n_max=40))
+        reason = {s["check"]: s["reason"] for s in report.skipped}[
+            "entangled_with_vacuum_N2"]
+        assert reason.endswith("factor dimension 82 to the power N = 2 exceeds "
+                               f"the ceiling {reps.BRUTE_FORCE_CEILING}")
 
     def test_never_builds_the_dense_representation(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -1079,6 +1105,21 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert "'profile.modes'" in err and str(MAX_PROFILE_MODES) in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("config, key", [
+        ({"scenario": "infinity", "profile": {"modes": 3.5}}, "'profile.modes'"),
+        ({"scenario": "infinity", "profile": {"kind": "bogus", "modes": -3}},
+         "profile kind"),
+        ({"scenario": "berezin", "profile": {"modes": 2000000}}, "'profile.modes'"),
+        ({"scenario": "infinity", "N": [0, -5]}, "'N'"),
+    ])
+    def test_every_scenario_refuses_a_malformed_profile_or_n(self, tmp_path, capsys,
+                                                             config, key):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config))
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_berezin_forty_modes_runs_fast(self, tmp_path):
