@@ -20,7 +20,6 @@ directory included), 3 brute-force size ceiling exceeded.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from .exceptions import ConfigError, DomainError, SizeLimitError, ValidationError
@@ -66,13 +65,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args, default_scenario: str | None = None) -> ScenarioConfig:
+    scenario = getattr(args, "scenario", None)
     if args.config:
-        cfg = ScenarioConfig.from_file(args.config)
-        scenario = getattr(args, "scenario", None)
-        if scenario and scenario != cfg.scenario:
-            cfg = dataclasses.replace(cfg, scenario=scenario)
-        return cfg
-    scenario = getattr(args, "scenario", None) or default_scenario
+        return ScenarioConfig.from_file(args.config, scenario)
+    scenario = scenario or default_scenario
     if not scenario:
         raise ConfigError("give --scenario or a --config file naming one")
     return ScenarioConfig(scenario=scenario)

@@ -4,8 +4,11 @@ The coupling Hamiltonian has the block form ``H = R^dag (x) A + R (x) A^dag``
 with ``R`` the atomic lowering operator, so its unitary is available in
 closed form from one singular value decomposition ``A = U S V^dag``:
 cos(tS) blocks on the diagonal, sin(tS) blocks off it. The module also
-assembles the two-atom Jaynes-Cummings-type Hamiltonian, evolves states
-by brute force, and gives the atomic density in closed form.
+assembles the two-atom Jaynes-Cummings-type Hamiltonian, the same form
+with A = a_k for each coupled atom, evolves states by brute force, and
+gives the atomic density in closed form. a_k, R and the initial states
+are real, so the Hamiltonian is a real symmetric ``float64`` matrix and
+``complex128`` enters only with the phases of exp(-i H t).
 
 The closed forms of the irreducible, finite-ensemble and large-ensemble
 cases share one body, :func:`rho_atoms`: a representation enters the
@@ -59,9 +62,9 @@ from .representations import (
 )
 
 #: Atomic lowering operator R: |+> -> |->, R^2 = 0.
-ATOM_LOWERING = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+ATOM_LOWERING = np.array([[0.0, 0.0], [1.0, 0.0]])
 #: Ground ket in the (|+>, |->) basis.
-KET_GROUND = np.array([0.0, 1.0], dtype=complex)
+KET_GROUND = np.array([0.0, 1.0])
 
 #: Indices into the two-atom basis (|++>, |+->, |-+>, |-->).
 IDX_PP, IDX_PM, IDX_MP, IDX_MM = 0, 1, 2, 3
@@ -112,12 +115,18 @@ def jc_hamiltonian(
     mode_atom_pairs: Sequence[tuple[str, int]],
     excitations: Collection[int] | None = None,
 ) -> np.ndarray:
-    """Excitation-conserving coupling H = sum_k (R_k^dag (x) i a_k - h.c.).
+    """Excitation-conserving coupling H = sum_k (R_k^dag (x) a_k + R_k (x) a_k^dag).
 
     ``mode_atom_pairs`` assigns each coupled atom (slot 0 or 1) to one
     field mode of ``rep``; an atom may appear at most once. The result is
-    a Hermitian matrix on atom1 (x) atom2 (x) field that commutes with
-    the total excitation number.
+    a real symmetric ``float64`` matrix on atom1 (x) atom2 (x) field
+    (every builder's a_k is real) that commutes with the total excitation
+    number. Each term is :func:`closed_form_evolution`'s form with A =
+    a_k. Coupling e^{i phi} a_k instead, one phase for every mode,
+    conjugates H by the local unitary diag(e^{i phi}, 1) on each atom;
+    it is diagonal in the atom basis, so no concurrence, entropy,
+    operator Schmidt coefficient or atom-density entry that can be
+    nonzero depends on phi.
 
     ``excitations`` names the total excitation numbers
     (:func:`excitation_numbers`) whose sectors are kept, all of them when
@@ -128,16 +137,16 @@ def jc_hamiltonian(
 
     H is assembled block by block on its atom-block view: raising atom
     slot s takes two-atom state ``lower`` to ``upper``
-    (:data:`_ATOM_RAISES`), which puts i a_k into block (upper, lower)
-    and -i a_k^dag into block (lower, upper). Each block keeps the field
-    rows and columns of its atom states' kept basis states, so only
+    (:data:`_ATOM_RAISES`), which puts a_k into block (upper, lower) and
+    its transpose a_k^dag into block (lower, upper). Each block keeps the
+    field rows and columns of its atom states' kept basis states, so only
     field-sized slices of a_k are ever taken.
     """
     keep = excitation_sector_mask(rep, excitations).reshape(4, rep.dim)
     kept = [row.nonzero()[0][:, None] for row in keep]
     offsets = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
     blocks = [slice(lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:])]
-    h = np.zeros((offsets[-1], offsets[-1]), dtype=complex)
+    h = np.zeros((offsets[-1], offsets[-1]))
     seen_atoms: set[int] = set()
     for mode, atom in mode_atom_pairs:
         if atom not in _ATOM_RAISES:
@@ -150,8 +159,8 @@ def jc_hamiltonian(
             # a_k[p, q] couples field row p of the upper atom state to
             # field column q of the lower one
             a_kept = a_k[kept[upper], kept[lower].T]
-            h[blocks[lower], blocks[upper]] += -1j * a_kept.conj().T
-            h[blocks[upper], blocks[lower]] += 1j * a_kept
+            h[blocks[lower], blocks[upper]] += a_kept.T
+            h[blocks[upper], blocks[lower]] += a_kept
     return h
 
 
@@ -186,7 +195,8 @@ def single_photon_initial_state(
 
     The field part is (a_k1^dag + a_k2^dag) |vacuum>, normalized
     explicitly (:func:`~ccrlab.representations.mode_excitation_state`;
-    for the ensemble vacuum the raw norm is sqrt(Z_1 + Z_2)).
+    for the ensemble vacuum the raw norm is sqrt(Z_1 + Z_2)). The state is
+    ``float64``, as are the vacuum and the ground kets.
     """
     field = mode_excitation_state(rep, *modes)
     full = kron(KET_GROUND, KET_GROUND, field.amplitudes)
@@ -207,13 +217,13 @@ def evolve(
 
     H conserves the excitation number, so the evolution is exact on the
     sectors that ``psi0`` occupies: H is assembled on them only
-    (:func:`jc_hamiltonian` with their ``excitations``) and diagonalized
-    once for all times, and amplitudes outside them
+    (:func:`jc_hamiltonian` with their ``excitations``), a real symmetric
+    matrix diagonalized once for all times, and amplitudes outside them
     (:func:`excitation_sector_mask`) stay zero. ``psi0`` is one state (a
     stack is a ValidationError) on atom1 (x) atom2 (x) field, dimension
     4 ``rep.dim``. ``t`` is a scalar (returns one state) or a 1-D array
     of T times (returns one :class:`~ccrlab.linalg.StateVector` holding
-    the (T, dim) stack).
+    the (T, dim) stack); the evolved amplitudes are ``complex128``.
     """
     if psi0.amplitudes.ndim != 1:
         raise ValidationError(

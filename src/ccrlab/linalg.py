@@ -7,9 +7,11 @@ states, to an explicit tensor factorization, and :func:`matricize`, the
 one regrouping of a tensor across a cut.
 
 All arrays are plain ``numpy.ndarray``: ``float64`` where every entry is
-real (the field operators a_k, I_k and N of every representation) and
-``complex128`` otherwise (states, Hamiltonians, propagators, densities).
-:func:`require_square`, :func:`kron` and :func:`embed_operator` keep real
+real (the field operators a_k, I_k and N of every representation, the
+vacua and the initial states, the coupling Hamiltonians) and
+``complex128`` where exp(-i H t) adds a phase (propagators, evolved
+states and the two-atom densities). :func:`require_square`,
+:func:`kron`, :func:`embed_operator` and :class:`StateVector` keep real
 input real. A diagonal operator (I_k, N) is stored as its diagonal, a
 vector: :func:`kron` of vectors is the diagonal of the Kronecker product
 of their diagonal matrices, and :func:`embed_operator` places a diagonal
@@ -23,9 +25,9 @@ that its initial state occupies, named by their total excitation
 numbers (see :func:`ccrlab.dynamics.jc_hamiltonian`), so its largest
 matrices are the field operators, and its largest diagonalization is
 that sector block (see :func:`ccrlab.dynamics.evolve`), not the whole
-coupled space. The
-closed-form propagator takes no matrix function: it is one SVD of the
-coupling (see :func:`ccrlab.dynamics.closed_form_evolution`).
+coupled space. The closed-form propagator takes no matrix function: it
+is one SVD of the coupling (see
+:func:`ccrlab.dynamics.closed_form_evolution`).
 """
 
 from __future__ import annotations
@@ -128,15 +130,18 @@ class StateVector:
 
     ``amplitudes`` is one state of shape (dim,) or a (T, dim) stack whose
     row i is the state at t_i; ``dim`` is the factorization's either way.
-    The array is copied and marked read-only on construction, so
-    instances are safe to share across threads.
+    Real amplitudes are stored as ``float64``, complex ones as
+    ``complex128``, the rule of :func:`require_square`. The array is
+    copied and marked read-only on construction, so instances are safe to
+    share across threads.
     """
 
     amplitudes: np.ndarray
     factorization: HilbertFactorization
 
     def __post_init__(self) -> None:
-        amp = np.array(self.amplitudes, dtype=complex)
+        amp = self.amplitudes
+        amp = np.array(amp, dtype=complex if np.iscomplexobj(amp) else float)
         if amp.ndim not in (1, 2):
             raise ValidationError(
                 f"state amplitudes must have shape (dim,) or (T, dim), got {amp.shape}")

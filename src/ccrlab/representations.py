@@ -57,36 +57,40 @@ _COUPLED_CEILING = 1024
 
 @dataclass(frozen=True)
 class VacuumProfile:
-    """Vacuum amplitude O_k per wave-vector label, with Z_k = |O_k|^2.
+    """Vacuum probability Z_k per wave-vector label; the amplitude O_k is sqrt(Z_k).
 
-    The probabilities must sum to one; ``z_max`` (the largest Z_k) is the
-    renormalization constant of the reducible dynamics.
+    The probabilities are real, nonnegative and sum to one, else a
+    :class:`ValidationError`; they are stored as ``float64``. ``z_max``
+    (the largest Z_k) is the renormalization constant of the reducible
+    dynamics. No result reads a phase of O_k: a vacuum with phases
+    e^{i phi_k} is a unitary diagonal in the labels times the real one,
+    and that unitary commutes with every a_k, I_k and N.
     """
 
     labels: tuple[str, ...]
-    amplitudes: np.ndarray
+    probabilities: np.ndarray
 
     def __post_init__(self) -> None:
         labels = tuple(str(lab) for lab in self.labels)
-        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        if len(labels) != amps.size:
+        if np.iscomplexobj(self.probabilities):
+            raise ValidationError("profile probabilities must be real")
+        probs = np.array(self.probabilities, dtype=float).reshape(-1)
+        if len(labels) != probs.size:
             raise ValidationError(
-                f"profile has {len(labels)} labels but {amps.size} amplitudes"
+                f"profile has {len(labels)} labels but {probs.size} probabilities"
             )
         if len(set(labels)) != len(labels):
             raise ValidationError(f"profile labels must be unique, got {labels}")
-        total = float(np.sum(np.abs(amps) ** 2))
+        total = float(np.sum(probs))
         if not abs(total - 1.0) <= TOL_PROFILE:  # NaN fails too
             raise ValidationError(
                 f"profile probabilities must sum to 1, got {total!r}"
             )
-        amps.setflags(write=False)
+        if np.any(probs < 0):
+            raise ValidationError("profile probabilities must be nonnegative")
+        probs.setflags(write=False)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
+        object.__setattr__(self, "probabilities", probs)
 
     @property
     def z_max(self) -> float:
@@ -96,20 +100,12 @@ class VacuumProfile:
         return float(self.probabilities[self.labels.index(label)])
 
     @classmethod
-    def from_probabilities(cls, labels, probabilities) -> "VacuumProfile":
-        """Profile with the conventional real nonnegative O_k = sqrt(Z_k)."""
-        probs = np.asarray(probabilities, dtype=float)
-        if np.any(probs < 0):
-            raise ValidationError("probabilities must be nonnegative")
-        return cls(tuple(labels), np.sqrt(probs).astype(complex))
-
-    @classmethod
     def uniform(cls, n_modes: int) -> "VacuumProfile":
         """Flat profile Z_k = 1/n_modes over labels k1..k<n>."""
         if n_modes < 1:
             raise ValidationError("uniform profile needs at least one mode")
         labels = tuple(f"k{i + 1}" for i in range(n_modes))
-        return cls.from_probabilities(labels, np.full(n_modes, 1.0 / n_modes))
+        return cls(labels, np.full(n_modes, 1.0 / n_modes))
 
     @classmethod
     def plateau(
@@ -134,7 +130,7 @@ class VacuumProfile:
         dist = np.where(idx < lo, lo - idx, np.where(idx > hi, idx - hi, 0))
         weights = np.exp(-rate * dist.astype(float))
         labels = tuple(f"k{i + 1}" for i in range(n_modes))
-        return cls.from_probabilities(labels, weights / weights.sum())
+        return cls(labels, weights / weights.sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,11 +140,11 @@ class Representation:
     ``lowering[k]`` and ``central[k]`` act on the full field space whose
     tensor structure is ``factorization``; ``number_op`` is the total
     photon-number operator used for excitation bookkeeping. The builders
-    store these three as ``float64``, since all their matrix elements are
-    real in every basis here; the ``vacuum`` is ``complex128``. a_k is a
-    dense ``dim`` x ``dim`` matrix. ``central[k]`` and ``number_op`` are
-    diagonal in every builder's basis and are stored as their diagonals,
-    vectors of length ``dim``.
+    store these three and the ``vacuum`` (amplitudes sqrt(Z_k), see
+    :class:`VacuumProfile`) as ``float64``, since all their entries are
+    real in every basis here. a_k is a dense ``dim`` x ``dim`` matrix.
+    ``central[k]`` and ``number_op`` are diagonal in every builder's basis
+    and are stored as their diagonals, vectors of length ``dim``.
     ``below_cutoff_mask`` flags the basis states with one quantum of
     headroom everywhere (the subspace on which the commutation relations
     hold exactly despite truncation).
@@ -194,30 +190,6 @@ class CentralSpectrum:
     mode: str
     eigenvalues: np.ndarray
     projectors: tuple[np.ndarray, ...]
-
-
-@dataclass(frozen=True)
-class CcrReport:
-    """Measured deviations from the mode algebra, per operator pair.
-
-    ``commutator`` holds max |([a_m, a_n^dag] - delta_mn I_m) Q| with Q the
-    projector onto the below-cutoff subspace; ``centrality`` the unrestricted
-    commutators of I_k with every ladder operator; ``vacuum_annihilation``
-    the norms |a_k vacuum|.
-    """
-
-    commutator: dict[tuple[str, str], float]
-    centrality: dict[tuple[str, str], float]
-    vacuum_annihilation: dict[str, float]
-
-    @property
-    def max_deviation(self) -> float:
-        pools = (
-            list(self.commutator.values())
-            + list(self.centrality.values())
-            + list(self.vacuum_annihilation.values())
-        )
-        return max(pools) if pools else 0.0
 
 
 def build_infinity_two_mode(n_max: int) -> Representation:
@@ -269,7 +241,7 @@ def _occupation_representation(
                 a[index[lowered], col] = math.sqrt(tup[slot])
         lowering[label] = a
     identity = np.ones(dim)
-    vac = np.zeros(dim, dtype=complex)
+    vac = np.zeros(dim)
     vac[index[(0,) * len(basis[0])]] = 1.0
     mask = np.array([all(tup[:k] + (n + 1,) + tup[k + 1:] in index
                          for k, n in enumerate(tup)) for tup in basis])
@@ -373,7 +345,8 @@ def _single_oscillator_mode_ops(
     """One-oscillator building blocks on the |k, n> basis (k-major order).
 
     The lowering operators are matrices; the mode projectors and the
-    photon number are diagonals.
+    photon number are diagonals; the vacuum sum_k sqrt(Z_k) |k, 0> is a
+    real vector.
     """
     m = len(profile.labels)
     ladder_dim = n_max + 1
@@ -385,15 +358,9 @@ def _single_oscillator_mode_ops(
         pk[i] = 1.0
         lowering[label] = kron(np.diag(pk), a)
         projectors[label] = kron(pk, np.ones(ladder_dim))
-    vac = kron(profile.amplitudes, _ground_state(ladder_dim))
+    vac = kron(np.sqrt(profile.probabilities), np.eye(1, ladder_dim)[0])
     number = kron(np.ones(m), fock.number_operator(n_max))
     return lowering, projectors, vac, number
-
-
-def _ground_state(dim: int) -> np.ndarray:
-    e0 = np.zeros(dim, dtype=complex)
-    e0[0] = 1.0
-    return e0
 
 
 def fits_brute_force(n_oscillators: int, profile: VacuumProfile, n_max: int) -> bool:
@@ -416,7 +383,7 @@ def build_reducible(
     Each factor is a copy of the |k, n> space (wave-vector label times
     ladder level); the built mode operators are the collective
     ``(1/sqrt(N)) sum_n a_k^(n)`` and ``(1/N) sum_n I_k^(n)``, and the
-    vacuum is the N-fold tensor power of ``sum_k O_k |k, 0>``. Intended
+    vacuum is the N-fold tensor power of ``sum_k sqrt(Z_k) |k, 0>``. Intended
     for brute-force work at small N; a field dimension above
     :data:`BRUTE_FORCE_CEILING` raises :class:`SizeLimitError`, decided
     without expanding the power.
@@ -815,18 +782,15 @@ def joint_sector_sum(
 def mode_excitation_state(rep: Representation, mode: str, *more: str) -> StateVector:
     """Normalized single-quantum state (sum_k a_k^dag) |vacuum> over the given modes.
 
-    Each a_k^dag |vacuum> is taken as a_k^dag applied to the real and the
-    imaginary part of the vacuum separately. For a real a_k, a_k^dag is a
-    transposed view, while a real operator times a complex vector would
-    make numpy cast the whole operator to complex; so no field-sized copy
-    is formed. Only a raised state of norm 0 (at ``n_max = 0``, or where
-    the modes' vacuum amplitudes are 0) is refused: however small a
-    nonzero norm is, normalizing keeps the state's digits.
+    a_k and the vacuum are real in every builder, so each a_k^dag
+    |vacuum> is one real product with a transposed view of a_k, and the
+    state is ``float64``. Only a raised state of norm 0 (at ``n_max =
+    0``, or where the modes' vacuum probabilities are 0) is refused:
+    however small a nonzero norm is, normalizing keeps the state's digits.
     """
     modes = (mode, *more)
     vac = rep.vacuum.amplitudes
-    raised = sum(ad @ vac.real + 1j * (ad @ vac.imag) for ad in map(rep.raising, modes))
-    state = StateVector(raised, rep.factorization)
+    state = StateVector(sum(rep.raising(m) @ vac for m in modes), rep.factorization)
     if state.norm == 0.0:
         raise ValidationError(f"modes {modes} create nothing from the vacuum")
     return state.normalized()
@@ -864,36 +828,32 @@ def single_mode_cut(
     return entropy, math.sqrt(1.0 - p), math.sqrt(p)
 
 
-def ccr_check(rep: Representation) -> CcrReport:
+def ccr_check(rep: Representation) -> dict[tuple[str, ...], float]:
     """Measure how well the built operators satisfy the mode algebra.
 
-    Commutator deviations are evaluated with columns restricted to the
-    below-cutoff subspace, where truncation is invisible; centrality and
-    vacuum annihilation are unrestricted. Returns magnitudes only, never
-    raises.
+    Returns one deviation per key: ``("commutator", m, n)`` is
+    max |([a_m, a_n^dag] - delta_mn I_m) Q| with Q the projector onto the
+    below-cutoff subspace, where truncation is invisible;
+    ``("centrality", m, n)`` the unrestricted commutators of I_m with a_n
+    and a_n^dag; ``("vacuum", m)`` the norm |a_m vacuum|. Magnitudes only,
+    it never raises.
     """
-    commutator = {}
-    centrality = {}
-    vacuum = {}
+    deviations = {}
     for m_lab in rep.mode_labels:
         a_m = rep.lowering[m_lab]
-        vacuum[m_lab] = float(np.linalg.norm(a_m @ rep.vacuum.amplitudes))
+        deviations["vacuum", m_lab] = float(np.linalg.norm(a_m @ rep.vacuum.amplitudes))
         for n_lab in rep.mode_labels:
             ad_n = rep.raising(n_lab)
             comm = a_m @ ad_n - ad_n @ a_m
             if m_lab == n_lab:
                 comm[np.diag_indices(rep.dim)] -= rep.central[m_lab]
-            commutator[(m_lab, n_lab)] = float(
+            deviations["commutator", m_lab, n_lab] = float(
                 np.max(np.abs(comm[:, rep.below_cutoff_mask]), initial=0.0)
             )
         i_m = rep.central[m_lab]
         for n_lab in rep.mode_labels:
             # [I_m, x] has entries (d_i - d_j) x_ij for I_m = diag(d)
-            centrality[(m_lab, n_lab)] = max(
+            deviations["centrality", m_lab, n_lab] = max(
                 float(np.max(np.abs(i_m[:, None] * x - x * i_m)))
                 for x in (rep.lowering[n_lab], rep.raising(n_lab)))
-    return CcrReport(
-        commutator=commutator,
-        centrality=centrality,
-        vacuum_annihilation=vacuum,
-    )
+    return deviations

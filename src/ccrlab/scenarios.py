@@ -202,7 +202,9 @@ class ScenarioConfig:
         return cls(**kwargs)
 
     @classmethod
-    def from_file(cls, path) -> "ScenarioConfig":
+    def from_file(cls, path, scenario: str | None = None) -> "ScenarioConfig":
+        """The config in the JSON file ``path``; ``scenario``, if given, replaces
+        the file's ``scenario`` key or stands in for a missing one."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
@@ -213,7 +215,7 @@ class ScenarioConfig:
             raise ConfigError(f"cannot read config file {path}: {reason}") from None
         if not isinstance(data, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
-        return cls.from_dict(data)
+        return cls.from_dict({**data, "scenario": scenario} if scenario else data)
 
     def to_dict(self) -> dict:
         out = {f.name: copy.deepcopy(getattr(self, f.name)) for f in fields(self) if f.init}
@@ -371,14 +373,19 @@ def _provenance(config_echo: dict) -> dict:
 
 
 def _index_pair(value, key: str) -> tuple[int, int]:
-    pair = _coerce(_tuple_of(_integer), value, f"profile.{key}")
+    pair = _coerce(_tuple_of(_integer), value, key)
     if len(pair) != 2:
-        raise ConfigError(f"profile key {key!r} needs two indices, got {value!r}")
+        raise ConfigError(f"config key {key!r} needs two indices, got {value!r}")
     return pair
 
 
 def profile_from_spec(spec: dict) -> tuple[reps.VacuumProfile, tuple[str, str]]:
-    """Build a vacuum profile and pick the two coupled mode labels."""
+    """Build a vacuum profile and pick the two coupled mode labels.
+
+    A value the profile cannot take is a :class:`ConfigError` naming its
+    config key: ``profile.modes``, ``profile.window``, ``profile.rate`` or
+    ``profile.selected``, raised before any profile array is built.
+    """
     if not isinstance(spec, dict):
         raise ConfigError(f"profile spec must be a mapping, got {type(spec).__name__}")
     known = {"kind", "modes", "window", "rate", "selected"}
@@ -386,27 +393,31 @@ def profile_from_spec(spec: dict) -> tuple[reps.VacuumProfile, tuple[str, str]]:
         if key not in known:
             raise ConfigError(f"unknown profile key {key!r}; known: {sorted(known)}")
     kind = spec.get("kind", "uniform")
+    if kind not in ("uniform", "plateau"):
+        raise ConfigError(f"unknown profile kind {kind!r} (uniform | plateau)")
     modes = _coerce(_integer, spec.get("modes", 2), "profile.modes")
-    if modes > MAX_PROFILE_MODES:
-        raise ConfigError(f"config key 'profile.modes' is {modes}, above the "
-                          f"supported {MAX_PROFILE_MODES}")
+    if not 1 <= modes <= MAX_PROFILE_MODES:
+        raise ConfigError(f"config key 'profile.modes' is {modes}, outside the "
+                          f"supported 1..{MAX_PROFILE_MODES}")
+    selected = _index_pair(spec.get("selected", (0, 1)), "profile.selected")
+    if not all(0 <= i < modes for i in selected):
+        raise ConfigError(f"config key 'profile.selected' is {list(selected)}, out of "
+                          f"range for {modes} modes")
+    if selected[0] == selected[1]:
+        raise ConfigError(f"config key 'profile.selected' repeats a mode: {list(selected)}")
     if kind == "uniform":
         profile = reps.VacuumProfile.uniform(modes)
-    elif kind == "plateau":
-        window = _index_pair(spec.get("window", (0, min(1, modes - 1))), "window")
-        rate = _coerce(float, spec.get("rate", 1.0), "profile.rate")
-        profile = reps.VacuumProfile.plateau(modes, window, rate)
     else:
-        raise ConfigError(f"unknown profile kind {kind!r} (uniform | plateau)")
-    selected = _index_pair(spec.get("selected", (0, 1)), "selected")
-    if not all(0 <= i < modes for i in selected):
-        raise ConfigError(
-            f"selected mode indices {selected} out of range for {modes} modes"
-        )
-    labels = tuple(profile.labels[i] for i in selected)
-    if labels[0] == labels[1]:
-        raise ConfigError("the two selected modes must differ")
-    return profile, labels
+        window = _index_pair(spec.get("window", (0, min(1, modes - 1))), "profile.window")
+        if not 0 <= window[0] <= window[1] < modes:
+            raise ConfigError(f"config key 'profile.window' is {list(window)}, out of "
+                              f"range for {modes} modes (need 0 <= lo <= hi < modes)")
+        rate = _coerce(float, spec.get("rate", 1.0), "profile.rate")
+        if not (math.isfinite(rate) and rate >= 0):
+            raise ConfigError(f"rolloff rate must be finite and >= 0, got {rate} "
+                              "(config key 'profile.rate')")
+        profile = reps.VacuumProfile.plateau(modes, window, rate)
+    return profile, tuple(profile.labels[i] for i in selected)
 
 
 def simulated_atomic_density(
@@ -513,7 +524,7 @@ def _scenario_infinity(cfg: ScenarioConfig) -> ScenarioReport:
     a_single = fock.annihilation(cfg.n_max)
     half = _half_pi_index(cfg.times, "concurrence_at_half_pi", skipped)
     propagators = expm_generator(h, cfg.times)
-    local_propagators = dyn.closed_form_evolution(1j * a_single, cfg.times)
+    local_propagators = dyn.closed_form_evolution(a_single, cfg.times)
     locality = np.array([np.max(np.abs(u - matricize(
         kron(u_local, u_local), (2, m, 2, m) * 2, (0, 2, 1, 3), (4, 6, 5, 7))))
         for u, u_local in zip(propagators, local_propagators)])
@@ -608,7 +619,7 @@ def _scenario_berezin(cfg: ScenarioConfig) -> ScenarioReport:
         detail="irreducible representations share the same atomic dynamics",
     ))
     if half is not None:
-        bell = np.zeros(4, dtype=complex)
+        bell = np.zeros(4)
         bell[dyn.IDX_PM] = 1.0 / math.sqrt(2.0)
         bell[dyn.IDX_MP] = 1.0 / math.sqrt(2.0)
         target = kron(bell, rep_b.vacuum.amplitudes)
@@ -913,7 +924,7 @@ def invariants(rng: random.Random):
         "reducible": reps.build_reducible(2, profile, 1),
     }
     for kind, rep in built.items():
-        yield f"ccr_{kind}", reps.ccr_check(rep).max_deviation, 1e-12
+        yield f"ccr_{kind}", reps.ccr_check(rep), 1e-12
         pairs = [(rep.mode_labels[0], 0), (rep.mode_labels[1], 1)]
         h = dyn.jc_hamiltonian(rep, pairs)
         n_exc = dyn.excitation_numbers(rep)

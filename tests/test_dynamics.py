@@ -6,7 +6,7 @@ import pytest
 
 from ccrlab import dynamics as dyn
 from ccrlab import entanglement as ent
-from ccrlab import fock
+from ccrlab import fock, linalg
 from ccrlab import representations as reps
 from ccrlab.exceptions import ConfigError, DomainError, ValidationError
 from ccrlab.linalg import (
@@ -25,7 +25,7 @@ from ccrlab.representations import (
     log_binomial_weights,
     log_joint_weights,
 )
-from ccrlab.scenarios import simulated_atomic_density
+from ccrlab.scenarios import DEFAULT_TIMES, simulated_atomic_density
 
 TIME_GRID = (0.0, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2)
 
@@ -193,7 +193,7 @@ class TestJcHamiltonian:
         m = n_max + 1
         a = fock.annihilation(n_max)
         for t in (0.3, math.pi / 2):
-            u_local = dyn.closed_form_evolution(1j * a, t)
+            u_local = dyn.closed_form_evolution(a, t)
             u_product = matricize(
                 kron(u_local, u_local), (2, m, 2, m) * 2, (0, 2, 1, 3), (4, 6, 5, 7)
             )
@@ -217,13 +217,13 @@ class TestJcHamiltonian:
 
 
 def kron_jc_hamiltonian(rep, pairs):
-    """sum over pairs of kron(R^dag, i a_k) + kron(R, -i a_k^dag) on the full space."""
-    eye = np.eye(2, dtype=complex)
-    h = np.zeros((4 * rep.dim,) * 2, dtype=complex)
+    """sum over pairs of kron(R, a_k)^T + kron(R, a_k) on the full space, real."""
+    eye = np.eye(2)
+    h = np.zeros((4 * rep.dim,) * 2)
     for mode, atom in pairs:
         a_k = rep.lowering[mode]
         r = kron(dyn.ATOM_LOWERING, eye) if atom == 0 else kron(eye, dyn.ATOM_LOWERING)
-        h += kron(r.conj().T, 1j * a_k) + kron(r, -1j * a_k.conj().T)
+        h += kron(r.T, a_k) + kron(r, a_k.T)
     return h
 
 
@@ -250,7 +250,7 @@ class TestJcHamiltonianBlocks:
             [],
         ):
             h = dyn.jc_hamiltonian(rep, pairs)
-            assert h.dtype == np.complex128
+            assert h.dtype == np.float64
             assert np.array_equal(h, kron_jc_hamiltonian(rep, pairs))
 
 
@@ -276,7 +276,8 @@ class TestEvolve:
         psi = dyn.evolve(rep, pairs, psi0, math.pi / 2)
         bell = np.zeros(4, dtype=complex)
         bell[dyn.IDX_PM] = bell[dyn.IDX_MP] = 1.0 / math.sqrt(2.0)
-        target = np.kron(bell, rep.vacuum.amplitudes)
+        # the real coupling R^dag (x) a + h.c. reaches the Bell state with phase -i
+        target = -1j * np.kron(bell, rep.vacuum.amplitudes)
         assert np.max(np.abs(psi.amplitudes - target)) <= 1e-10
 
     def test_excitation_expectation_constant(self):
@@ -437,7 +438,7 @@ class TestSectorHamiltonian:
             block = dyn.jc_hamiltonian(rep, pairs, excitations)
             kept = np.ones(exc.size, dtype=bool) if excitations is None else np.isin(
                 exc, excitations)
-            assert block.dtype == np.complex128
+            assert block.dtype == np.float64
             assert np.array_equal(block, full[np.ix_(kept, kept)])
 
     @pytest.mark.parametrize("kind,n,profile", SECTOR_CASES)
@@ -476,6 +477,52 @@ class TestSectorHamiltonian:
         finally:
             tracemalloc.stop()
         assert peak < field_bytes
+
+
+def i_coupling_atoms(rep, times, modes):
+    """Atoms' density under the coupling i a_k: H = sum kron(R^dag, i a_k) + h.c.
+
+    Built on the full coupled space and propagated by ``expm_generator``,
+    independently of ``jc_hamiltonian`` and ``evolve``.
+    """
+    eye = np.eye(2)
+    h = np.zeros((4 * rep.dim,) * 2, dtype=complex)
+    for mode, atom in coupling_pairs(modes):
+        a_k = rep.lowering[mode]
+        r = kron(dyn.ATOM_LOWERING, eye) if atom == 0 else kron(eye, dyn.ATOM_LOWERING)
+        h += kron(r.T, 1j * a_k) + kron(r, -1j * a_k.T)
+    psi0 = dyn.single_photon_initial_state(rep, modes)
+    states = expm_generator(effective_generator(rep, h), times) @ psi0.amplitudes
+    return ent.partial_trace(StateVector(states, psi0.factorization),
+                             ent.Bipartition(("atom1", "atom2")))
+
+
+class TestRealCoupling:
+    """H = sum_k R_k^dag (x) a_k + h.c. is real; the atoms do not see its phase."""
+
+    @pytest.mark.parametrize("kind,n,profile", [
+        ("infinity", 2, "uniform"), ("berezin", 2, "uniform"), ("reducible", 2, "plateau"),
+    ])
+    def test_atom_density_is_gauge_invariant(self, kind, n, profile):
+        rep, modes, _, _ = coupled_setup(kind, n, profile)
+        simulated = simulated_atomic_density(rep, DEFAULT_TIMES, modes)
+        assert np.max(np.abs(simulated - i_coupling_atoms(rep, DEFAULT_TIMES, modes))) <= 1e-14
+
+    @pytest.mark.parametrize("kind", ["infinity", "berezin", "reducible"])
+    def test_evolve_diagonalizes_a_float64_matrix(self, kind, monkeypatch):
+        rep, modes, _, psi0 = coupled_setup(kind, 2, "plateau")
+        seen = []
+        eig = linalg.hermitian_eig
+
+        def spy(m):
+            seen.append(np.asarray(m).dtype)
+            return eig(m)
+
+        monkeypatch.setattr(linalg, "hermitian_eig", spy)
+        assert psi0.amplitudes.dtype == np.float64
+        psi = dyn.evolve(rep, coupling_pairs(modes), psi0, DEFAULT_TIMES)
+        assert seen == [np.float64]
+        assert psi.amplitudes.dtype == np.complex128
 
 
 class TestIrreducibleDensity:
@@ -896,7 +943,7 @@ class TestLimitDensity:
 
 class TestNormalizationConstant:
     def test_matches_explicit_normalization(self):
-        prof = VacuumProfile.from_probabilities(("k1", "k2", "k3"), (0.3, 0.1, 0.6))
+        prof = VacuumProfile(("k1", "k2", "k3"), (0.3, 0.1, 0.6))
         rep = build_reducible(2, prof, n_max=1, selected_modes=["k1", "k2"])
         raw = (
             (rep.raising("k1") + rep.raising("k2")) @ rep.vacuum.amplitudes

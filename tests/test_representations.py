@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import time
@@ -25,6 +26,7 @@ from ccrlab.representations import (
     mode_excitation_state,
     occupation_basis,
 )
+from ccrlab.scenarios import _check
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -52,16 +54,26 @@ class TestVacuumProfile:
 
     def test_nan_probability_rejected(self):
         with pytest.raises(ValidationError, match="sum to 1"):
-            VacuumProfile.from_probabilities(("a", "b"), (math.nan, 0.5))
+            VacuumProfile(("a", "b"), (math.nan, 0.5))
+
+    @pytest.mark.parametrize("probabilities, message", [
+        ((0.5 + 0j, 0.5), "real"),
+        ((0.5, 0.5j), "real"),
+        ((-0.5, 1.5), "nonnegative"),
+        ((math.nan, 1.0), "sum to 1"),
+    ], ids=["complex", "imaginary", "negative", "nan"])
+    def test_refuses_complex_negative_or_nan_probabilities(self, probabilities, message):
+        with pytest.raises(ValidationError, match=message):
+            VacuumProfile(("a", "b"), probabilities)
 
     @pytest.mark.parametrize("rate", [math.nan, math.inf, -0.5])
     def test_plateau_rejects_non_finite_or_negative_rate(self, rate):
         with pytest.raises(ValidationError, match="rolloff rate"):
             VacuumProfile.plateau(3, rate=rate)
 
-    def test_from_probabilities_defaults_to_real_amplitudes(self):
-        prof = VacuumProfile.from_probabilities(("a", "b"), (0.25, 0.75))
-        assert np.allclose(prof.amplitudes.imag, 0.0)
+    def test_stores_the_given_probabilities_as_float64(self):
+        prof = VacuumProfile(("a", "b"), (0.25, 0.75))
+        assert prof.probabilities.dtype == np.float64
         assert prof.probability("b") == pytest.approx(0.75)
 
 
@@ -273,7 +285,7 @@ def assert_fields_equal(rep, want):
 
 class TestRealFieldOperators:
     """a_k, I_k and N have real matrix elements in every builder's basis, so
-    they are stored as float64; the vacuum stays complex128."""
+    they are stored as float64, and so is the vacuum, of amplitudes sqrt(Z_k)."""
 
     @pytest.mark.parametrize("build", [
         lambda: build_infinity_two_mode(3),
@@ -286,7 +298,7 @@ class TestRealFieldOperators:
             assert rep.lowering[label].dtype == np.float64
             assert rep.central[label].dtype == np.float64
         assert rep.number_op.dtype == np.float64
-        assert rep.vacuum.amplitudes.dtype == np.complex128
+        assert rep.vacuum.amplitudes.dtype == np.float64
 
     @pytest.mark.parametrize("build", [
         lambda: build_infinity_two_mode(3),
@@ -337,7 +349,7 @@ class TestReducibleRepresentation:
         assert np.array_equal(np.unique(rep.central["k1"]), [0.0, 0.5, 1.0])
 
     def test_vacuum_mode_norm_equals_probability(self):
-        prof = VacuumProfile.from_probabilities(("k1", "k2"), (0.3, 0.7))
+        prof = VacuumProfile(("k1", "k2"), (0.3, 0.7))
         rep = build_reducible(3, prof, n_max=1)
         vac = rep.vacuum.amplitudes
         for label, z in (("k1", 0.3), ("k2", 0.7)):
@@ -371,7 +383,7 @@ class TestReducibleRepresentation:
             build_reducible(1, VacuumProfile.uniform(2), 1, ["k1", "k1"])
 
     def test_mode_excitation_state_normalized(self):
-        prof = VacuumProfile.from_probabilities(("k1", "k2"), (0.2, 0.8))
+        prof = VacuumProfile(("k1", "k2"), (0.2, 0.8))
         rep = build_reducible(2, prof, n_max=1)
         psi = mode_excitation_state(rep, "k1")
         assert psi.norm == pytest.approx(1.0, abs=1e-14)
@@ -528,7 +540,7 @@ class TestCentralSpectrum:
                 assert np.max(np.abs(p_s * p_sp - expected)) <= 1e-10
 
     def test_reconstructs_central_element(self):
-        prof = VacuumProfile.from_probabilities(("k1", "k2"), (0.4, 0.6))
+        prof = VacuumProfile(("k1", "k2"), (0.4, 0.6))
         rep = build_reducible(3, prof, n_max=1)
         spec = central_spectral_projectors(rep, "k2")
         recon = sum(float(e) * p for e, p in zip(spec.eigenvalues, spec.projectors))
@@ -947,17 +959,25 @@ class TestJointSectorSum:
 class TestCcrCheck:
     def test_infinity_exact_below_truncation(self):
         report = ccr_check(build_infinity_two_mode(1))
-        assert report.max_deviation <= 1e-12
+        assert max(report.values()) <= 1e-12
 
     def test_berezin_below_cutoff(self):
         report = ccr_check(build_berezin(2, 2))
-        assert report.max_deviation <= 1e-12
+        assert max(report.values()) <= 1e-12
 
     def test_reducible_collective_algebra(self):
         prof = VacuumProfile.uniform(2)
         report = ccr_check(build_reducible(2, prof, n_max=1))
-        assert report.max_deviation <= 1e-12
-        # the restricted commutator defect for the diagonal pair is reported
-        assert report.commutator[("k1", "k1")] <= 1e-12
-        assert report.centrality[("k1", "k2")] <= 1e-12
-        assert report.vacuum_annihilation["k2"] <= 1e-12
+        assert max(report.values()) <= 1e-12
+        # one deviation per commutator and centrality pair and per mode's vacuum
+        kinds = [("commutator", m, n) for m in ("k1", "k2") for n in ("k1", "k2")]
+        kinds += [("centrality", m, n) for m in ("k1", "k2") for n in ("k1", "k2")]
+        assert sorted(report) == sorted(kinds + [("vacuum", "k1"), ("vacuum", "k2")])
+
+    def test_scaled_lowering_operator_fails_and_names_a_commutator_pair(self):
+        rep = build_reducible(2, VacuumProfile.uniform(2), n_max=1)
+        scaled = dataclasses.replace(
+            rep, lowering={**rep.lowering, "k1": rep.lowering["k1"] * (1 + 1e-6)})
+        check = _check("ccr_reducible", ccr_check(scaled), 1e-12)
+        assert not check.passed and check.measured > 1e-7
+        assert check.detail == "largest at ('commutator', 'k1', 'k1')"

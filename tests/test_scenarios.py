@@ -806,6 +806,52 @@ class TestCli:
         config = json.loads((tmp_path / "berezin.json").read_text())["provenance"]["config"]
         assert config["scenario"] == "berezin" and config["times"] == [0.0, 0.5]
 
+    def test_scenario_flag_parses_the_profile_once(self, tmp_path, monkeypatch):
+        calls = []
+        parse = profile_from_spec
+
+        def counting(spec):
+            calls.append(spec)
+            return parse(spec)
+
+        monkeypatch.setattr("ccrlab.scenarios.profile_from_spec", counting)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": "infinity", "times": [0.0]}))
+        assert cli.main(["run", "--scenario", "single-mode", "--config", str(cfg),
+                         "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+
+    def test_scenario_flag_names_the_scenario_of_a_keyless_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"times": [0.0, 0.5]}))
+        assert cli.main(["run", "--scenario", "infinity", "--config", str(cfg),
+                         "--out", str(tmp_path)]) == 0
+        config = json.loads((tmp_path / "infinity.json").read_text())["provenance"]["config"]
+        assert config["scenario"] == "infinity" and config["times"] == [0.0, 0.5]
+
+    @pytest.mark.parametrize("profile, key", [
+        ({"modes": 0}, "'profile.modes'"),
+        ({"kind": "plateau", "modes": 3, "window": [0, 5]}, "'profile.window'"),
+        ({"kind": "plateau", "modes": 3, "window": [2, 1]}, "'profile.window'"),
+        ({"kind": "plateau", "modes": 3, "rate": "inf"}, "'profile.rate'"),
+        ({"kind": "plateau", "modes": 3, "rate": -1}, "'profile.rate'"),
+        ({"modes": 3, "selected": [0, 3]}, "'profile.selected'"),
+        ({"modes": 3, "selected": [1, 1]}, "'profile.selected'"),
+        ({"kind": "plateau", "modes": 10**6, "selected": [0, 0]}, "'profile.selected'"),
+    ])
+    def test_profile_refusal_names_its_config_key(self, tmp_path, capsys, monkeypatch,
+                                                  profile, key):
+        def unreachable(*args):
+            raise AssertionError("a profile was built for a refused config")
+
+        monkeypatch.setattr(reps, "VacuumProfile", unreachable)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"scenario": "reducible-brute", "profile": profile}))
+        code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2 and key in err, err
+        assert not (tmp_path / "out").exists()
+
     def test_seed_is_not_a_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scenario": "infinity", "seed": 2}))
