@@ -12,6 +12,9 @@ pure state or a (T, dim) stack of them: a
 :class:`~ccrlab.linalg.StateVector` carrying its factorization, regrouped
 across the cut by :func:`~ccrlab.linalg.matricize`. A stack is reduced
 in one batched call, each member's result the bits of the one-state call.
+An operator's Schmidt spectrum is the Schmidt spectrum of its
+vectorization, a state on the factorization joined with a primed copy of
+itself, so states and operators share the one cut routine.
 """
 
 from __future__ import annotations
@@ -102,24 +105,24 @@ def operator_schmidt_coefficients(
 ) -> np.ndarray:
     """Schmidt spectrum of an operator across a factor bipartition.
 
-    The operator is vectorized per factor group and decomposed by SVD; the
-    returned coefficients are normalized to unit Euclidean length, so a
-    single nonzero entry certifies ``op = op_keep (x) op_rest``.
+    This is the Schmidt spectrum of the operator's vectorization: its
+    entries, read as a state on ``fact`` joined with a primed copy of
+    ``fact`` (one primed factor per column index), are cut between the
+    kept factors with their primed copies and the rest, by
+    :func:`schmidt_coefficients`. The coefficients are normalized to unit
+    Euclidean length, so a single nonzero entry certifies
+    ``op = op_keep (x) op_rest``.
     """
     arr = require_square(op, "operator")
     if arr.shape[0] != fact.dim:
-        raise ValidationError(
-            f"operator dimension {arr.shape[0]} does not match factorization "
-            f"dimension {fact.dim}"
-        )
-    n = len(fact.dims)
-    keep_axes, drop_axes = bipartition.axes(fact)
-    mat = matricize(
-        arr, fact.dims + fact.dims,
-        keep_axes + tuple(n + i for i in keep_axes),
-        drop_axes + tuple(n + i for i in drop_axes),
-    )
-    sv = np.linalg.svd(mat, compute_uv=False)
+        raise ValidationError(f"operator dimension {arr.shape[0]} does not match "
+                              f"factorization dimension {fact.dim}")
+    # longer than every label, so no primed label is also an unprimed one
+    prime = "'" * (1 + max(map(len, fact.labels), default=0))
+    primed = HilbertFactorization(tuple((lab + prime, d) for lab, d in fact.factors))
+    sv = schmidt_coefficients(
+        StateVector(arr.reshape(-1), fact.joined_with(primed)),
+        Bipartition(bipartition.keep + tuple(lab + prime for lab in bipartition.keep)))
     total = float(np.linalg.norm(sv))
     if total == 0.0:
         raise ValidationError("operator Schmidt spectrum of the zero operator")
@@ -129,13 +132,11 @@ def operator_schmidt_coefficients(
 def _density_array(rho) -> np.ndarray:
     """One matrix, or a (..., n, n) stack of them, as a finite complex array."""
     arr = np.asarray(rho, dtype=complex)
-    if arr.ndim <= 2:
-        return require_square(arr, "density matrix")
-    if arr.shape[-1] != arr.shape[-2]:
-        raise ValidationError(f"density matrix stack must hold square matrices, "
-                              f"got shape {arr.shape}")
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
+        raise ValidationError(f"density matrix must be square or a stack of square "
+                              f"matrices, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise ValidationError("density matrix stack contains non-finite entries")
+        raise ValidationError("density matrix contains non-finite entries")
     return arr
 
 
@@ -174,9 +175,10 @@ def von_neumann_entropy(rho) -> float | np.ndarray:
 def concurrence(rho) -> float | np.ndarray:
     """Wootters two-qubit concurrence of a 4x4 density matrix, in [0, 1].
 
-    With rho factored as L L^dag over its genuine eigenvalues, the
-    Wootters lambdas are the singular values of L^T (sy (x) sy) L. The
-    SVD resolves near-zero lambdas to machine precision, where routes
+    With rho factored as L L^dag, the Wootters lambdas are the singular
+    values of L^T (sy (x) sy) L. L's columns at eigenvalues at or below
+    1e-12 are zero, so one batched 4x4 SVD serves members of every rank.
+    The SVD resolves near-zero lambdas to machine precision, where routes
     through sqrt(rho) or the spectrum of rho rho~ lose half the digits.
     One matrix gives a ``float``; a (..., 4, 4) stack gives an array over
     its leading axes, and each check applies to every member.
@@ -191,23 +193,17 @@ def concurrence(rho) -> float | np.ndarray:
     tr = np.trace(m, axis1=-2, axis2=-1)
     if np.any(np.abs(tr - 1.0) > 1e-8):
         raise ValidationError(f"concurrence input trace is {tr!r}")
-    w, v = np.linalg.eigh(((m + m_dag) / 2.0).reshape(-1, 4, 4))
+    w, v = np.linalg.eigh((m + m_dag) / 2.0)
     lowest = np.min(w, initial=0.0)
     if lowest < -EIG_CLAMP:
         raise ValidationError(
             f"concurrence input has negative eigenvalue {lowest:.3e}"
         )
-    # numerical-zero weights contribute no lambda; eigh sorts ascending, so
-    # a rank-k member keeps its last k eigenpairs
-    rank = np.count_nonzero(w > 1e-12, axis=-1)
-    lam = np.zeros(w.shape)
-    for k in set(rank.tolist()):
-        sel = rank == k
-        factor = v[sel, :, 4 - k:] * np.sqrt(w[sel, None, 4 - k:])
-        sym = factor.swapaxes(-1, -2) @ _SIGMA_Y_PAIR @ factor
-        lam[sel, :k] = np.linalg.svd(sym, compute_uv=False)
-    c = np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
-    return _float_or_array(c.reshape(m.shape[:-2]))
+    factor = v * np.sqrt(np.where(w > 1e-12, w, 0.0))[..., None, :]
+    sym = factor.swapaxes(-1, -2) @ _SIGMA_Y_PAIR @ factor
+    lam = np.linalg.svd(sym, compute_uv=False)
+    c = np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+    return _float_or_array(c)
 
 
 def trace_distance(rho, sigma) -> float | np.ndarray:

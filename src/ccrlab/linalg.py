@@ -266,9 +266,10 @@ def matricize(array, dims: Sequence[int], rows: Sequence[int],
     ``array`` is reshaped to ``dims``; the axes ``rows`` (in that order)
     form the row index and the axes ``cols`` the column index. Every cut
     in the package is this one call: a state's Schmidt matrix, a pure
-    state's partial trace, an operator's Schmidt matrix (give each factor's
-    row and column axes on the same side) and a factor reordering of an
-    operator (give the reordered row axes, then the reordered column axes).
+    state's partial trace, an operator's Schmidt matrix (the state cut of
+    its vectorization, which puts each factor's row and column axes on the
+    same side) and a factor reordering of an operator (give the reordered
+    row axes, then the reordered column axes).
     """
     axes = tuple(rows) + tuple(cols)
     if sorted(axes) != list(range(len(dims))):

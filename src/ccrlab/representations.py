@@ -444,11 +444,8 @@ def build_reducible(
     fact = HilbertFactorization(
         tuple((f"osc{i + 1}", factor_dim) for i in range(n_osc))
     )
-    photon_level = np.arange(factor_dim) % (n_max + 1)
-    factor_mask = photon_level <= n_max - 1
-    mask = np.array([True])
-    for _ in range(n_osc):
-        mask = np.kron(mask, factor_mask)
+    # each factor index modulo n_max + 1 is that oscillator's photon level
+    levels = np.indices(fact.dims).reshape(n_osc, -1) % (n_max + 1)
     return Representation(
         kind="reducible",
         mode_labels=tuple(labels),
@@ -457,7 +454,7 @@ def build_reducible(
         vacuum=StateVector(vac, fact),
         factorization=fact,
         number_op=number,
-        below_cutoff_mask=mask.astype(bool),
+        below_cutoff_mask=np.all(levels < n_max, axis=0),
         n_max=n_max,
         n_oscillators=n_osc,
         profile=profile,

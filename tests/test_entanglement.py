@@ -337,6 +337,60 @@ class TestConcurrence:
             concurrence(bad)
 
 
+def bell_diagonal(weights):
+    """sum_j w_j |B_j><B_j| over the Bell basis Phi+, Phi-, Psi+, Psi-."""
+    r = 1.0 / math.sqrt(2.0)
+    bell = np.array([[r, 0, 0, r], [r, 0, 0, -r], [0, r, r, 0], [0, r, -r, 0]])
+    return np.einsum("j,ja,jb->ab", np.asarray(weights, dtype=float), bell, bell)
+
+
+class TestConcurrenceRanks:
+    """One batched call serves members of every rank from 1 to 4."""
+
+    # Werner states p |Phi+><Phi+| + (1 - p) I/4: rank 1 at p = 1, else 4
+    WERNER_P = (1.0, 0.9, 0.6, 1.0 / 3.0, 0.2, 0.0)
+    # Bell-diagonal states of rank 2 and 3; concurrence max(0, 2 w_max - 1)
+    BELL_WEIGHTS = ((0.8, 0.2, 0.0, 0.0), (0.5, 0.5, 0.0, 0.0), (0.0, 0.0, 0.3, 0.7),
+                    (0.7, 0.2, 0.1, 0.0), (0.4, 0.3, 0.3, 0.0))
+
+    def stack(self):
+        werner = [bell_diagonal((p + (1.0 - p) / 4,) + ((1.0 - p) / 4,) * 3)
+                  for p in self.WERNER_P]
+        return np.array(werner + [bell_diagonal(w) for w in self.BELL_WEIGHTS])
+
+    def test_stack_holds_every_rank(self):
+        ranks = {int(np.sum(np.linalg.eigvalsh(m) > 1e-12)) for m in self.stack()}
+        assert ranks == {1, 2, 3, 4}
+
+    def test_matches_closed_forms(self):
+        values = concurrence(self.stack())
+        want = [max(0.0, (3.0 * p - 1.0) / 2.0) for p in self.WERNER_P]
+        want += [max(0.0, 2.0 * max(w) - 1.0) for w in self.BELL_WEIGHTS]
+        assert np.allclose(values, want, rtol=0.0, atol=1e-12)
+
+    def test_stack_gives_the_bits_of_per_matrix_calls(self):
+        stack = self.stack()
+        assert np.array_equal(concurrence(stack), [concurrence(m) for m in stack])
+
+
+class TestDensityShapes:
+    """Every measure checks one matrix and a stack by one rule."""
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    @pytest.mark.parametrize("bad", [np.full(4, 0.25), np.zeros((3, 4, 2)), np.array(0.5)])
+    def test_refuses_non_square_input(self, measure, bad):
+        with pytest.raises(ValidationError, match="square"):
+            MEASURES[measure](bad, bad)
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 4, 4)])
+    def test_refuses_non_finite_entries(self, measure, shape):
+        bad = np.full(shape, 0.25)
+        bad[..., 1, 2] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            MEASURES[measure](bad, bad)
+
+
 class TestTraceDistance:
     def test_identical_states(self):
         rho = dyn.rho_atoms_irreducible(0.3)
@@ -414,3 +468,43 @@ class TestOperatorSchmidt:
             u_perm, fact, Bipartition(("atom1", "mode1"))
         )
         assert sv[1] <= 1e-12
+
+
+def operator_schmidt_oracle(op, fact, keep):
+    """Each factor's row and column axes regrouped on one side, then an SVD."""
+    n = len(fact.dims)
+    keep_axes = tuple(sorted(fact.index(lab) for lab in keep))
+    drop_axes = tuple(i for i in range(n) if i not in keep_axes)
+    mat = matricize(op, fact.dims + fact.dims,
+                    keep_axes + tuple(n + i for i in keep_axes),
+                    drop_axes + tuple(n + i for i in drop_axes))
+    sv = np.linalg.svd(mat, compute_uv=False)
+    return sv / float(np.linalg.norm(sv))
+
+
+class TestOperatorSchmidtAsStateCut:
+    """The operator spectrum is the Schmidt spectrum of its vectorization."""
+
+    FACT = HilbertFactorization((("a", 2), ("b", 3), ("c", 2)))
+
+    @pytest.mark.parametrize("keep", [("a",), ("b",), ("a", "c"), ("c", "a"), ("b", "c")])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_bits_of_the_matricized_svd(self, kind, keep):
+        rng = np.random.default_rng(113)
+        op = rng.normal(size=(12, 12))
+        if kind == "complex":
+            op = op + 1j * rng.normal(size=(12, 12))
+        got = operator_schmidt_coefficients(op, self.FACT, Bipartition(keep))
+        assert np.array_equal(got, operator_schmidt_oracle(op, self.FACT, keep))
+
+    def test_primed_labels_do_not_collide(self):
+        fact = HilbertFactorization((("a", 2), ("a'", 3)))
+        op = np.random.default_rng(127).normal(size=(6, 6))
+        got = operator_schmidt_coefficients(op, fact, Bipartition(("a'",)))
+        assert np.array_equal(got, operator_schmidt_oracle(op, fact, ("a'",)))
+
+    @pytest.mark.parametrize("op", [np.zeros((2, 8)), np.zeros(16), np.zeros((8, 8))])
+    def test_refuses_an_operator_off_the_factorization(self, op):
+        fact = HilbertFactorization((("a", 2), ("b", 2)))
+        with pytest.raises(ValidationError):
+            operator_schmidt_coefficients(op, fact, Bipartition(("a",)))

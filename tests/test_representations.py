@@ -348,6 +348,18 @@ class TestReducibleRepresentation:
         rep = build_reducible(2, prof, n_max=1)
         assert np.array_equal(np.unique(rep.central["k1"]), [0.0, 0.5, 1.0])
 
+    @pytest.mark.parametrize("n_osc, modes, n_max", [
+        case for case in itertools.product([1, 2, 3, 4], [2, 3], [0, 1, 2])
+        if representations.fits_brute_force(case[0], VacuumProfile.uniform(case[1]), case[2])])
+    def test_below_cutoff_mask_is_the_product_of_factor_masks(self, n_osc, modes, n_max):
+        prof = VacuumProfile.uniform(modes)
+        factor = np.arange(modes * (n_max + 1)) % (n_max + 1) < n_max
+        want = np.array([True])
+        for _ in range(n_osc):
+            want = np.kron(want, factor)
+        mask = build_reducible(n_osc, prof, n_max).below_cutoff_mask
+        assert mask.dtype == bool and np.array_equal(mask, want)
+
     def test_vacuum_mode_norm_equals_probability(self):
         prof = VacuumProfile(("k1", "k2"), (0.3, 0.7))
         rep = build_reducible(3, prof, n_max=1)
