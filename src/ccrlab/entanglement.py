@@ -62,17 +62,17 @@ class Bipartition:
         return keep_axes, drop_axes
 
 
-def _cut_matrix(psi: StateVector, bipartition: Bipartition) -> np.ndarray:
-    """The amplitudes as a (kept x discarded) matrix, each side in factor order.
+def _cut_matrix(amplitudes: np.ndarray, fact: HilbertFactorization,
+                bipartition: Bipartition) -> np.ndarray:
+    """Amplitudes on ``fact`` as a (kept x discarded) matrix, each side in factor order.
 
     A (T, dim) stack gives a (T, kept, discarded) stack: its time axis
     leads the rows of the one :func:`~ccrlab.linalg.matricize` call.
     """
-    fact = psi.factorization
     keep_axes, drop_axes = bipartition.axes(fact)
-    stack = psi.amplitudes.shape[:-1]
+    stack = amplitudes.shape[:-1]
     lead = len(stack)
-    m = matricize(psi.amplitudes, stack + fact.dims,
+    m = matricize(amplitudes, stack + fact.dims,
                   tuple(range(lead)) + tuple(lead + i for i in keep_axes),
                   tuple(lead + i for i in drop_axes))
     return m.reshape(stack + (fact.dim // m.shape[1], m.shape[1]))
@@ -86,7 +86,7 @@ def partial_trace(psi: StateVector, bipartition: Bipartition) -> np.ndarray:
     state gives one complex matrix, a (T, dim) stack a (T, kept, kept)
     stack from one batched product.
     """
-    m = _cut_matrix(psi.normalized(), bipartition)
+    m = _cut_matrix(psi.normalized().amplitudes, psi.factorization, bipartition)
     return m @ m.conj().swapaxes(-1, -2)
 
 
@@ -97,7 +97,8 @@ def schmidt_coefficients(psi: StateVector, bipartition: Bipartition) -> np.ndarr
     single nonzero coefficient means a product state across the cut. A
     (T, dim) stack gives one row of coefficients per state.
     """
-    return np.linalg.svd(_cut_matrix(psi, bipartition), compute_uv=False)
+    return np.linalg.svd(_cut_matrix(psi.amplitudes, psi.factorization, bipartition),
+                         compute_uv=False)
 
 
 def operator_schmidt_coefficients(
@@ -106,11 +107,12 @@ def operator_schmidt_coefficients(
     """Schmidt spectrum of an operator across a factor bipartition.
 
     This is the Schmidt spectrum of the operator's vectorization: its
-    entries, read as a state on ``fact`` joined with a primed copy of
+    entries, read as amplitudes on ``fact`` joined with a primed copy of
     ``fact`` (one primed factor per column index), are cut between the
-    kept factors with their primed copies and the rest, by
-    :func:`schmidt_coefficients`. The coefficients are normalized to unit
-    Euclidean length, so a single nonzero entry certifies
+    kept factors with their primed copies and the rest, by the same
+    :func:`_cut_matrix` as a state's, with no copy into a
+    :class:`~ccrlab.linalg.StateVector`. The coefficients are normalized
+    to unit Euclidean length, so a single nonzero entry certifies
     ``op = op_keep (x) op_rest``.
     """
     arr = require_square(op, "operator")
@@ -120,9 +122,9 @@ def operator_schmidt_coefficients(
     # longer than every label, so no primed label is also an unprimed one
     prime = "'" * (1 + max(map(len, fact.labels), default=0))
     primed = HilbertFactorization(tuple((lab + prime, d) for lab, d in fact.factors))
-    sv = schmidt_coefficients(
-        StateVector(arr.reshape(-1), fact.joined_with(primed)),
-        Bipartition(bipartition.keep + tuple(lab + prime for lab in bipartition.keep)))
+    cut = Bipartition(bipartition.keep + tuple(lab + prime for lab in bipartition.keep))
+    sv = np.linalg.svd(_cut_matrix(arr.reshape(-1), fact.joined_with(primed), cut),
+                       compute_uv=False)
     total = float(np.linalg.norm(sv))
     if total == 0.0:
         raise ValidationError("operator Schmidt spectrum of the zero operator")

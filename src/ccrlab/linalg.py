@@ -23,10 +23,12 @@ coupled-space Hamiltonians and propagators. The brute-force route
 assembles the coupling Hamiltonian directly on the excitation sectors
 that its initial state occupies, named by their total excitation
 numbers (see :func:`ccrlab.dynamics.jc_hamiltonian`), so its largest
-matrices are the field operators, and its largest diagonalization is
-that sector block (see :func:`ccrlab.dynamics.evolve`), not the whole
-coupled space. The closed-form propagator takes no matrix function: it
-is one SVD of the coupling (see
+matrices are the field operators. It propagates the state on its
+Krylov space, whose tridiagonal generator (2N x 2N for the N-oscillator
+ensemble, 2 x 2 for the irreducible representations) is its only
+diagonalization (see :func:`ccrlab.dynamics.evolve`); it forms no
+propagator of the sector or of the coupled space. The closed-form
+propagator takes no matrix function: it is one SVD of the coupling (see
 :func:`ccrlab.dynamics.closed_form_evolution`).
 """
 

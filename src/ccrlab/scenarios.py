@@ -431,9 +431,12 @@ def simulated_atomic_density(
     the two modes; atom slot 0 couples to ``modes[0]``, slot 1 to
     ``modes[1]``. :func:`~ccrlab.dynamics.evolve` runs exactly on the
     initial state's one-excitation sector (no 4 d_field x 4 d_field
-    matrix is formed), with one diagonalization for all times, on the
-    generator the representation implies: H / sqrt(Z) for the reducible
-    ensemble, H for the irreducible ones. The atoms' density is the
+    matrix is formed), on the generator the representation implies:
+    H / sqrt(Z) for the reducible ensemble, H for the irreducible ones.
+    It propagates on the state's Krylov space, of dimension 2N for the
+    N-oscillator ensemble and 2 for the irreducible representations,
+    with one diagonalization of that size for all times and no stack of
+    sector propagators. The atoms' density is the
     partial trace of the evolved pure states, one batched product for
     the whole grid. ``t`` is a scalar (returns a 4x4 matrix) or a 1-D
     array of T times (returns a (T, 4, 4) stack); the result is
@@ -461,11 +464,12 @@ def _dense_mode_cut(rep: reps.Representation, modes: tuple[str, ...],
 
     The state is :func:`~ccrlab.representations.mode_excitation_state` of
     ``modes``: a_k^dag |vacuum> for one mode, the shared photon for several.
+    The entropy is :func:`~ccrlab.entanglement.marginal_entropy`'s
+    -sum p ln p of the squared coefficients, from the one decomposition.
     """
     psi = reps.mode_excitation_state(rep, *modes)
-    cut = ent.Bipartition((factor,))
-    sv = ent.schmidt_coefficients(psi, cut)
-    return ent.marginal_entropy(psi, cut), float(sv[0]), _second(sv)
+    sv = ent.schmidt_coefficients(psi, ent.Bipartition((factor,)))
+    return ent._entropy(sv**2), float(sv[0]), _second(sv)
 
 
 def _second(sv: np.ndarray) -> float:

@@ -349,6 +349,11 @@ def coupled_setup(kind, n=2, profile="uniform"):
     return rep, modes, h, dyn.single_photon_initial_state(rep, modes)
 
 
+SECTOR_CASES = [("infinity", 2, "uniform"), ("berezin", 2, "uniform")] + [
+    ("reducible", n, profile) for profile in ("uniform", "plateau") for n in (1, 2, 3)
+]
+
+
 class TestSectorEvolve:
     @pytest.mark.parametrize("profile", ["uniform", "plateau"])
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -383,6 +388,49 @@ class TestSectorEvolve:
             single_rho = simulated_atomic_density(rep, t, modes)
             assert single_rho.shape == (4, 4)
             assert np.max(np.abs(rho - single_rho)) <= 1e-14
+
+    @pytest.mark.parametrize("kind", ["infinity", "berezin", "reducible"])
+    @pytest.mark.parametrize("t", [0.9, TIME_GRID])
+    def test_zero_state_stays_zero(self, kind, t):
+        rep, modes, _, psi0 = coupled_setup(kind)
+        zero = StateVector(np.zeros(psi0.dim), psi0.factorization)
+        psi = dyn.evolve(rep, coupling_pairs(modes), zero, t).amplitudes
+        assert psi.shape == np.shape(t) + (psi0.dim,)
+        assert psi.dtype == np.complex128
+        assert not np.any(psi)
+
+    @pytest.mark.parametrize("kind,n,profile", SECTOR_CASES)
+    def test_global_phase_passes_through(self, kind, n, profile):
+        rep, modes, _, psi0 = coupled_setup(kind, n, profile)
+        phase = np.exp(0.83j)
+        rotated = StateVector(phase * psi0.amplitudes, psi0.factorization)
+        assert rotated.amplitudes.dtype == np.complex128
+        expected = phase * dyn.evolve(rep, coupling_pairs(modes), psi0, TIME_GRID).amplitudes
+        states = dyn.evolve(rep, coupling_pairs(modes), rotated, TIME_GRID).amplitudes
+        assert np.max(np.abs(states - expected)) <= 1e-15
+
+    @pytest.mark.parametrize("kind", ["infinity", "berezin", "reducible"])
+    def test_random_complex_state_matches_full_space_oracle(self, kind):
+        # every sector occupied, with degenerate frequencies in each
+        rep, modes, h, psi0 = coupled_setup(kind)
+        rng = np.random.default_rng(61)
+        amps = rng.normal(size=psi0.dim) + 1j * rng.normal(size=psi0.dim)
+        psi = StateVector(amps, psi0.factorization)
+        expected = expm_generator(effective_generator(rep, h), TIME_GRID) @ amps
+        states = dyn.evolve(rep, coupling_pairs(modes), psi, TIME_GRID).amplitudes
+        assert np.max(np.abs(states - expected)) <= 1e-12
+
+    def test_lanczos_spans_a_generic_matrix(self):
+        # distinct eigenvalues and a generic start: Q reaches the whole space
+        rng = np.random.default_rng(67)
+        m = rng.normal(size=(7, 7))
+        h = m + m.T
+        q0 = rng.normal(size=7)
+        basis, tridiagonal = dyn._lanczos(h, q0 / np.linalg.norm(q0))
+        assert basis.shape == (7, 7)
+        assert np.max(np.abs(basis @ basis.T - np.eye(7))) <= 1e-14
+        assert np.max(np.abs(basis.T @ tridiagonal @ basis - h)) <= 1e-13
+        assert np.array_equal(tridiagonal, np.triu(np.tril(tridiagonal, 1), -1))
 
     @pytest.mark.parametrize("kind", ["infinity", "berezin", "reducible"])
     def test_two_sector_state_matches_full_space_oracle(self, kind):
@@ -422,11 +470,6 @@ class TestSectorEvolve:
         assert np.array_equal(np.diag(numbers), oracle)
 
 
-SECTOR_CASES = [("infinity", 2, "uniform"), ("berezin", 2, "uniform")] + [
-    ("reducible", n, profile) for profile in ("uniform", "plateau") for n in (1, 2, 3)
-]
-
-
 class TestSectorHamiltonian:
     @pytest.mark.parametrize("kind,n,profile", SECTOR_CASES)
     def test_sector_block_equals_restricted_full_hamiltonian(self, kind, n, profile):
@@ -463,6 +506,23 @@ class TestSectorHamiltonian:
         finally:
             tracemalloc.stop()
         assert peak < coupled_bytes
+
+    def test_brute_force_peak_below_one_sector_propagator_stack(self):
+        # Propagating on the Krylov space of psi0 holds no (T, d, d) stack
+        # of sector propagators: 3 x 135^2 complex128 entries, 875 KB.
+        rep, modes, _, psi0 = coupled_setup("reducible", 3, "plateau")
+        times = np.array([0.0, 0.7, math.pi / 2])
+        sector = int(dyn.excitation_sector_mask(rep, {1}).sum())
+        assert sector == 135
+        stack_bytes = np.dtype(complex).itemsize * times.size * sector**2
+        simulated_atomic_density(rep, times, modes)
+        tracemalloc.start()
+        try:
+            simulated_atomic_density(rep, times, modes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < stack_bytes
 
     def test_initial_state_peak_below_one_field_matrix(self):
         # At the N = 3 plateau the field has 216 states; raising the vacuum
@@ -508,20 +568,26 @@ class TestRealCoupling:
         simulated = simulated_atomic_density(rep, DEFAULT_TIMES, modes)
         assert np.max(np.abs(simulated - i_coupling_atoms(rep, DEFAULT_TIMES, modes))) <= 1e-14
 
-    @pytest.mark.parametrize("kind", ["infinity", "berezin", "reducible"])
-    def test_evolve_diagonalizes_a_float64_matrix(self, kind, monkeypatch):
-        rep, modes, _, psi0 = coupled_setup(kind, 2, "plateau")
+    @pytest.mark.parametrize("kind,n,profile", [
+        ("infinity", 2, "uniform"), ("berezin", 2, "uniform"),
+        *[("reducible", n, profile) for profile in ("uniform", "plateau") for n in (1, 2, 3, 4)],
+    ])
+    def test_evolve_diagonalizes_a_float64_matrix(self, kind, n, profile, monkeypatch):
+        # the diagonalized matrix is the Krylov space's tridiagonal: 2N x 2N
+        # for the N-oscillator ensemble, 2 x 2 for the irreducible kinds
+        rep, modes, _, psi0 = coupled_setup(kind, n, profile)
         seen = []
         eig = linalg.hermitian_eig
 
         def spy(m):
-            seen.append(np.asarray(m).dtype)
+            seen.append((np.asarray(m).dtype, np.shape(m)))
             return eig(m)
 
         monkeypatch.setattr(linalg, "hermitian_eig", spy)
         assert psi0.amplitudes.dtype == np.float64
         psi = dyn.evolve(rep, coupling_pairs(modes), psi0, DEFAULT_TIMES)
-        assert seen == [np.float64]
+        krylov = 2 * n if kind == "reducible" else 2
+        assert seen == [(np.float64, (krylov, krylov))]
         assert psi.amplitudes.dtype == np.complex128
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ccrlab import dynamics as dyn
+from ccrlab import linalg
 from ccrlab.entanglement import (
     Bipartition,
     concurrence,
@@ -502,6 +503,28 @@ class TestOperatorSchmidtAsStateCut:
         op = np.random.default_rng(127).normal(size=(6, 6))
         got = operator_schmidt_coefficients(op, fact, Bipartition(("a'",)))
         assert np.array_equal(got, operator_schmidt_oracle(op, fact, ("a'",)))
+
+    def test_no_state_vector_in_between(self, monkeypatch):
+        # the operator's entries go to the cut as they are: no StateVector
+        # copies them or scans them for non-finite entries a second time
+        made = []
+        post_init = linalg.StateVector.__post_init__
+
+        def counting(self):
+            made.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(linalg.StateVector, "__post_init__", counting)
+        op = np.random.default_rng(131).normal(size=(12, 12))
+        got = operator_schmidt_coefficients(op, self.FACT, Bipartition(("b",)))
+        assert made == []
+        assert np.array_equal(got, operator_schmidt_oracle(op, self.FACT, ("b",)))
+
+    def test_refuses_non_finite_entries(self):
+        op = np.eye(12)
+        op[3, 5] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            operator_schmidt_coefficients(op, self.FACT, Bipartition(("a",)))
 
     @pytest.mark.parametrize("op", [np.zeros((2, 8)), np.zeros(16), np.zeros((8, 8))])
     def test_refuses_an_operator_off_the_factorization(self, op):

@@ -15,6 +15,7 @@ from ccrlab import cli
 from ccrlab import dynamics as dyn
 from ccrlab import entanglement as ent
 from ccrlab import representations as reps
+from ccrlab import scenarios
 from ccrlab.exceptions import ConfigError, DomainError, SizeLimitError, ValidationError
 from ccrlab.linalg import expm_generator
 from ccrlab.scenarios import (
@@ -403,6 +404,34 @@ class TestClosedFormTwin:
         monkeypatch.setattr(dyn, "central_measure",
                             lambda rep, modes: measure(rep, modes[::-1]))
         assert not verdict()
+
+
+class TestDenseModeCut:
+    """``_dense_mode_cut`` takes its entropy from its one Schmidt decomposition."""
+
+    @pytest.mark.parametrize("rep, modes, factor", [
+        (reps.build_infinity_two_mode(3), ("mode1", "mode2"), "mode1"),
+        (reps.build_infinity_two_mode(3), ("mode1",), "mode1"),
+        (reps.build_reducible(3, reps.VacuumProfile.plateau(3, (0, 0), 0.7), 1, ["k1"]),
+         ("k1",), "osc1"),
+    ], ids=["infinity-shared", "infinity-one-mode", "reducible-osc1"])
+    def test_one_decomposition_per_cut(self, rep, modes, factor, monkeypatch):
+        calls = []
+        schmidt = ent.schmidt_coefficients
+
+        def counting(psi, cut):
+            calls.append(cut)
+            return schmidt(psi, cut)
+
+        monkeypatch.setattr(ent, "schmidt_coefficients", counting)
+        entropy, s1, s2 = scenarios._dense_mode_cut(rep, modes, factor)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        psi = reps.mode_excitation_state(rep, *modes)
+        cut = ent.Bipartition((factor,))
+        sv = ent.schmidt_coefficients(psi, cut)
+        assert entropy == ent.marginal_entropy(psi, cut)
+        assert (s1, s2) == (sv[0], sv[1])
 
 
 class TestSingleModeClosedForm:
